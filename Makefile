@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast coverage bench-smoke bench-fastpath bench-serving bench-monitoring bench-chaos bench-telemetry lint lint-fix-baseline
+.PHONY: test test-fast coverage bench-smoke perfbench-smoke bench-fastpath bench-serving bench-monitoring bench-chaos bench-telemetry lint lint-fix-baseline
 
 # Tier-1 suite (the ROADMAP verify command). Runs everything, including
 # tests marked `slow`.
@@ -44,6 +44,13 @@ bench-smoke:
 	REPRO_SCALE=0.25 $(PYTHON) benchmarks/bench_chaos.py
 	REPRO_SCALE=0.25 $(PYTHON) benchmarks/bench_telemetry.py
 	$(PYTHON) tools/bench_report.py
+
+# Smoke tests of the repository's benchmark (perfbench/, BENCHMARK.json)
+# at a tiny scale: every metric reported with its unit, the traced layer
+# breakdown reconciles through the layer hooks it wraps by name, and each
+# correctness gate fires on a substituted model. Properties, not timings.
+perfbench-smoke:
+	$(PYTHON) -m pytest -q perfbench/smoke.py
 
 # Full-scale fastpath speedup benchmark (fit / score / predict, legacy vs
 # packed + shared-binning paths, bit-identity asserted on every pair).

@@ -33,7 +33,6 @@ from ..fastpath import (
     BinnedSubset,
     CodeTable,
     PackedForest,
-    ScoringMatrix,
     fastpath_enabled,
     shared_bin_context_for,
 )
@@ -161,6 +160,21 @@ def self_paced_under_sample(
     return np.concatenate(chosen), bins
 
 
+#: Rows per block when the majority is gathered into column-major storage:
+#: bounds the row-major staging copy to a few MB.
+_COLUMN_BLOCK = 1 << 15
+
+
+def _gather_columns(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``X[rows]`` stored column-major as ``(n_features, len(rows))``,
+    gathered block by block so no full row-major copy is ever held."""
+    columns = np.empty((X.shape[1], len(rows)), dtype=X.dtype)
+    for lo in range(0, len(rows), _COLUMN_BLOCK):
+        block = rows[lo : lo + _COLUMN_BLOCK]
+        columns[:, lo : lo + len(block)] = X[block].T
+    return columns
+
+
 class InMemoryMajorityAccess:
     """Majority-class data operations for the in-memory training path.
 
@@ -172,15 +186,18 @@ class InMemoryMajorityAccess:
     in block-streaming implementations while sharing the loop — and with it
     the RNG consumption order that makes the two paths bit-identical.
 
-    Scoring fast path: the majority matrix is fixed across all iterations,
-    so on the first tree-model score it is rank-coded exactly once into a
-    :class:`~repro.fastpath.ScoringMatrix` (smallest unsigned dtype that
-    fits each feature's cardinality — ``uint8`` up to 256 distinct values)
-    and every subsequent score runs the packed kernel over the small integer
-    codes. Threshold→code-cut mapping makes the routing exactly the raw
-    float comparisons, so the returned probabilities are bit-identical to
-    the legacy ``proba_fn`` path (gated by the fastpath equivalence suite);
-    non-tree models, or ``REPRO_FASTPATH=0``, fall back to ``proba_fn``.
+    Storage and scoring fast path: the majority rows are kept once,
+    column-major (``(n_features, n_majority)``, built once per fit), and
+    ``take`` gathers member subsets from those columns — the same values as
+    row-major gathers, so members are fitted on identical inputs. Each new
+    tree member is packed and routed by
+    :meth:`~repro.fastpath.PackedForest.apply_columns` over the columns
+    with its raw thresholds: each node's split is a 1-D gather from one
+    column, with the exact ``x < t`` comparison of
+    :meth:`repro.tree.Tree.apply`, so the returned probabilities are
+    bit-identical to the legacy ``proba_fn`` path (gated by the fastpath
+    equivalence suite); non-tree models, or ``REPRO_FASTPATH=0``, fall back
+    to ``proba_fn`` over a row-major copy.
 
     With ``bin_context`` set (``shared_binning=True``), the gather methods
     hand out :class:`BinnedSubset` views so member trees fit directly on the
@@ -196,10 +213,9 @@ class InMemoryMajorityAccess:
     ):
         self._X = X
         self._maj_idx = maj_idx
-        self._X_maj = X[maj_idx]
+        self._columns = _gather_columns(X, maj_idx)
         self._proba_fn = proba_fn
         self._context = bin_context
-        self._scoring: Optional[ScoringMatrix] = None
         self._fine_codes_maj: Optional[np.ndarray] = None
 
     def take_global(self, indices: np.ndarray) -> np.ndarray:
@@ -212,20 +228,19 @@ class InMemoryMajorityAccess:
         """Rows by majority-local index (the self-paced subsets)."""
         if self._context is not None:
             return self._context.view(self._maj_idx[local_indices])
-        return self._X_maj[local_indices]
+        return self._columns[:, local_indices].T
 
     def score(self, model) -> np.ndarray:
         """Positive-class probability of ``model`` on every majority row."""
         if fastpath_enabled():
             forest = PackedForest.from_estimators([model], np.array([0, 1]))
-            if forest is not None and forest.n_features == self._X_maj.shape[1]:
+            if forest is not None and forest.n_features == len(self._columns):
                 scored = self._score_shared_member(model, forest)
                 if scored is not None:
                     return scored
-                if self._scoring is None:
-                    self._scoring = ScoringMatrix(self._X_maj)
-                return self._scoring.score(forest)[:, 1]
-        return self._proba_fn(model, self._X_maj)
+                leaves = forest.apply_columns(self._columns)
+                return forest.proba_from_leaves(leaves)[:, 1]
+        return self._proba_fn(model, np.ascontiguousarray(self._columns.T))
 
     def _score_shared_member(self, model, forest) -> Optional[np.ndarray]:
         """Decision-table scoring for a member fitted against this fit's
@@ -312,11 +327,12 @@ class SelfPacedEnsembleClassifier(
     Notes
     -----
     Two further fastpath knobs act on SPE without changing any result:
-    the packed-forest kernel behind ``predict_proba`` and the rank-coded
-    majority scoring inside ``fit`` are bit-identical to the legacy
-    per-tree loops and are on by default — set ``REPRO_FASTPATH=0`` (or use
-    :func:`repro.fastpath.fastpath_disabled`) to fall back, e.g. for A/B
-    timing (``benchmarks/bench_fastpath.py``).
+    the packed-forest kernel behind ``predict_proba`` and the majority
+    scoring inside ``fit`` (each new member routed by node partition over a
+    column-major copy of the majority, raw thresholds, no rank codes) are
+    bit-identical to the legacy per-tree loops and are on by default — set
+    ``REPRO_FASTPATH=0`` (or use :func:`repro.fastpath.fastpath_disabled`)
+    to fall back, e.g. for A/B timing (``benchmarks/bench_fastpath.py``).
 
     Attributes
     ----------

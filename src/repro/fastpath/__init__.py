@@ -8,11 +8,14 @@ Two independent pieces (see ``DESIGN.md`` → "fastpath"):
   UnderBagging / EasyEnsemble; changes bin edges, so statistically
   equivalent rather than bit-identical).
 * **Inference** — :class:`PackedForest` flattens all fitted trees into
-  contiguous node arrays and evaluates all trees × all rows in one
-  level-synchronous pass; :class:`ScoringMatrix` rank-codes a fixed matrix
-  once so the SPE fit loop re-scores the majority set over small integer
-  codes. Both are bit-identical to the legacy per-tree path and on by
-  default (``REPRO_FASTPATH=0`` / :func:`fastpath_disabled` opt out).
+  contiguous node arrays and routes every row through every tree: small
+  batches in one fused level-synchronous lane pass, large batches by node
+  partition over column-major rows (which is also how the SPE fit loop
+  re-scores its column-major majority with each new member, on the raw
+  thresholds). :class:`ScoringMatrix` rank-codes a fixed matrix for exact
+  scoring over integer codes. All are bit-identical to the legacy per-tree
+  path and on by default (``REPRO_FASTPATH=0`` / :func:`fastpath_disabled`
+  opt out).
 """
 
 from .bincontext import (

@@ -19,11 +19,20 @@ and a select. All index arrays are int64 — numpy silently *copies* narrower
 index arrays to ``intp`` on every fancy-indexing call, which erases any
 cache win from smaller dtypes.
 
-Evaluation is level-synchronous with active-lane compaction and picks its
-shape by size: small batches fuse all trees into one ``(tree, row)`` lane
-vector (python-call overhead is paid per *level*, the serving-latency
-regime), large batches walk tree-segmented lanes (row-sorted gathers, the
-bulk-throughput regime).
+Evaluation picks one of two shapes by the number of ``(tree, row)``
+lanes (:data:`_FUSED_LANES`, measured crossover in ``DESIGN.md``):
+
+* **fused** (small batches, the serving-latency regime) — every tree in
+  one lane vector, advanced one level per step with active-lane
+  compaction, so python overhead is paid per *level*;
+* **node partition** (large batches, the bulk-throughput regime) — rows
+  are taken column-major (a row-major input is transposed one
+  :data:`_PARTITION_ROWS` chunk at a time, never whole) and each tree
+  pops ``(node, row indices)`` from a stack: the node's split is
+  ``columns[feature].take(rows) < key``, a 1-D gather from one
+  cache-resident column, and the non-empty children are pushed. Nodes
+  reached by fewer than :data:`_LANE_ROWS` rows hand their rows to one
+  fused-style lane walk shared by all trees of the chunk.
 
 Bit-identity: routing uses the same ``x < threshold`` comparisons as
 :meth:`repro.tree.Tree.apply` (NaN falls right in both), leaf lookup is
@@ -34,12 +43,13 @@ exactly — trees summed sequentially inside fixed blocks of
 division — so the probabilities match the per-tree path bit for bit
 (gated by ``tests/test_fastpath_equivalence.py``).
 
-``ScoringMatrix`` is the fixed-matrix companion for the SPE fit loop: the
-majority matrix is rank-coded per feature exactly once (smallest unsigned
+``ScoringMatrix`` rank-codes a fixed matrix per feature (smallest unsigned
 integer dtype that fits the per-feature cardinality — ``uint8`` up to 256
-distinct values), and any tree threshold ``t`` is mapped to the exact code
-cut ``#{values < t}``, so repeated per-iteration scoring never touches the
-float64 matrix again yet routes every row identically.
+distinct values) and maps any tree threshold ``t`` to the exact code cut
+``#{values < t}``, so scoring over the codes routes every row identically.
+The SPE fit loop does not use it: on continuous features the codes are as
+wide as the float64 rows, and building them costs more than routing the
+raw columns (see ``DESIGN.md``).
 """
 
 from __future__ import annotations
@@ -59,11 +69,16 @@ ESTIMATOR_BLOCK = 8
 
 #: Below this many (tree, row) lanes the fused all-trees kernel wins (lane
 #: state cache-resident, python overhead paid once per level); above it the
-#: tree-segmented kernel wins (sequential row gathers).
-_FUSED_LANES = 1 << 15
+#: node-partition kernel wins (1-D gathers from one column per node).
+_FUSED_LANES = 1 << 14
 
-#: Row chunk of the segmented kernel — bounds lane-state memory at huge n.
-_SEGMENT_ROWS = 1 << 20
+#: Row chunk of the partition kernel — bounds the transposed copy of a
+#: row-major input at ``_PARTITION_ROWS × n_features`` values.
+_PARTITION_ROWS = 1 << 16
+
+#: Rows below which a node of the partition kernel hands its rows to the
+#: lane walk instead of splitting them itself.
+_LANE_ROWS = 512
 
 _LEAF = -1
 
@@ -191,45 +206,78 @@ class PackedForest:
         return cls.from_trees(trees, column_maps, len(class_pos), int(n_features))
 
     # ------------------------------------------------------------------ #
-    def _route(self, matrix: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    def _route(self, matrix: np.ndarray, keys: np.ndarray,
+               column_major: bool = False) -> np.ndarray:
         """Leaf node id of every row in every tree: ``(n_trees, n)`` int64.
 
-        A lane goes left exactly when ``matrix[row, feature] < keys[node]``
-        (``keys`` = thresholds for raw floats, code cuts for coded rows).
+        ``matrix`` is ``(n, n_features)``, or ``(n_features, n)`` with
+        ``column_major``. A row goes left exactly when its ``feature`` value
+        is ``< keys[node]`` (``keys`` = thresholds for raw floats, code cuts
+        for coded rows).
         """
-        n = matrix.shape[0]
-        feature, left, roots = self.feature, self.left, self.roots
+        n = matrix.shape[1] if column_major else matrix.shape[0]
         if self.n_trees * n <= _FUSED_LANES:
-            # Fused: one lane vector over all trees, python cost per level.
-            node = np.repeat(roots, n)
+            node = np.repeat(self.roots, n)
             rows = np.tile(np.arange(n, dtype=np.int64), self.n_trees)
-            active = np.flatnonzero(feature[node] != _LEAF)
-            while active.size:
-                cur = node[active]
-                go_left = matrix[rows[active], feature[cur]] < keys[cur]
-                nxt = left[cur] + ~go_left
-                node[active] = nxt
-                active = active[feature[nxt] != _LEAF]
-            return node.reshape(self.n_trees, n)
-        # Segmented: one tree at a time over row chunks — row indices stay
-        # sorted, so the per-level gathers stream through the matrix.
+            columns = matrix if column_major else matrix.T
+            return self._walk_lanes(columns, keys, node, rows).reshape(self.n_trees, n)
         out = np.empty((self.n_trees, n), dtype=np.int64)
-        for t in range(self.n_trees):
-            root = roots[t]
-            for lo in range(0, n, _SEGMENT_ROWS):
-                hi = min(lo + _SEGMENT_ROWS, n)
-                chunk = matrix[lo:hi]
-                node = np.full(hi - lo, root, dtype=np.int64)
-                if feature[root] != _LEAF:
-                    active = np.arange(hi - lo, dtype=np.int64)
-                    while active.size:
-                        cur = node[active]
-                        go_left = chunk[active, feature[cur]] < keys[cur]
-                        nxt = left[cur] + ~go_left
-                        node[active] = nxt
-                        active = active[feature[nxt] != _LEAF]
-                out[t, lo:hi] = node
+        for lo in range(0, n, _PARTITION_ROWS):
+            hi = min(lo + _PARTITION_ROWS, n)
+            if column_major:
+                columns = matrix[:, lo:hi]
+            else:
+                columns = np.ascontiguousarray(matrix[lo:hi].T)
+            self._partition(columns, keys, out[:, lo:hi])
         return out
+
+    def _walk_lanes(self, columns: np.ndarray, keys: np.ndarray,
+                    node: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Advance every ``(node, row)`` lane to its leaf, one level per
+        step with active-lane compaction (python cost per *level*);
+        ``columns`` is any ``(n_features, n)`` view. Updates ``node``."""
+        feature, left = self.feature, self.left
+        active = np.flatnonzero(feature[node] != _LEAF)
+        while active.size:
+            cur = node[active]
+            go_left = columns[feature[cur], rows[active]] < keys[cur]
+            nxt = left[cur] + ~go_left
+            node[active] = nxt
+            active = active[feature[nxt] != _LEAF]
+        return node
+
+    def _partition(self, columns: np.ndarray, keys: np.ndarray,
+                   out: np.ndarray) -> None:
+        """Route a column-major chunk through every tree into ``out``
+        ``(n_trees, n)``. Each tree pops ``(node, row indices)`` from a
+        stack, splits the rows by one 1-D gather from one column and pushes
+        the non-empty children. Nodes reached by fewer than
+        :data:`_LANE_ROWS` rows would pay more python cost than gather work,
+        so their rows finish together, across all trees, in one lane walk."""
+        feature, left = self.feature, self.left
+        n = columns.shape[1]
+        pending = []  # (tree, node, rows) left to the lane walk
+        for t, root in enumerate(self.roots):
+            stack = [(root, np.arange(n, dtype=np.int64))]
+            while stack:
+                node, idx = stack.pop()
+                if feature[node] == _LEAF:
+                    out[t, idx] = node
+                elif idx.size < _LANE_ROWS:
+                    pending.append((t, node, idx))
+                else:
+                    go_left = columns[feature[node]].take(idx) < keys[node]
+                    right = left[node] + 1
+                    for child, part in ((right, idx[~go_left]),
+                                        (right - 1, idx[go_left])):
+                        if part.size:
+                            stack.append((child, part))
+        if pending:
+            sizes = [len(idx) for _, _, idx in pending]
+            trees = np.repeat([t for t, _, _ in pending], sizes)
+            node = np.repeat([nd for _, nd, _ in pending], sizes)
+            rows = np.concatenate([idx for _, _, idx in pending])
+            out[trees, rows] = self._walk_lanes(columns, keys, node, rows)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id (packed space) of every row in every tree; routing
@@ -237,8 +285,13 @@ class PackedForest:
         X = np.ascontiguousarray(X, dtype=np.float64)
         return self._route(X, self.threshold)
 
+    def apply_columns(self, columns: np.ndarray) -> np.ndarray:
+        """:meth:`apply` over a column-major float64 matrix
+        ``(n_features, n)``, read where it lies (no transposed copy)."""
+        return self._route(columns, self.threshold, column_major=True)
+
     def apply_codes(self, codes: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-        """Leaf ids over a pre-coded matrix: lane goes left when
+        """Leaf ids over a pre-coded matrix: a row goes left when
         ``codes[row, feature] < cuts[node]``."""
         return self._route(codes, cuts)
 

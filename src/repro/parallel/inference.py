@@ -4,8 +4,10 @@
 
 * **Packed fast path** (default for all-tree ensembles): the fitted trees
   are flattened into one :class:`repro.fastpath.PackedForest` and every
-  tree × every row is evaluated in a single vectorised level-synchronous
-  pass — no per-tree ``predict_proba`` calls, no per-chunk re-validation.
+  tree × every row is routed by its vectorised kernels (one fused
+  level-synchronous pass for small batches, node partition over
+  column-major row chunks for large ones) — no per-tree ``predict_proba``
+  calls, no per-chunk re-validation.
   The packed kernel replays this module's exact accumulation order
   (sequential sums inside fixed :data:`ESTIMATOR_BLOCK`-sized blocks, block
   partials reduced in block order, one final division), so its output is

@@ -110,6 +110,15 @@ class TestWorkflowFile:
         smoke = makefile_text.split("bench-smoke:")[1].split("\n\n")[0]
         assert "bench_chaos.py" in smoke
 
+    def test_bench_job_runs_perfbench_smoke(self, workflow, makefile_text):
+        """The repository benchmark's smoke tests run as their own step of
+        the bench job, through a make target that runs perfbench/smoke.py."""
+        target = makefile_text.split("perfbench-smoke:")[1].split("\n\n")[0]
+        assert "pytest -q perfbench/smoke.py" in target
+        steps = workflow["jobs"]["bench-smoke"]["steps"]
+        assert any(step.get("run", "").strip() == "make perfbench-smoke"
+                   for step in steps)
+
     def test_bench_monitoring_target_exists(self, makefile_text):
         assert "bench-monitoring:" in makefile_text
 

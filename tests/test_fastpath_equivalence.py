@@ -152,12 +152,21 @@ class TestDegenerateShapes:
 
 
 class TestScoringFastpath:
-    """The SPE fit loop's majority scoring (ScoringMatrix / CodeTable) must
-    not change the fitted ensemble by a single bit."""
+    """The SPE fit loop's majority scoring (node-partition routing over the
+    column-major majority / CodeTable) must not change the fitted ensemble
+    by a single bit."""
 
+    @pytest.mark.parametrize("fused_lanes", [0, 1 << 62], ids=["partition", "fused"])
     @pytest.mark.parametrize("shared", [False, True])
-    def test_fit_bit_identical_with_and_without_kernels(self, data, test_rows, shared):
+    def test_fit_bit_identical_with_and_without_kernels(
+        self, data, test_rows, shared, fused_lanes, monkeypatch
+    ):
+        """Both routing regimes of the fit loop's scoring — the large-batch
+        partition kernel and the fused one — against the legacy scorer."""
+        import repro.fastpath.packed as packed_mod
+
         X, y = data
+        monkeypatch.setattr(packed_mod, "_FUSED_LANES", fused_lanes)
         fast = SelfPacedEnsembleClassifier(
             n_estimators=6, shared_binning=shared, random_state=0
         ).fit(X, y)

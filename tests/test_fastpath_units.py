@@ -2,8 +2,11 @@
 optimisations: vectorised bin gathering, keyed inference payloads, binner
 caching, the level-synchronous tree builder, and the packed kernel."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.binning import cut_hardness_bins, allocate_bin_samples, self_paced_bin_weights
 from repro.core.self_paced import self_paced_under_sample
@@ -20,7 +23,7 @@ from repro.parallel import ensemble_predict_proba
 from repro.parallel.executor import parallel_map
 from repro.parallel.inference import _SHARED_PAYLOADS
 from repro.tree import DecisionTreeClassifier, FeatureBinner
-from repro.tree._tree import _grow_depth_first, build_tree
+from repro.tree._tree import _LEAF, Tree, _grow_depth_first, build_tree
 
 
 # --------------------------------------------------------------------- #
@@ -238,6 +241,101 @@ class TestSharedBinContext:
 
 
 # --------------------------------------------------------------------- #
+#: Routing regimes forced through the kernel's module constants:
+#: ``(_FUSED_LANES, _LANE_ROWS, _PARTITION_ROWS)``. "partition" splits
+#: every node itself over 7-row chunks; "hybrid" hands nodes of < 3 rows
+#: to the lane walk.
+_REGIME_CONSTANTS = {
+    "fused": (1 << 62, 512, 1 << 16),
+    "partition": (-1, 0, 7),
+    "hybrid": (-1, 3, 1 << 16),
+}
+_REGIMES = sorted(_REGIME_CONSTANTS)
+
+
+@contextlib.contextmanager
+def _routing_regime(regime):
+    import repro.fastpath.packed as packed_mod
+
+    names = ("_FUSED_LANES", "_LANE_ROWS", "_PARTITION_ROWS")
+    saved = [getattr(packed_mod, name) for name in names]
+    try:
+        for name, value in zip(names, _REGIME_CONSTANTS[regime]):
+            setattr(packed_mod, name, value)
+        yield
+    finally:
+        for name, value in zip(names, saved):
+            setattr(packed_mod, name, value)
+
+
+def _draw_tree(draw, n_features, thresholds, max_depth):
+    """A random :class:`Tree` in pre-order; each node's value is unique,
+    so equal leaf values mean equal leaves."""
+    nodes = []
+
+    def grow(depth):
+        node = len(nodes)
+        nodes.append(None)
+        if depth == 0 or not draw(st.booleans()):
+            nodes[node] = (_LEAF, -2.0, -1, -1)
+        else:
+            feature = draw(st.integers(0, n_features - 1))
+            threshold = draw(st.sampled_from(thresholds))
+            left = grow(depth - 1)
+            nodes[node] = (feature, threshold, left, grow(depth - 1))
+        return node
+
+    grow(draw(st.integers(0, max_depth)))
+    feature, threshold, left, right = (np.array(col) for col in zip(*nodes))
+    n = len(nodes)
+    ids = np.arange(n, dtype=np.float64)
+    return Tree(
+        feature=feature.astype(np.int64),
+        threshold=threshold.astype(np.float64),
+        children_left=left.astype(np.int64),
+        children_right=right.astype(np.int64),
+        value=np.column_stack([ids, -ids]),
+        n_node_samples=np.zeros(n, dtype=np.int64),
+        impurity=np.zeros(n),
+        n_classes=2,
+    )
+
+
+_FLOATS = [-np.inf, -1.5, 0.0, 0.5, 2.0, np.inf]
+
+
+@st.composite
+def _float_routing_cases(draw):
+    n_features = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(0, 40))
+    trees = [_draw_tree(draw, n_features, _FLOATS, max_depth=5)
+             for _ in range(draw(st.integers(1, 3)))]
+    cells = draw(st.lists(st.sampled_from(_FLOATS + [np.nan]),
+                          min_size=n_rows * n_features,
+                          max_size=n_rows * n_features))
+    return trees, np.array(cells, dtype=np.float64).reshape(n_rows, n_features)
+
+
+_CODES = {
+    np.uint8: ([0, 1, 2, 254, 255], [0, 1, 2, 255, 256, 300]),
+    np.uint16: ([0, 1, 255, 256, 65535], [0, 1, 256, 65535, 65536, 70000]),
+}
+
+
+@st.composite
+def _code_routing_cases(draw):
+    dtype = draw(st.sampled_from(sorted(_CODES, key=str)))
+    values, cuts = _CODES[dtype]
+    n_features = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(0, 40))
+    trees = [_draw_tree(draw, n_features, [float(c) for c in cuts], max_depth=5)
+             for _ in range(draw(st.integers(1, 3)))]
+    cells = draw(st.lists(st.sampled_from(values),
+                          min_size=n_rows * n_features,
+                          max_size=n_rows * n_features))
+    return trees, np.array(cells, dtype=dtype).reshape(n_rows, n_features)
+
+
 class TestPackedKernel:
     def test_apply_matches_tree_apply(self, rng):
         X = rng.randn(400, 3)
@@ -251,25 +349,56 @@ class TestPackedKernel:
             # must agree with the per-tree evaluation exactly
             assert np.array_equal(forest.value[leaves[t]], est.predict_proba(X))
 
-    def test_fused_and_segmented_agree(self, rng):
-        """Small batches take the fused kernel, large the segmented one —
-        force both over the same rows and compare."""
-        import repro.fastpath.packed as packed_mod
-
+    def test_fused_and_partition_agree(self, rng):
+        """Small batches take the fused kernel, large the node-partition
+        one — force both over the same rows and compare."""
         X = rng.randn(2000, 2)
         y = (X[:, 0] > 0).astype(int)
         trees = [DecisionTreeClassifier(max_depth=6, random_state=s).fit(X, y)
                  for s in range(4)]
         forest = PackedForest.from_estimators(trees, np.array([0, 1]))
-        original = packed_mod._FUSED_LANES
-        try:
-            packed_mod._FUSED_LANES = 1 << 30
+        with _routing_regime("fused"):
             fused = forest.apply(X)
-            packed_mod._FUSED_LANES = 0
-            segmented = forest.apply(X)
-        finally:
-            packed_mod._FUSED_LANES = original
-        assert np.array_equal(fused, segmented)
+        with _routing_regime("hybrid"):
+            partition = forest.apply(X)
+        assert np.array_equal(fused, partition)
+
+    @pytest.mark.parametrize("regime", _REGIMES)
+    @settings(max_examples=60, deadline=None)
+    @given(case=_float_routing_cases())
+    def test_routing_matches_tree_apply(self, regime, case):
+        """Differential property: packed routing lands every row on the
+        leaf ``Tree.apply`` reaches, whatever kernel the batch takes —
+        duplicates, thresholds equal to data values, ±inf, NaN (goes
+        right), root-is-leaf trees, 0 and 1 rows."""
+        trees, X = case
+        forest = PackedForest.from_trees(trees, [[0, 1]] * len(trees), 2,
+                                         X.shape[1])
+        with _routing_regime(regime):
+            by_rows = forest.apply(X)
+            by_columns = forest.apply_columns(np.ascontiguousarray(X.T))
+        assert by_rows.shape == (len(trees), len(X))
+        for t, tree in enumerate(trees):
+            want = tree.value[tree.apply(X)]
+            assert np.array_equal(forest.value[by_rows[t]], want)
+            assert np.array_equal(forest.value[by_columns[t]], want)
+
+    @pytest.mark.parametrize("regime", _REGIMES)
+    @settings(max_examples=60, deadline=None)
+    @given(case=_code_routing_cases())
+    def test_code_routing_matches_tree_apply(self, regime, case):
+        """``apply_codes`` over uint8/uint16 codes, with integer cuts up to
+        and beyond the dtype's range, routes like ``Tree.apply`` on the
+        same codes as floats."""
+        trees, codes = case
+        forest = PackedForest.from_trees(trees, [[0, 1]] * len(trees), 2,
+                                         codes.shape[1])
+        cuts = np.where(forest.feature >= 0, forest.threshold, 0).astype(np.int64)
+        with _routing_regime(regime):
+            leaves = forest.apply_codes(codes, cuts)
+        for t, tree in enumerate(trees):
+            want = tree.value[tree.apply(codes.astype(np.float64))]
+            assert np.array_equal(forest.value[leaves[t]], want)
 
     def test_scoring_matrix_dtype_ladder(self, rng):
         low_card = np.repeat(np.arange(4.0), 25).reshape(-1, 1)
