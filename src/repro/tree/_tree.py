@@ -10,7 +10,7 @@ import numpy as np
 from .. import telemetry
 from ..utils.validation import check_random_state
 from ._binning import FeatureBinner
-from ._criterion import node_impurity, split_gain
+from ._criterion import class_sum, node_impurity, split_gain
 
 __all__ = ["Tree", "build_tree"]
 
@@ -133,6 +133,54 @@ def _stacked_class_histograms(
     return weighted.reshape(shape), counts.reshape(shape)
 
 
+def _best_splits(
+    weighted: np.ndarray,
+    counts: np.ndarray,
+    class_w: np.ndarray,
+    imp: np.ndarray,
+    n_rows: np.ndarray,
+    criterion: str,
+    min_samples_leaf: int,
+):
+    """Best split of each of ``E`` nodes from its class histograms.
+
+    ``weighted`` / ``counts`` are the (E, F, B, C) weighted and integer
+    (node, feature, bin, class) histograms; ``class_w`` (E, C), ``imp`` (E,)
+    and ``n_rows`` (E,) describe the nodes. Candidate ``(f, b)`` for
+    ``b < B - 1`` sends codes ``<= b`` left. Returns per node the feature
+    position on the F axis, the code and the gain; a node without a usable
+    candidate gets gain ``-inf``.
+
+    Only *live* candidates are scored: bin ``b`` holds rows and each side
+    keeps ``min_samples_leaf`` rows. A candidate on an empty bin repeats
+    the previous code's split exactly (adding an all-zero bin to the
+    cumsum changes no bit), so its gain equals that earlier gain and the
+    row-major argmax, which keeps the first maximum, never picks it; an
+    empty bin 0 leaves the left side empty, which ``split_gain`` scores
+    ``-inf``. Dead candidates therefore stay ``-inf`` and the argmax picks
+    the same (feature, code) as over the dense grid, with identical gains:
+    ``split_gain`` is row-wise, and ``right = class_w - left`` is the same
+    elementwise subtraction whichever rows are gathered.
+    """
+    E, F, B, C = weighted.shape
+    bin_rows = class_sum(counts)[:, :, :-1]
+    n_left = bin_rows.cumsum(axis=2)
+    n_right = n_rows[:, None, None] - n_left
+    live = np.flatnonzero(
+        (bin_rows > 0) & (n_left >= min_samples_leaf)
+        & (n_right >= min_samples_leaf)
+    )
+    node = live // (F * (B - 1))
+    # ``live`` indexes the (E, F, B - 1) grid; shift it onto the full
+    # (E, F, B) cumsum rows so no strided slice of the grid is copied.
+    left = weighted.cumsum(axis=2).reshape(-1, C)[live + live // (B - 1)]
+    gains = np.full(E * F * (B - 1), -np.inf)
+    gains[live] = split_gain(left, class_w[node] - left, imp[node], criterion)
+    gains = gains.reshape(E, F * (B - 1))
+    best = gains.argmax(axis=1)
+    return best // (B - 1), best % (B - 1), gains[np.arange(E), best]
+
+
 def build_tree(
     X_binned: np.ndarray,
     y_encoded: np.ndarray,
@@ -155,10 +203,13 @@ def build_tree(
     Random Forest relies on — and grows depth-first, consuming the RNG in
     stack order. Without feature subsampling there is no per-node
     randomness, and the tree is grown level-synchronously instead: one
-    histogram ``bincount`` and one vectorised gain evaluation per *level*
-    covering every frontier node at once, then renumbered to the exact
-    depth-first node ids the stack builder would have produced. Both
-    builders emit bit-identical trees (pinned by ``tests/test_fastpath_units.py``).
+    histogram ``bincount`` and one split search per *level* covering every
+    frontier node at once, then renumbered to the exact depth-first node
+    ids the stack builder would have produced. Both builders run the same
+    split search, :func:`_best_splits`, which scores only live candidates
+    (non-empty bin, ``min_samples_leaf`` rows each side) and picks exactly
+    what the dense candidate grid would. Both emit bit-identical trees,
+    pinned against a dense reference by ``tests/test_fastpath_units.py``.
 
     One carve-out keeps that guarantee exact: entropy-family node impurity
     compacts to the nonzero class probabilities before summing, and
@@ -242,14 +293,13 @@ def _grow_depth_first(
         else:
             features = np.arange(n_features)
 
-        # Vectorised split search: one stacked histogram and one gain
-        # evaluation cover every candidate feature. ``n_bins`` is padded to
-        # the widest candidate feature; a feature's phantom bins hold no
-        # samples, so their candidates put everything left (empty right
-        # side) and split_gain masks them to -inf — exactly the candidates
-        # the per-feature loop never generated. Flat row-major argmax over
-        # (feature-in-draw-order, code) reproduces the loop's tie-breaking:
-        # earliest drawn feature, then lowest code, strictly-greater gains.
+        # Vectorised split search: one stacked histogram covers every
+        # candidate feature, scored as a one-node _best_splits call.
+        # ``n_bins`` is padded to the widest candidate feature; a feature's
+        # phantom bins hold no rows, so they are never live candidates.
+        # Row-major order over (feature-in-draw-order, code) reproduces the
+        # per-feature loop's tie-breaking: earliest drawn feature, then
+        # lowest code, strictly-greater gains.
         codes_node = X_binned[idx]
         n_bins = int(n_bins_all[features].max()) if len(features) else 0
         if n_bins < 2:
@@ -258,23 +308,14 @@ def _grow_depth_first(
             codes_node[:, features], y_node, w_node, n_bins, n_classes,
             uniform_weight,
         )
-        left_w = weighted.cumsum(axis=1)[:, :-1, :]
-        right_w = class_w[None, None, :] - left_w
-        gains = split_gain(
-            left_w.reshape(-1, n_classes),
-            right_w.reshape(-1, n_classes),
-            imp,
-            criterion,
+        (pos,), (code,), (gain,) = _best_splits(
+            weighted[None], counts[None], class_w[None], np.array([imp]),
+            np.array([len(idx)]), criterion, min_samples_leaf,
         )
-        n_left = np.add.reduce(counts, axis=2).cumsum(axis=1)[:, :-1].ravel()
-        n_right = len(idx) - n_left
-        gains[(n_left < min_samples_leaf) | (n_right < min_samples_leaf)] = -np.inf
-        best_flat = int(gains.argmax())
-        best_gain = gains[best_flat]
-        if not (best_gain > -np.inf) or best_gain <= min_impurity_decrease + 1e-12:
+        if not (gain > -np.inf) or gain <= min_impurity_decrease + 1e-12:
             continue
-        best_feature = int(features[best_flat // (n_bins - 1)])
-        best_code = best_flat % (n_bins - 1)
+        best_feature = int(features[pos])
+        best_code = int(code)
 
         grow.feature[node_id] = best_feature
         grow.threshold[node_id] = binner.threshold_value(best_feature, best_code)
@@ -331,15 +372,16 @@ def _grow_level_synchronous(
     depth-first ids of the stack builder.
 
     Per level, one ``bincount`` over ``(node, feature, bin, class)`` builds
-    every node's split histograms at once and one :func:`split_gain` call
-    scores every candidate of every node, so python/numpy dispatch cost is
-    paid per level instead of per node. Bit-identity with the stack
-    builder: rows keep ascending order inside each node (never re-sorted),
-    so histogram cells accumulate identical float sequences; the gain
-    formulas are evaluated row-wise (same elementwise ops); the per-node
-    row-major argmax reproduces the earliest-feature/lowest-code
-    tie-breaking; and the final preorder renumbering yields the same node
-    ids the depth-first stack would have assigned.
+    every node's split histograms at once and one :func:`_best_splits`
+    call scores the live candidates of every node, so python/numpy
+    dispatch cost is paid per level instead of per node. Bit-identity with
+    the stack builder: rows keep ascending order inside each node (never
+    re-sorted), so histogram cells accumulate identical float sequences;
+    both builders share the split search, whose gain formulas are
+    row-wise (same elementwise ops) and whose per-node row-major argmax
+    reproduces the earliest-feature/lowest-code tie-breaking; and the
+    final preorder renumbering yields the same node ids the depth-first
+    stack would have assigned.
     """
     n_rows, n_features = X_binned.shape
     C = n_classes
@@ -432,30 +474,17 @@ def _grow_level_synchronous(
                 minlength=total_cells,
             )
         shape = (E, F, B, C)
-        weighted = weighted.reshape(shape)
-        counts = counts.reshape(shape)
-        left_w = weighted.cumsum(axis=2)[:, :, :-1, :]
-        right_w = class_w[eligible][:, None, None, :] - left_w
-        gains = split_gain(
-            left_w.reshape(-1, C),
-            right_w.reshape(-1, C),
-            np.repeat(imp[eligible], F * (B - 1)),
-            criterion,
+        best_pos, best_code, best_gain = _best_splits(
+            weighted.reshape(shape), counts.reshape(shape), class_w[eligible],
+            imp[eligible], m_slot[eligible], criterion, min_samples_leaf,
         )
-        gains = gains.reshape(E, F * (B - 1))
-        n_left = np.add.reduce(counts, axis=3).cumsum(axis=2)[:, :, :-1]
-        n_left = n_left.reshape(E, F * (B - 1))
-        n_right = m_slot[eligible][:, None] - n_left
-        gains[(n_left < min_samples_leaf) | (n_right < min_samples_leaf)] = -np.inf
-        best_flat = gains.argmax(axis=1)
-        best_gain = gains[np.arange(E), best_flat]
         ok = best_gain > min_impurity_decrease + 1e-12
 
         split_slots = eligible[ok]
         if split_slots.size == 0:
             break
-        best_feature = best_flat[ok] // (B - 1)
-        best_code = best_flat[ok] % (B - 1)
+        best_feature = best_pos[ok]
+        best_code = best_code[ok]
         bfeat_of = np.zeros(S, dtype=np.int64)
         bcode_of = np.zeros(S, dtype=np.int64)
         bfeat_of[split_slots] = best_feature

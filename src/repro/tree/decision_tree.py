@@ -7,17 +7,40 @@ from typing import Optional, Union
 import numpy as np
 
 from ..base import BaseEstimator, ClassifierMixin
+from ..exceptions import DataValidationError
 from ..utils.validation import (
     check_array,
     check_is_fitted,
     check_random_state,
     check_X_y,
+    column_or_1d,
 )
 from ._binning import FeatureBinner
 from ._criterion import CRITERIA
 from ._tree import Tree, build_tree
 
 __all__ = ["DecisionTreeClassifier", "C45Classifier"]
+
+
+def _check_tree_sample_weight(sample_weight, n_samples: int) -> np.ndarray:
+    """Validate per-row weights without rescaling them.
+
+    Unlike :func:`~repro.utils.validation.check_sample_weight` the weights
+    are used as given: rescaling them would change the float bits of every
+    gain and leaf distribution the tree computes from them.
+    """
+    if sample_weight is None:
+        return np.ones(n_samples)
+    w = column_or_1d(sample_weight, name="sample_weight").astype(float)
+    if w.shape[0] != n_samples:
+        raise DataValidationError(
+            f"sample_weight has {w.shape[0]} entries, expected {n_samples}."
+        )
+    if not np.isfinite(w).all():
+        raise DataValidationError("sample_weight must be finite.")
+    if (w < 0).any():
+        raise DataValidationError("sample_weight must be non-negative.")
+    return w
 
 
 def _resolve_max_features(max_features, n_features: int) -> Optional[int]:
@@ -109,12 +132,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             n_features = X.shape[1]
             self._shared_bin_context = None
         self.classes_, y_enc = np.unique(y, return_inverse=True)
-        if sample_weight is None:
-            w = np.ones(len(y))
-        else:
-            w = np.asarray(sample_weight, dtype=float)
-            if w.shape[0] != len(y):
-                raise ValueError("sample_weight length mismatch")
+        w = _check_tree_sample_weight(sample_weight, len(y))
         rng = check_random_state(self.random_state)
         self.tree_: Tree = build_tree(
             X_binned,

@@ -142,6 +142,18 @@ class TestWorkflowFile:
             sys.path.pop(0)
         assert "BENCH_telemetry.json" in bench_report.ARTIFACTS
 
+    @pytest.mark.parametrize("job", ["test-fast", "test", "coverage"])
+    def test_pytest_jobs_install_hypothesis(self, workflow, job):
+        """Test modules import hypothesis at module level; a runner
+        without it stops at collection."""
+        installs = [
+            step["run"]
+            for step in workflow["jobs"][job]["steps"]
+            if "pip install" in step.get("run", "")
+        ]
+        assert installs, f"{job} has no install step"
+        assert any(re.search(r"\bhypothesis\b", cmd) for cmd in installs), job
+
     def test_coverage_job_is_informational(self, workflow):
         assert workflow["jobs"]["coverage"].get("continue-on-error") is True
 
@@ -160,6 +172,11 @@ class TestMarkersRegistered:
         assert re.search(r'"slow:', pyproject)
         assert re.search(r'"bench:', pyproject)
         assert re.search(r'"chaos:', pyproject)
+
+    def test_dev_extras_include_hypothesis(self):
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+        dev = re.search(r"^dev\s*=\s*\[(.*?)\]", pyproject, re.M | re.S)
+        assert dev and '"hypothesis"' in dev.group(1)
 
     def test_slow_marker_applied_to_experiment_tests(self):
         for name in (

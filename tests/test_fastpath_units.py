@@ -102,28 +102,189 @@ class TestFeatureBinnerCaching:
 
 
 # --------------------------------------------------------------------- #
+_TREE_ATTRS = ("feature", "threshold", "children_left", "children_right",
+               "value", "n_node_samples", "impurity")
+
+
+def _dense_rows_impurity(W, criterion):
+    totals = np.add.reduce(W, axis=1)
+    safe = np.where(totals > 0, totals, 1.0)
+    p = W / safe[:, None]
+    if criterion == "gini":
+        return 1.0 - np.add.reduce(p * p, axis=1)
+    logp = np.where(p > 0, np.log2(np.maximum(p, 1e-12)), 0.0)
+    return -np.add.reduce(p * logp, axis=1)
+
+
+def _dense_gains(left, right, parent_impurity, criterion):
+    wl = np.add.reduce(left, axis=1)
+    wr = np.add.reduce(right, axis=1)
+    total = wl + wr
+    safe_total = np.where(total > 0, total, 1.0)
+    child = "entropy" if criterion == "gain_ratio" else criterion
+    both = _dense_rows_impurity(np.concatenate([left, right]), child)
+    gain = parent_impurity - (wl * both[:len(left)] + wr * both[len(left):]) / safe_total
+    if criterion == "gain_ratio":
+        pl = np.clip(wl / safe_total, 1e-12, 1.0)
+        pr = np.clip(wr / safe_total, 1e-12, 1.0)
+        gain = gain / np.maximum(-(pl * np.log2(pl) + pr * np.log2(pr)), 1e-12)
+    gain[(wl <= 0) | (wr <= 0)] = -np.inf
+    return gain
+
+
+def _dense_reference_tree(Xb, y, w, binner, n_classes, criterion, max_depth,
+                          min_samples_split, min_samples_leaf,
+                          min_impurity_decrease):
+    """Depth-first split search over the full dense (F, B - 1) candidate
+    grid: every code scored with ``np.add.reduce`` row sums, then the
+    ``min_samples_leaf`` mask, then a row-major argmax. An independent
+    statement of the split rule the shared live-candidate search must
+    reproduce bit for bit."""
+    C = n_classes
+    n_rows, F = Xb.shape
+    B = int(np.max(binner.n_bins_))
+    nodes = []  # [feature, threshold, left, right, value, n_samples, impurity]
+    stack = [(np.arange(n_rows), 0, _LEAF, False)]
+    while stack:
+        idx, depth, parent, is_left = stack.pop()
+        class_w = np.bincount(y[idx], weights=w[idx], minlength=C)
+        total_w = class_w.sum()
+        if total_w > 0:
+            p = class_w / total_w
+            if criterion == "gini":
+                imp = float(1.0 - np.sum(p * p))
+            else:
+                nz = p[p > 0]
+                imp = float(-np.sum(nz * np.log2(nz)))
+            dist = p
+        else:
+            imp, dist = 0.0, np.full(C, 1.0 / C)
+        node_id = len(nodes)
+        nodes.append([_LEAF, 0.0, _LEAF, _LEAF, dist, len(idx), imp])
+        if parent != _LEAF:
+            nodes[parent][2 if is_left else 3] = node_id
+        if depth >= max_depth or len(idx) < min_samples_split or imp <= 1e-12 or B < 2:
+            continue
+        weighted = np.zeros((F, B, C))
+        counts = np.zeros((F, B, C), dtype=np.int64)
+        for f in range(F):
+            cell = Xb[idx, f].astype(np.int64) * C + y[idx]
+            weighted[f] = np.bincount(cell, weights=w[idx], minlength=B * C).reshape(B, C)
+            counts[f] = np.bincount(cell, minlength=B * C).reshape(B, C)
+        left = weighted.cumsum(axis=1)[:, :-1, :].reshape(-1, C)
+        gains = _dense_gains(left, class_w - left, imp, criterion)
+        n_left = np.add.reduce(counts, axis=2).cumsum(axis=1)[:, :-1].ravel()
+        gains[(n_left < min_samples_leaf) | (len(idx) - n_left < min_samples_leaf)] = -np.inf
+        best = int(gains.argmax())
+        if not gains[best] > min_impurity_decrease + 1e-12:
+            continue
+        feature, code = best // (B - 1), best % (B - 1)
+        nodes[node_id][:2] = [feature, binner.threshold_value(feature, code)]
+        go_left = Xb[idx, feature] <= code
+        stack.append((idx[~go_left], depth + 1, node_id, False))
+        stack.append((idx[go_left], depth + 1, node_id, True))
+    columns = list(zip(*nodes))
+    return Tree(
+        feature=np.asarray(columns[0], dtype=np.int64),
+        threshold=np.asarray(columns[1], dtype=np.float64),
+        children_left=np.asarray(columns[2], dtype=np.int64),
+        children_right=np.asarray(columns[3], dtype=np.int64),
+        value=np.asarray(columns[4], dtype=np.float64),
+        n_node_samples=np.asarray(columns[5], dtype=np.int64),
+        impurity=np.asarray(columns[6], dtype=np.float64),
+        n_classes=C,
+    )
+
+
+@st.composite
+def _split_search_cases(draw):
+    """Data and settings for the split-search differential test; the bulk
+    arrays come from a drawn seed so examples stay cheap to generate."""
+    rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+    n_rows = draw(st.integers(1, 300))
+    n_features = draw(st.integers(1, 5))
+    n_classes = draw(st.sampled_from([2, 3, 9, 12]))
+    X = rng.randn(n_rows, n_features)
+    if draw(st.booleans()):  # heavy duplicates
+        X = np.round(X * draw(st.sampled_from([1, 2, 4])))
+    if draw(st.booleans()):  # one constant column
+        X[:, draw(st.integers(0, n_features - 1))] = 0.5
+    y = rng.randint(0, n_classes, n_rows)
+    weights = draw(st.sampled_from(["uniform", "random", "partly_zero"]))
+    if weights == "uniform":
+        w = np.ones(n_rows)
+    else:
+        w = rng.rand(n_rows) * 4.0
+        if weights == "partly_zero":
+            w[rng.rand(n_rows) < 0.4] = 0.0
+    settings_ = dict(
+        criterion=draw(st.sampled_from(["gini", "entropy", "gain_ratio"])),
+        max_depth=draw(st.sampled_from([None, 2, 5])),
+        min_samples_split=draw(st.integers(2, 6)),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        min_impurity_decrease=draw(st.sampled_from([0.0, 1e-3, 0.05])),
+    )
+    return X, y, w, n_classes, draw(st.integers(2, 16)), settings_
+
+
+class TestSplitSearchAgainstDenseReference:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_split_search_cases())
+    def test_builders_match_dense_reference(self, case):
+        """Both builders score only live candidates through the shared
+        split search; they must still grow the tree the full dense grid
+        grows, byte for byte, on every array."""
+        X, y, w, n_classes, max_bins, kw = case
+        binner = FeatureBinner(max_bins=max_bins).fit(X)
+        Xb = binner.transform(X)
+        max_depth = np.inf if kw["max_depth"] is None else kw["max_depth"]
+        expected = _dense_reference_tree(
+            Xb, y, w, binner, n_classes, kw["criterion"], max_depth,
+            kw["min_samples_split"], kw["min_samples_leaf"],
+            kw["min_impurity_decrease"],
+        )
+        grown = {
+            "build_tree": build_tree(Xb, y, w, binner, n_classes=n_classes, **kw),
+            "depth_first": _grow_depth_first(
+                Xb, y, w, binner, n_classes, kw["criterion"], max_depth,
+                kw["min_samples_split"], kw["min_samples_leaf"],
+                kw["min_impurity_decrease"], bool(np.all(w == 1.0)),
+                np.asarray(binner.n_bins_), max_features=None, random_state=None,
+            ),
+        }
+        for name, tree in grown.items():
+            for attr in _TREE_ATTRS:
+                got, want = getattr(tree, attr), getattr(expected, attr)
+                assert got.dtype == want.dtype, (name, attr)
+                assert got.tobytes() == want.tobytes(), (name, attr)
+
+
 class TestLevelSynchronousBuilder:
     @pytest.mark.parametrize("criterion", ["gini", "entropy", "gain_ratio"])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_bit_identical_to_depth_first(self, criterion, weighted):
-        rng = np.random.RandomState(0)
-        X = rng.randn(300, 4)
-        y = rng.randint(0, 3, 300)
-        w = rng.rand(300) if weighted else np.ones(300)
-        binner = FeatureBinner(max_bins=16).fit(X)
-        Xb = binner.transform(X)
-        kwargs = dict(n_classes=3, criterion=criterion, max_depth=6,
-                      min_samples_split=4, min_samples_leaf=2,
-                      min_impurity_decrease=0.0)
-        level = build_tree(Xb, y, w, binner, **kwargs)
-        depth_first = _grow_depth_first(
-            Xb, y, w, binner, 3, criterion, 6, 4, 2, 0.0,
-            bool(np.all(w == 1.0)), np.asarray(binner.n_bins_),
-            max_features=None, random_state=None,
-        )
-        for attr in ("feature", "threshold", "children_left", "children_right",
-                     "value", "n_node_samples", "impurity"):
-            assert np.array_equal(getattr(level, attr), getattr(depth_first, attr)), attr
+        """Covers both class-sum branches: the direct two-column add (the
+        binary case SPE runs) and ``np.add.reduce`` for three classes."""
+        for n_classes in (2, 3):
+            rng = np.random.RandomState(0)
+            X = rng.randn(300, 4)
+            y = rng.randint(0, n_classes, 300)
+            w = rng.rand(300) if weighted else np.ones(300)
+            binner = FeatureBinner(max_bins=16).fit(X)
+            Xb = binner.transform(X)
+            kwargs = dict(n_classes=n_classes, criterion=criterion, max_depth=6,
+                          min_samples_split=4, min_samples_leaf=2,
+                          min_impurity_decrease=0.0)
+            level = build_tree(Xb, y, w, binner, **kwargs)
+            depth_first = _grow_depth_first(
+                Xb, y, w, binner, n_classes, criterion, 6, 4, 2, 0.0,
+                bool(np.all(w == 1.0)), np.asarray(binner.n_bins_),
+                max_features=None, random_state=None,
+            )
+            assert level.node_count > 1
+            for attr in _TREE_ATTRS:
+                assert np.array_equal(getattr(level, attr),
+                                      getattr(depth_first, attr)), (n_classes, attr)
 
     def test_many_class_gini_still_levelwise_identical(self):
         """Gini impurity has no nonzero-compaction, so the level builder

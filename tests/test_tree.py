@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import NotFittedError
+from repro.ensemble import AdaBoostClassifier
+from repro.exceptions import DataValidationError, NotFittedError
+from repro.imbalance_ensemble import RUSBoostClassifier, SMOTEBoostClassifier
 from repro.tree import (
     C45Classifier,
     DecisionTreeClassifier,
@@ -104,6 +106,59 @@ class TestDecisionTree:
         clf = DecisionTreeClassifier(max_depth=1).fit(X, y, sample_weight=w_heavy_1)
         proba = clf.predict_proba(np.array([[0.0]]))
         assert proba[0, 1] > 0.5
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.nan, np.inf, -np.inf, -0.5],
+        ids=["nan", "inf", "neg_inf", "negative"],
+    )
+    def test_rejects_invalid_sample_weight_value(self, binary_blobs, bad):
+        X, y = binary_blobs
+        w = np.ones(len(y))
+        w[3] = bad
+        with pytest.raises(DataValidationError):
+            DecisionTreeClassifier(max_depth=3).fit(X, y, sample_weight=w)
+
+    def test_rejects_sample_weight_of_wrong_length(self, binary_blobs):
+        X, y = binary_blobs
+        with pytest.raises(DataValidationError):
+            DecisionTreeClassifier().fit(X, y, sample_weight=np.ones(len(y) - 1))
+
+    def test_rejects_two_dimensional_sample_weight(self, binary_blobs):
+        X, y = binary_blobs
+        with pytest.raises(DataValidationError):
+            DecisionTreeClassifier().fit(X, y, sample_weight=np.ones((len(y), 2)))
+
+    def test_valid_sample_weight_is_not_rescaled(self, binary_blobs, rng):
+        """Weights reach the builder as given (a column vector is raveled),
+        so the tree equals one grown on the raw weights directly."""
+        from repro.tree._tree import build_tree
+
+        X, y = binary_blobs
+        w = rng.rand(len(y)) * 5.0
+        w[:10] = 0.0
+        clf = DecisionTreeClassifier(max_depth=4).fit(X, y, sample_weight=w[:, None])
+        binner = FeatureBinner(max_bins=64).fit(X)
+        y_enc = np.unique(y, return_inverse=True)[1]
+        tree = build_tree(binner.transform(X), y_enc, w, binner, n_classes=2,
+                          max_depth=4)
+        assert np.array_equal(clf.tree_.value, tree.value)
+        assert np.array_equal(clf.tree_.threshold, tree.threshold)
+
+    @pytest.mark.parametrize(
+        "ensemble",
+        [
+            AdaBoostClassifier(n_estimators=5, random_state=0),
+            RUSBoostClassifier(n_estimators=5, random_state=0),
+            SMOTEBoostClassifier(n_estimators=5, random_state=0),
+        ],
+        ids=["adaboost", "rusboost", "smoteboost"],
+    )
+    def test_boosting_still_fits_weighted_trees(self, ensemble, rng):
+        X = rng.randn(300, 3)
+        y = (X[:, 0] + 0.3 * rng.randn(300) > 1.0).astype(int)
+        proba = ensemble.fit(X, y).predict_proba(X)
+        assert np.isfinite(proba).all()
 
     def test_multiclass(self, rng):
         X = np.vstack([rng.randn(50, 2) + c * 4 for c in range(3)])
