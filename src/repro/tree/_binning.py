@@ -11,6 +11,34 @@ from ..utils.validation import check_array
 __all__ = ["FeatureBinner"]
 
 
+def _bin_quantiles(max_bins: int) -> np.ndarray:
+    """The ``max_bins - 1`` interior quantile levels."""
+    return np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+
+
+def _sorted_column_edges(
+    sorted_col: np.ndarray, col: np.ndarray, quantiles: np.ndarray, max_bins: int
+) -> np.ndarray:
+    """Cut points of column ``col`` given ``sorted_col``, its values sorted.
+
+    With at most ``max_bins`` distinct values the cuts sit midway between
+    consecutive run heads (the values ``np.unique`` returns): exact splits.
+    Otherwise they are the distinct ``quantiles`` of the column, which
+    ``np.quantile`` finds faster on sorted input. Sorting changes no bit of
+    them unless ``col`` holds both -0.0 and +0.0: the two compare equal, so
+    which one a quantile lands on follows the order the values arrive in
+    (a vectorised ``np.sort`` may even turn one into the other), and only
+    the row-order column reproduces ``np.quantile(col)``.
+    """
+    heads = np.flatnonzero(sorted_col[1:] != sorted_col[:-1]) + 1
+    if heads.size < max_bins:
+        unique = sorted_col[np.concatenate(([0], heads))]
+        return (unique[:-1] + unique[1:]) / 2.0
+    zero_signs = np.signbit(col[col == 0.0])
+    mixed_zeros = zero_signs.any() and not zero_signs.all()
+    return np.unique(np.quantile(col if mixed_zeros else sorted_col, quantiles))
+
+
 class FeatureBinner:
     """Map each feature to small integer codes via quantile cut points.
 
@@ -30,24 +58,21 @@ class FeatureBinner:
 
     def fit(self, X) -> "FeatureBinner":
         X = check_array(X)
-        edges_list = []
-        self.n_bins_ = np.empty(X.shape[1], dtype=np.int64)
-        quantiles = np.linspace(0.0, 1.0, self.max_bins + 1)[1:-1]
-        for j in range(X.shape[1]):
-            col = X[:, j]
-            unique = np.unique(col)
-            if unique.size <= self.max_bins:
-                # Cut between consecutive distinct values: exact splits.
-                edges = (unique[:-1] + unique[1:]) / 2.0
-            else:
-                edges = np.unique(np.quantile(col, quantiles))
-            edges_list.append(edges)
-            self.n_bins_[j] = edges.size + 1
+        quantiles = _bin_quantiles(self.max_bins)
+        # Column by column with a plain sort: transient memory stays one
+        # column, which matters when a drift reference fits whole tables.
+        return self._set_edges([
+            _sorted_column_edges(np.sort(X[:, j]), X[:, j], quantiles, self.max_bins)
+            for j in range(X.shape[1])
+        ])
+
+    def _set_edges(self, edges_list) -> "FeatureBinner":
+        self.n_bins_ = np.array([e.size + 1 for e in edges_list], dtype=np.int64)
         # Immutable tuple: the fitted cut points are shared freely (e.g. by
         # a SharedBinContext across many member trees) without defensive
         # copies, and accidental per-member mutation is impossible.
         self.edges_: Tuple[np.ndarray, ...] = tuple(edges_list)
-        self.n_features_ = X.shape[1]
+        self.n_features_ = len(edges_list)
         return self
 
     def transform(self, X) -> np.ndarray:
@@ -70,7 +95,28 @@ class FeatureBinner:
         return codes
 
     def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
+        """``fit(X).transform(X)`` from one argsort per column.
+
+        The sorted column yields the edges, and each edge's ``searchsorted``
+        position in it is where the code steps up: a ``cumsum`` of those
+        marks down the sorted order, scattered back through the argsort,
+        is every row's code without a per-row binary search. Codes depend
+        only on values, so the sort kind does not matter.
+        """
+        X = check_array(X)
+        n_rows = X.shape[0]
+        quantiles = _bin_quantiles(self.max_bins)
+        codes = np.empty(X.shape, dtype=np.int32)
+        edges_list = []
+        for j in range(X.shape[1]):
+            order = np.argsort(X[:, j])
+            col = X[order, j]
+            edges = _sorted_column_edges(col, X[:, j], quantiles, self.max_bins)
+            steps = np.searchsorted(col, edges, side="left")
+            codes[order, j] = np.bincount(steps, minlength=n_rows).cumsum()
+            edges_list.append(edges)
+        self._set_edges(edges_list)
+        return codes
 
     def threshold_value(self, feature: int, code: int) -> float:
         """Raw-value threshold for splitting after bin ``code`` (test x < t)."""

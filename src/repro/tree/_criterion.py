@@ -26,69 +26,64 @@ def node_impurity(class_weights: np.ndarray, criterion: str) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def class_sum(W: np.ndarray) -> np.ndarray:
-    """Sum over the trailing (class) axis of ``W``.
+def class_sum(planes) -> np.ndarray:
+    """Elementwise sum of per-class arrays (one array per class).
 
-    With exactly two classes this adds the two columns directly:
-    ``np.add.reduce`` over two elements performs that same single addition,
-    so the bits match, without the reduce machinery that dominates on a
-    short axis. With three or more classes it stays ``np.add.reduce`` —
-    numpy's grouping of a longer reduction is not guaranteed to match
-    sequential column adds.
+    With exactly two classes this adds the two arrays directly: that is
+    the single addition ``np.add.reduce`` over a two-entry class axis
+    performs, without the reduce machinery that dominates on a short axis.
+    With three or more classes the arrays are stacked onto a trailing class
+    axis and reduced with ``np.add.reduce`` — numpy's grouping of a longer
+    reduction is not guaranteed to match sequential adds.
     """
-    if W.shape[-1] == 2:
-        return W[..., 0] + W[..., 1]
-    return np.add.reduce(W, axis=-1)
+    if len(planes) == 2:
+        return planes[0] + planes[1]
+    return np.add.reduce(np.stack(planes, axis=-1), axis=-1)
 
 
-def children_impurity(W: np.ndarray, criterion: str) -> np.ndarray:
-    """Row-wise impurity for a (n_candidates, n_classes) weight matrix.
+def children_impurity(planes, totals: np.ndarray, criterion: str) -> np.ndarray:
+    """Impurity of each candidate child from its per-class weights.
 
-    Every row sum goes through :func:`class_sum` (a direct column add for
-    two classes, ``np.add.reduce`` otherwise — the same bits as
-    ``ndarray.sum`` either way); this runs once per scored split candidate
-    in the tree builder's hottest loop.
+    ``planes`` holds one 1-D weight array per class and ``totals`` is their
+    :func:`class_sum`. Every operation is elementwise per candidate, so a
+    candidate's impurity does not depend on which others share the call.
     """
-    totals = class_sum(W)
     safe = np.where(totals > 0, totals, 1.0)
-    p = W / safe[:, None]
+    p = [w / safe for w in planes]
     if criterion == "gini":
-        return 1.0 - class_sum(p * p)
-    logp = np.where(p > 0, np.log2(np.maximum(p, _EPS)), 0.0)
-    return -class_sum(p * logp)
+        return 1.0 - class_sum([pc * pc for pc in p])
+    return -class_sum([
+        pc * np.where(pc > 0, np.log2(np.maximum(pc, _EPS)), 0.0) for pc in p
+    ])
 
 
-def split_gain(
-    left: np.ndarray,
-    right: np.ndarray,
-    parent_impurity: float,
-    criterion: str,
-) -> np.ndarray:
-    """Impurity decrease for each candidate split.
+def split_gain(children, parent_impurity, criterion: str) -> np.ndarray:
+    """Impurity decrease for each of ``n`` candidate splits.
 
-    ``left`` / ``right`` are (n_candidates, n_classes) class-weight matrices
-    and ``parent_impurity`` is a scalar or one value per candidate. For
-    ``gain_ratio`` the information gain is normalised by the split
-    information, as in Quinlan's C4.5. Every formula is row-wise, so a
-    candidate's gain does not depend on which other candidates share the
-    call — the tree builders rely on that to score only live candidates.
-    Left and right children are stacked into one impurity evaluation
-    (identical values, half the numpy dispatches).
+    ``children`` holds one 1-D class-weight array per class (the
+    class-major planes of the split search): the ``n`` left children
+    followed by their ``n`` right children, so one impurity evaluation
+    covers both sides. ``parent_impurity`` is a scalar or one value per
+    candidate. For ``gain_ratio`` the information gain is normalised by the
+    split information, as in Quinlan's C4.5. Every formula is elementwise,
+    so a candidate's gain does not depend on which other candidates share
+    the call — the tree builders rely on that to score only live
+    candidates.
     """
-    wl = class_sum(left)
-    wr = class_sum(right)
+    n = children[0].size // 2
+    w = class_sum(children)
+    wl = w[:n]
+    wr = w[n:]
     total = wl + wr
     safe_total = np.where(total > 0, total, 1.0)
     child_criterion = "entropy" if criterion == "gain_ratio" else criterion
-    both = children_impurity(np.concatenate([left, right]), child_criterion)
-    il = both[: len(left)]
-    ir = both[len(left):]
-    gain = parent_impurity - (wl * il + wr * ir) / safe_total
+    impurity = children_impurity(children, w, child_criterion)
+    gain = parent_impurity - (wl * impurity[:n] + wr * impurity[n:]) / safe_total
     if criterion == "gain_ratio":
         pl = np.clip(wl / safe_total, _EPS, 1.0)
         pr = np.clip(wr / safe_total, _EPS, 1.0)
         split_info = -(pl * np.log2(pl) + pr * np.log2(pr))
         gain = gain / np.maximum(split_info, _EPS)
     # Degenerate candidates (an empty side) carry no usable gain.
-    gain[(wl <= 0) | (wr <= 0)] = -np.inf
+    gain[np.minimum(wl, wr) <= 0] = -np.inf
     return gain

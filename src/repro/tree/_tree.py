@@ -98,58 +98,46 @@ class _Growing:
         return len(self.feature) - 1
 
 
-def _stacked_class_histograms(
-    codes: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray,
-    n_bins: int,
-    n_classes: int,
-    uniform_weight: bool,
-):
-    """Weighted and unweighted (features, bins, classes) histograms.
+def _class_planes(cells: np.ndarray, w: Optional[np.ndarray], shape):
+    """Integer and weighted (C, E, F, B) class-major histogram planes.
 
-    One ``bincount`` covers every candidate feature at once: entry
-    ``(k, b, c)`` accumulates the rows whose code on feature ``k`` is ``b``
-    and whose class is ``c``. Rows are visited in ascending order per
-    (feature, bin, class) cell — the same float accumulation order as a
-    per-feature ``bincount`` — so the histograms are bit-identical to the
-    historical per-feature pass. With uniform weights the weighted histogram
-    *is* the integer count histogram (sums of 1.0 are exact), so only one
-    ``bincount`` runs.
+    ``cells`` is an (m, F) matrix holding, for each of m rows and each
+    candidate feature, the flat index of its (class, node, feature, bin)
+    cell; one ``bincount`` over its ravel fills every plane. Each cell
+    accumulates its rows in ascending row order — the float accumulation
+    order of a per-feature, per-node ``bincount`` — so the weighted planes
+    keep their bits. ``w is None`` (uniform weights) skips the weighted
+    pass: the split search reads class weights off the integer counts.
     """
-    m, n_features = codes.shape
-    stride = n_bins * n_classes
-    idx = codes.astype(np.int64) * n_classes
-    idx += y[:, None]
-    idx += np.arange(n_features, dtype=np.int64) * stride
-    idx = idx.ravel()
-    total = n_features * stride
-    counts = np.bincount(idx, minlength=total)
-    if uniform_weight:
-        weighted = counts.astype(np.float64)
-    else:
-        weighted = np.bincount(idx, weights=np.repeat(w, n_features), minlength=total)
-    shape = (n_features, n_bins, n_classes)
-    return weighted.reshape(shape), counts.reshape(shape)
+    size = int(np.prod(shape))
+    flat = cells.ravel()
+    counts = np.bincount(flat, minlength=size).reshape(shape)
+    if w is None:
+        return counts, None
+    weighted = np.bincount(
+        flat, weights=np.repeat(w, cells.shape[1]), minlength=size
+    ).reshape(shape)
+    return counts, weighted
 
 
 def _best_splits(
-    weighted: np.ndarray,
     counts: np.ndarray,
+    weighted: Optional[np.ndarray],
     class_w: np.ndarray,
     imp: np.ndarray,
     n_rows: np.ndarray,
     criterion: str,
     min_samples_leaf: int,
 ):
-    """Best split of each of ``E`` nodes from its class histograms.
+    """Best split of each of ``E`` nodes from its class-major planes.
 
-    ``weighted`` / ``counts`` are the (E, F, B, C) weighted and integer
-    (node, feature, bin, class) histograms; ``class_w`` (E, C), ``imp`` (E,)
-    and ``n_rows`` (E,) describe the nodes. Candidate ``(f, b)`` for
-    ``b < B - 1`` sends codes ``<= b`` left. Returns per node the feature
-    position on the F axis, the code and the gain; a node without a usable
-    candidate gets gain ``-inf``.
+    ``counts`` / ``weighted`` are the (C, E, F, B) integer and weighted
+    (class, node, feature, bin) histograms, ``weighted`` being ``None``
+    for uniform weights; ``class_w`` (E, C), ``imp`` (E,) and ``n_rows``
+    (E,) describe the nodes. Candidate ``(f, b)`` for ``b < B - 1`` sends
+    codes ``<= b`` left. Returns per node the feature position on the F
+    axis, the code and the gain; a node without a usable candidate gets
+    gain ``-inf``.
 
     Only *live* candidates are scored: bin ``b`` holds rows and each side
     keeps ``min_samples_leaf`` rows. A candidate on an empty bin repeats
@@ -159,26 +147,36 @@ def _best_splits(
     empty bin 0 leaves the left side empty, which ``split_gain`` scores
     ``-inf``. Dead candidates therefore stay ``-inf`` and the argmax picks
     the same (feature, code) as over the dense grid, with identical gains:
-    ``split_gain`` is row-wise, and ``right = class_w - left`` is the same
-    elementwise subtraction whichever rows are gathered.
+    ``split_gain`` is elementwise, and ``right = class_w - left`` is the
+    same subtraction whichever candidates are gathered. With uniform
+    weights the left class weights are the integer cumsums cast to float,
+    which is exactly their float cumsum below 2**53 rows.
     """
-    E, F, B, C = weighted.shape
-    bin_rows = class_sum(counts)[:, :, :-1]
-    n_left = bin_rows.cumsum(axis=2)
-    n_right = n_rows[:, None, None] - n_left
-    live = np.flatnonzero(
-        (bin_rows > 0) & (n_left >= min_samples_leaf)
-        & (n_right >= min_samples_leaf)
-    )
-    node = live // (F * (B - 1))
-    # ``live`` indexes the (E, F, B - 1) grid; shift it onto the full
-    # (E, F, B) cumsum rows so no strided slice of the grid is copied.
-    left = weighted.cumsum(axis=2).reshape(-1, C)[live + live // (B - 1)]
-    gains = np.full(E * F * (B - 1), -np.inf)
-    gains[live] = split_gain(left, class_w[node] - left, imp[node], criterion)
-    gains = gains.reshape(E, F * (B - 1))
+    C, E, F, B = counts.shape
+    cum = counts.cumsum(axis=-1).reshape(C, -1)
+    occupied = counts.sum(axis=0)
+    # Nothing lies right of a (node, feature)'s last bin: no candidate.
+    occupied[..., -1] = 0
+    cand = np.flatnonzero(occupied)
+    left_n = [cum[c][cand] for c in range(C)]
+    n_left = class_sum(left_n)
+    node = cand // (F * B)
+    keep = (n_left >= min_samples_leaf) & (n_rows[node] - n_left >= min_samples_leaf)
+    live = cand[keep]
+    node = node[keep]
+    if weighted is not None:
+        weighted = weighted.cumsum(axis=-1).reshape(C, -1)
+    # Per class: the left children, then ``right = class_w - left``.
+    n = live.size
+    children = np.empty((C, 2 * n))
+    for c in range(C):
+        children[c, :n] = left_n[c][keep] if weighted is None else weighted[c][live]
+        np.subtract(class_w[node, c], children[c, :n], out=children[c, n:])
+    gains = np.full(E * F * B, -np.inf)
+    gains[live] = split_gain(children, imp[node], criterion)
+    gains = gains.reshape(E, F * B)
     best = gains.argmax(axis=1)
-    return best // (B - 1), best % (B - 1), gains[np.arange(E), best]
+    return best // B, best % B, gains[np.arange(E), best]
 
 
 def build_tree(
@@ -214,8 +212,9 @@ def build_tree(
     One carve-out keeps that guarantee exact: entropy-family node impurity
     compacts to the nonzero class probabilities before summing, and
     numpy's pairwise reduction only matches that grouping bitwise for
-    vectors of at most 8 entries — so entropy/gain-ratio trees with more
-    than 8 classes stay on the depth-first builder.
+    vectors of fewer than 8 entries (from 8 on it sums in eight interleaved
+    lanes) — so entropy/gain-ratio trees with 8 or more classes stay on the
+    depth-first builder.
     """
     n_features = X_binned.shape[1]
     max_depth = np.inf if max_depth is None else max_depth
@@ -229,7 +228,7 @@ def build_tree(
         min_impurity_decrease, uniform_weight, n_bins_all,
     )
     subsampling = max_features is not None and max_features < n_features
-    if subsampling or (criterion != "gini" and n_classes > 8):
+    if subsampling or (criterion != "gini" and n_classes >= 8):
         return _grow_depth_first(*args, max_features=max_features,
                                  random_state=random_state)
     return _grow_level_synchronous(*args)
@@ -293,7 +292,7 @@ def _grow_depth_first(
         else:
             features = np.arange(n_features)
 
-        # Vectorised split search: one stacked histogram covers every
+        # Vectorised split search: one set of class planes covers every
         # candidate feature, scored as a one-node _best_splits call.
         # ``n_bins`` is padded to the widest candidate feature; a feature's
         # phantom bins hold no rows, so they are never live candidates.
@@ -304,12 +303,14 @@ def _grow_depth_first(
         n_bins = int(n_bins_all[features].max()) if len(features) else 0
         if n_bins < 2:
             continue
-        weighted, counts = _stacked_class_histograms(
-            codes_node[:, features], y_node, w_node, n_bins, n_classes,
-            uniform_weight,
+        n_cand = len(features)
+        cells = codes_node[:, features] + np.arange(n_cand) * n_bins
+        cells += (y_node * (n_cand * n_bins))[:, None]
+        counts, weighted = _class_planes(
+            cells, w_node, (n_classes, 1, n_cand, n_bins)
         )
         (pos,), (code,), (gain,) = _best_splits(
-            weighted[None], counts[None], class_w[None], np.array([imp]),
+            counts, weighted, class_w[None], np.array([imp]),
             np.array([len(idx)]), criterion, min_samples_leaf,
         )
         if not (gain > -np.inf) or gain <= min_impurity_decrease + 1e-12:
@@ -371,36 +372,35 @@ def _grow_level_synchronous(
     """Grow all frontier nodes of a level together, then renumber to the
     depth-first ids of the stack builder.
 
-    Per level, one ``bincount`` over ``(node, feature, bin, class)`` builds
-    every node's split histograms at once and one :func:`_best_splits`
-    call scores the live candidates of every node, so python/numpy
-    dispatch cost is paid per level instead of per node. Bit-identity with
-    the stack builder: rows keep ascending order inside each node (never
-    re-sorted), so histogram cells accumulate identical float sequences;
-    both builders share the split search, whose gain formulas are
-    row-wise (same elementwise ops) and whose per-node row-major argmax
-    reproduces the earliest-feature/lowest-code tie-breaking; and the
-    final preorder renumbering yields the same node ids the depth-first
-    stack would have assigned.
+    Per level, one ``bincount`` over ``(class, node, feature, bin)``
+    builds every node's split histograms at once, one :func:`_best_splits`
+    call scores the live candidates of every node, and the node arrays
+    grow by whole levels, so python/numpy dispatch cost is paid per level
+    instead of per node. Bit-identity with the stack builder: rows keep
+    ascending order inside each node (never re-sorted), so histogram cells
+    accumulate identical float sequences; both builders share the split
+    search, whose gain formulas are elementwise and whose per-node
+    row-major argmax reproduces the earliest-feature/lowest-code
+    tie-breaking; and the final preorder renumbering yields the same node
+    ids the depth-first stack would have assigned.
     """
     n_rows, n_features = X_binned.shape
     C = n_classes
     F = n_features
     B = int(n_bins_all.max()) if F else 0
-    feat_c: List[int] = []
-    thr_c: List[float] = []
-    left_c: List[int] = []
-    right_c: List[int] = []
-    val_c: List[np.ndarray] = []
-    ns_c: List[int] = []
-    imp_c: List[float] = []
+    # Per level, in construction order: (feature, threshold, left, right,
+    # value, n_samples, impurity); child ids are construction ids until
+    # the final renumbering.
+    levels: List[Tuple[np.ndarray, ...]] = []
 
     rows = np.arange(n_rows)
     slots = np.zeros(n_rows, dtype=np.int64)
     n_slots = 1
-    level_parents: List[Tuple[int, bool]] = [(_LEAF, False)]
+    base_id = 0
     depth = 0
-    feat_range = np.arange(F, dtype=np.int64)
+    # Each row's flat (feature, bin) cell; a level adds its (class, node)
+    # plane offset.
+    x_off = X_binned + np.arange(F, dtype=np.int64) * B
 
     # Per-level stage timing: the watch is observed at the top of the
     # next level (and once after the loop), so every exit path — normal
@@ -427,22 +427,13 @@ def _grow_level_synchronous(
         imp = _node_impurity_rows(class_w, total_w, criterion)
         dist = class_w / np.where(total_w > 0, total_w, 1.0)[:, None]
         dist[total_w <= 0] = 1.0 / C
-
-        base_id = len(feat_c)
-        for s in range(S):
-            feat_c.append(_LEAF)
-            thr_c.append(0.0)
-            left_c.append(_LEAF)
-            right_c.append(_LEAF)
-            val_c.append(dist[s])
-            ns_c.append(int(m_slot[s]))
-            imp_c.append(float(imp[s]))
-            parent, is_left = level_parents[s]
-            if parent != _LEAF:
-                if is_left:
-                    left_c[parent] = base_id + s
-                else:
-                    right_c[parent] = base_id + s
+        # Every node starts as a leaf; the split below fills in its slots.
+        feature = np.full(S, _LEAF, dtype=np.int64)
+        threshold = np.zeros(S)
+        left = np.full(S, _LEAF, dtype=np.int64)
+        right = np.full(S, _LEAF, dtype=np.int64)
+        levels.append((feature, threshold, left, right, dist, m_slot, imp))
+        base_id += S
 
         if depth >= max_depth or B < 2:
             break
@@ -458,81 +449,65 @@ def _grow_level_synchronous(
         remap[eligible] = np.arange(eligible.size)
         s_e = remap[s_old]
         E = eligible.size
-        # One histogram over every (node, feature, bin, class) cell.
-        idx = (s_e[:, None] * F + feat_range) * B
-        idx += X_binned[r]
-        idx *= C
-        idx += y_lvl[keep][:, None]
-        idx = idx.ravel()
-        total_cells = E * F * B * C
-        counts = np.bincount(idx, minlength=total_cells)
-        if uniform_weight:
-            weighted = counts.astype(np.float64)
-        else:
-            weighted = np.bincount(
-                idx, weights=np.repeat(sample_weight[r], F),
-                minlength=total_cells,
-            )
-        shape = (E, F, B, C)
+        # One bincount over every (class, node, feature, bin) cell.
+        cells = x_off[r]
+        cells += ((y_lvl[keep] * E + s_e) * (F * B))[:, None]
+        counts, weighted = _class_planes(
+            cells, None if uniform_weight else sample_weight[r], (C, E, F, B)
+        )
         best_pos, best_code, best_gain = _best_splits(
-            weighted.reshape(shape), counts.reshape(shape), class_w[eligible],
-            imp[eligible], m_slot[eligible], criterion, min_samples_leaf,
+            counts, weighted, class_w[eligible], imp[eligible],
+            m_slot[eligible], criterion, min_samples_leaf,
         )
         ok = best_gain > min_impurity_decrease + 1e-12
 
         split_slots = eligible[ok]
         if split_slots.size == 0:
             break
-        best_feature = best_pos[ok]
-        best_code = best_code[ok]
-        bfeat_of = np.zeros(S, dtype=np.int64)
-        bcode_of = np.zeros(S, dtype=np.int64)
-        bfeat_of[split_slots] = best_feature
-        bcode_of[split_slots] = best_code
-        next_parents: List[Tuple[int, bool]] = []
-        for k in range(split_slots.size):
-            node = base_id + int(split_slots[k])
-            feat_c[node] = int(best_feature[k])
-            thr_c[node] = binner.threshold_value(
-                int(best_feature[k]), int(best_code[k])
-            )
-            next_parents.append((node, True))
-            next_parents.append((node, False))
+        n_split = split_slots.size
+        feature[split_slots] = best_pos[ok]
+        code = np.zeros(S, dtype=np.int64)
+        code[split_slots] = best_code[ok]
+        threshold[split_slots] = [
+            binner.threshold_value(f, c)
+            for f, c in zip(feature[split_slots].tolist(), code[split_slots].tolist())
+        ]
+        # Split k's children are the next level's slots 2k (left), 2k + 1.
+        left[split_slots] = base_id + 2 * np.arange(n_split)
+        right[split_slots] = left[split_slots] + 1
 
-        splits = np.zeros(S, dtype=bool)
-        splits[split_slots] = True
-        keep2 = splits[s_old]
+        keep2 = feature[s_old] != _LEAF
         rows = r[keep2]
         s_old2 = s_old[keep2]
         pair = np.full(S, _LEAF, dtype=np.int64)
-        pair[split_slots] = np.arange(split_slots.size)
-        go_left = X_binned[rows, bfeat_of[s_old2]] <= bcode_of[s_old2]
+        pair[split_slots] = np.arange(n_split)
+        go_left = X_binned[rows, feature[s_old2]] <= code[s_old2]
         slots = 2 * pair[s_old2] + ~go_left
-        level_parents = next_parents
-        n_slots = 2 * split_slots.size
+        n_slots = 2 * n_split
         depth += 1
 
     if level_watch is not None:
         level_watch.observe(level_hist)
 
     # Renumber construction (level) order to the stack builder's
-    # depth-first preorder: node, left subtree, right subtree.
-    n = len(feat_c)
-    feat_arr = np.asarray(feat_c, dtype=np.int64)
-    left_arr = np.asarray(left_c, dtype=np.int64)
-    right_arr = np.asarray(right_c, dtype=np.int64)
+    # depth-first preorder (node, left subtree, right subtree): subtree
+    # sizes bottom-up, then each left child follows its parent and each
+    # right child follows the parent's left subtree.
+    feat_arr, thr_arr, left_arr, right_arr, val_arr, ns_arr, imp_arr = (
+        np.concatenate(column) for column in zip(*levels)
+    )
+    n = feat_arr.size
+    level_ids = np.split(np.arange(n), np.cumsum([lv[0].size for lv in levels])[:-1])
+    inner_ids = [ids[feat_arr[ids] != _LEAF] for ids in level_ids]
+    size = np.ones(n, dtype=np.int64)
+    for ids in reversed(inner_ids):
+        size[ids] += size[left_arr[ids]] + size[right_arr[ids]]
+    new_id = np.zeros(n, dtype=np.int64)
+    for ids in inner_ids:
+        new_id[left_arr[ids]] = new_id[ids] + 1
+        new_id[right_arr[ids]] = new_id[ids] + 1 + size[left_arr[ids]]
     order = np.empty(n, dtype=np.int64)
-    new_id = np.empty(n, dtype=np.int64)
-    stack = [0]
-    pos = 0
-    while stack:
-        nid = stack.pop()
-        order[pos] = nid
-        new_id[nid] = pos
-        pos += 1
-        if feat_arr[nid] != _LEAF:
-            stack.append(int(right_arr[nid]))
-            stack.append(int(left_arr[nid]))
+    order[new_id] = np.arange(n)
     internal = feat_arr[order] != _LEAF
     children_left = np.full(n, _LEAF, dtype=np.int64)
     children_right = np.full(n, _LEAF, dtype=np.int64)
@@ -540,11 +515,11 @@ def _grow_level_synchronous(
     children_right[internal] = new_id[right_arr[order][internal]]
     return Tree(
         feature=feat_arr[order],
-        threshold=np.asarray(thr_c, dtype=np.float64)[order],
+        threshold=thr_arr[order],
         children_left=children_left,
         children_right=children_right,
-        value=np.asarray(val_c, dtype=np.float64)[order],
-        n_node_samples=np.asarray(ns_c, dtype=np.int64)[order],
-        impurity=np.asarray(imp_c, dtype=np.float64)[order],
+        value=val_arr[order],
+        n_node_samples=ns_arr[order].astype(np.int64),
+        impurity=imp_arr[order],
         n_classes=n_classes,
     )

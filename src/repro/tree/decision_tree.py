@@ -151,8 +151,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         self.n_features_in_ = n_features
         return self
 
-    def predict_proba(self, X) -> np.ndarray:
-        """Class probabilities, columns ordered by ``classes_``."""
+    def _check_predict_X(self, X) -> np.ndarray:
         check_is_fitted(self, ["tree_"])
         X = check_array(X)
         if X.shape[1] != self.n_features_in_:
@@ -160,6 +159,11 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
                 f"X has {X.shape[1]} features, tree was fitted with "
                 f"{self.n_features_in_}."
             )
+        return X
+
+    def predict_proba(self, X) -> np.ndarray:
+        """Class probabilities, columns ordered by ``classes_``."""
+        X = self._check_predict_X(X)
         return self.tree_.predict_proba(X)
 
     def predict(self, X) -> np.ndarray:
@@ -169,8 +173,8 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
 
     def apply(self, X) -> np.ndarray:
         """Index of the leaf each sample lands in."""
-        check_is_fitted(self, ["tree_"])
-        return self.tree_.apply(check_array(X))
+        X = self._check_predict_X(X)
+        return self.tree_.apply(X)
 
     # ------------------------------------------------------------------ #
     def __getstate_arrays__(self):

@@ -203,7 +203,7 @@ def _split_search_cases(draw):
     rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
     n_rows = draw(st.integers(1, 300))
     n_features = draw(st.integers(1, 5))
-    n_classes = draw(st.sampled_from([2, 3, 9, 12]))
+    n_classes = draw(st.sampled_from([2, 3, 8, 9, 12]))
     X = rng.randn(n_rows, n_features)
     if draw(st.booleans()):  # heavy duplicates
         X = np.round(X * draw(st.sampled_from([1, 2, 4])))
@@ -233,7 +233,8 @@ class TestSplitSearchAgainstDenseReference:
     def test_builders_match_dense_reference(self, case):
         """Both builders score only live candidates through the shared
         split search; they must still grow the tree the full dense grid
-        grows, byte for byte, on every array."""
+        grows, byte for byte, on every array — also through the public
+        estimator, which bins with ``fit_transform``."""
         X, y, w, n_classes, max_bins, kw = case
         binner = FeatureBinner(max_bins=max_bins).fit(X)
         Xb = binner.transform(X)
@@ -252,9 +253,20 @@ class TestSplitSearchAgainstDenseReference:
                 np.asarray(binner.n_bins_), max_features=None, random_state=None,
             ),
         }
-        for name, tree in grown.items():
+        # The public path: fused fit_transform binning, the estimator's own
+        # label encoding (absent classes drop out of ``classes_``).
+        clf = DecisionTreeClassifier(max_bins=max_bins, **kw).fit(X, y, sample_weight=w)
+        y_enc = np.searchsorted(clf.classes_, y)
+        public = _dense_reference_tree(
+            Xb, y_enc, w, binner, len(clf.classes_), kw["criterion"],
+            max_depth, kw["min_samples_split"], kw["min_samples_leaf"],
+            kw["min_impurity_decrease"],
+        )
+        checks = [(name, tree, expected) for name, tree in grown.items()]
+        checks.append(("DecisionTreeClassifier", clf.tree_, public))
+        for name, tree, want_tree in checks:
             for attr in _TREE_ATTRS:
-                got, want = getattr(tree, attr), getattr(expected, attr)
+                got, want = getattr(tree, attr), getattr(want_tree, attr)
                 assert got.dtype == want.dtype, (name, attr)
                 assert got.tobytes() == want.tobytes(), (name, attr)
 
@@ -288,7 +300,7 @@ class TestLevelSynchronousBuilder:
 
     def test_many_class_gini_still_levelwise_identical(self):
         """Gini impurity has no nonzero-compaction, so the level builder
-        stays exact at any class count; entropy beyond 8 classes routes to
+        stays exact at any class count; entropy from 8 classes on routes to
         the depth-first builder instead (pairwise-sum grouping)."""
         rng = np.random.RandomState(2)
         X = rng.randn(400, 3)
@@ -667,3 +679,30 @@ class TestConfigSwitch:
             assert fastpath_enabled()
         finally:
             set_fastpath(None)
+
+
+# --------------------------------------------------------------------- #
+class TestFitDigestTool:
+    def test_digest_runs_and_repeats(self):
+        """``tools/fit_digest.py`` runs as a script, and its digest of an
+        SPE fit repeats — the byte-identity check a fit-path change runs
+        on both checkouts relies on that."""
+        import pathlib
+        import subprocess
+        import sys
+
+        tools = pathlib.Path(__file__).resolve().parents[1] / "tools"
+        args = ["--rows", "3000", "--ir", "10", "--seed", "1"]
+        run = subprocess.run(
+            [sys.executable, str(tools / "fit_digest.py"), *args],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        printed = run.stdout.strip()
+        assert len(printed) == 64 and int(printed, 16) >= 0
+        sys.path.insert(0, str(tools))
+        try:
+            import fit_digest
+        finally:
+            sys.path.pop(0)
+        assert fit_digest.fit_digest(3000, 10.0, 1) == printed
+        assert fit_digest.fit_digest(3000, 10.0, 2) != printed

@@ -53,6 +53,70 @@ class TestFeatureBinner:
             binner.transform(rng.randn(10, 3))
 
 
+def _reference_edges(col, max_bins):
+    """Per-column ``np.unique`` + ``np.quantile`` cut points."""
+    unique = np.unique(col)
+    if unique.size <= max_bins:
+        return (unique[:-1] + unique[1:]) / 2.0
+    quantiles = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    return np.unique(np.quantile(col, quantiles))
+
+
+@st.composite
+def _binner_cases(draw):
+    """Matrices whose columns are continuous, heavily duplicated with a
+    distinct count right around ``max_bins``, constant, or rich in -0.0
+    and +0.0; the bulk values come from a drawn seed."""
+    rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+    n_rows = draw(st.integers(1, 300))
+    max_bins = draw(st.integers(2, 255))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["continuous", "pool", "constant", "zeros"]))
+        if kind == "continuous":
+            col = rng.randn(n_rows) * 10.0
+        elif kind == "pool":
+            n_distinct = max(1, max_bins + draw(st.integers(-2, 2)))
+            col = rng.randn(n_distinct)[rng.randint(0, n_distinct, n_rows)]
+        elif kind == "constant":
+            col = np.full(n_rows, 0.5)
+        else:
+            col = np.round(rng.randn(n_rows) * draw(st.sampled_from([0.5, 4.0, 100.0])))
+            col[rng.rand(n_rows) < 0.3] = -0.0
+        columns.append(col)
+    return np.column_stack(columns), max_bins
+
+
+class TestFeatureBinnerAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_binner_cases())
+    def test_fit_transform_matches_fit_and_reference(self, case):
+        X, max_bins = case
+        fused = FeatureBinner(max_bins=max_bins)
+        codes = fused.fit_transform(X)
+        fitted = FeatureBinner(max_bins=max_bins).fit(X)
+        expected = fitted.transform(X)
+        assert codes.dtype == expected.dtype
+        assert codes.tobytes() == expected.tobytes()
+        want = [_reference_edges(X[:, j], max_bins) for j in range(X.shape[1])]
+        for binner in (fused, fitted):
+            assert binner.n_bins_.tolist() == [e.size + 1 for e in want]
+            for got, ref in zip(binner.edges_, want):
+                assert got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_binner_cases(), data=st.data())
+    def test_nan_rejected_on_both_paths(self, case, data):
+        X, max_bins = case
+        X[data.draw(st.integers(0, X.shape[0] - 1)),
+          data.draw(st.integers(0, X.shape[1] - 1))] = np.nan
+        with pytest.raises(DataValidationError):
+            FeatureBinner(max_bins=max_bins).fit(X)
+        with pytest.raises(DataValidationError):
+            FeatureBinner(max_bins=max_bins).fit_transform(X)
+
+
 class TestDecisionTree:
     def test_pure_split_learned(self):
         """A single-threshold concept must be learned exactly."""
@@ -201,6 +265,15 @@ class TestDecisionTree:
         clf = DecisionTreeClassifier(max_depth=2).fit(X, y)
         with pytest.raises(ValueError):
             clf.predict(np.ones((2, X.shape[1] + 1)))
+
+    @pytest.mark.parametrize("method", ["apply", "predict_proba"])
+    def test_feature_mismatch_at_apply(self, rng, method):
+        """``apply`` checks the column count as ``predict_proba`` does: a
+        wider matrix must not route rows on its leading columns."""
+        X = rng.randn(60, 3)
+        clf = DecisionTreeClassifier(max_depth=3).fit(X, (X[:, 0] > 0).astype(int))
+        with pytest.raises(ValueError, match="3"):
+            getattr(clf, method)(np.hstack([X, X]))
 
     def test_deterministic_given_seed(self, binary_blobs):
         X, y = binary_blobs
