@@ -57,6 +57,10 @@ COLD_REPEATS = 5
 FLEET_WORKERS = (1, 2, 4)
 FLEET_BATCH = 256
 MEMORY_LIMIT_PCT = 10.0
+OVERFLOW_SUBMITS = 3000
+OVERFLOW_MAX_PENDING = 16
+OVERFLOW_MAX_BATCH = 4
+OVERFLOW_ROWS = 64
 SPEEDUP_FLOOR_AT_4 = 2.0
 
 
@@ -194,7 +198,9 @@ def _fleet_memory(path, artifact_kb, X_serve, scale):
     Workers inherit the mmap'd arrays and the pre-fork packed kernel
     copy-on-write; serving never writes them, so each worker's *private*
     pages are interpreter churn, not a model copy. ``baseline_private_kb``
-    is sampled at worker start, before its ModelServer exists.
+    is sampled at worker start, before the worker loads its active model
+    and batcher; the worker serves from its fork queue directly, with no
+    second queue or thread whose buffers would count against it.
     """
     with WorkerPool(
         path, n_workers=max(FLEET_WORKERS), mmap=True, max_pending=512
@@ -238,25 +244,43 @@ def _fleet_memory(path, artifact_kb, X_serve, scale):
 
 
 def _fleet_overflow(path, X_serve):
-    """Saturation: a 1-worker pool with a tiny admission bound must push
-    back with ServerOverloadedError and still serve everything admitted."""
-    with WorkerPool(path, n_workers=1, mmap=True, max_pending=2) as pool:
+    """Saturation: back-to-back submits into a 2-worker pool with a small
+    admission bound must push back with ServerOverloadedError at the door,
+    and every request the pool admitted must be served — admission is
+    checked once per worker, so nothing admitted is rejected later."""
+    with WorkerPool(
+        path,
+        n_workers=2,
+        mmap=True,
+        max_pending=OVERFLOW_MAX_PENDING,
+        max_batch=OVERFLOW_MAX_BATCH,
+    ) as pool:
         futures = []
-        for i in range(400):
-            rows = X_serve[(i * FLEET_BATCH) % (len(X_serve) - FLEET_BATCH) :][
-                :FLEET_BATCH
-            ]
+        for i in range(OVERFLOW_SUBMITS):  # no early stop on push-back
+            start = (i * OVERFLOW_ROWS) % (len(X_serve) - OVERFLOW_ROWS)
+            rows = X_serve[start : start + OVERFLOW_ROWS]
             try:
                 futures.append(pool.submit(rows))
             except ServerOverloadedError:
                 pass
+        failed = []
         for future in futures:
-            assert future.result().shape[1] == 2
+            try:
+                assert future.result().shape == (OVERFLOW_ROWS, 2)
+            except ServerOverloadedError as exc:  # admitted, then rejected
+                failed.append(repr(exc))
         rejected = pool.n_overflows_
-    assert rejected > 0, "saturating a max_pending=2 pool never overflowed"
+    assert not failed, (
+        f"{len(failed)} of {len(futures)} admitted requests failed: {failed[:3]}"
+    )
+    assert rejected > 0, "saturating the pool never overflowed"
+    assert rejected + len(futures) == OVERFLOW_SUBMITS
     return {
-        "max_pending": 2,
-        "n_submitted": 400,
+        "n_workers": 2,
+        "max_pending": OVERFLOW_MAX_PENDING,
+        "max_batch": OVERFLOW_MAX_BATCH,
+        "rows_per_request": OVERFLOW_ROWS,
+        "n_submitted": OVERFLOW_SUBMITS,
         "n_admitted": len(futures),
         "n_rejected": rejected,
         "all_admitted_served": True,

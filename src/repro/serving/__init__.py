@@ -11,7 +11,7 @@ deployment shape.
   decision threshold, zero-downtime :meth:`~ModelServer.swap_model`,
   per-request ``model_version`` stamps on :class:`ScoredBatch`.
 * :class:`WorkerPool` (``n_workers >= 1``) — N forked, *supervised*
-  ``ModelServer`` workers sharing **one** copy of the model: the artifact
+  micro-batching workers sharing **one** copy of the model: the artifact
   is loaded memory-mapped (``load_model(path, mmap_mode="r")``) and its
   serving kernel packed *before* the fork, so worker memory is
   copy-on-write shared, and :meth:`~WorkerPool.swap_model` broadcasts a

@@ -57,6 +57,7 @@ from ..exceptions import (
     ServerOverloadedError,
     WorkerCrashedError,
 )
+from .server import _expires_at
 
 __all__ = ["AsyncGateway"]
 
@@ -274,15 +275,7 @@ class AsyncGateway:
         tenant = str(tenant)
         sw = telemetry.stopwatch()
         ctx = telemetry.current_context()
-        expires_at = None
-        if deadline is not None:
-            deadline = float(deadline)
-            if deadline <= 0:
-                self._m_deadline.inc()
-                raise DeadlineExceededError(
-                    f"deadline of {deadline}s already expired at submission"
-                )
-            expires_at = time.monotonic() + deadline
+        expires_at = _expires_at(deadline, self._m_deadline)
         if not self._breaker_admits():
             self._m_shed.inc()
             exc = CircuitOpenError(

@@ -13,12 +13,14 @@
   memory of an extra worker is queue buffers and interpreter churn, not
   another resident model (measured per worker via
   :func:`process_private_kb` and asserted in ``benchmarks/bench_serving.py``).
-* **Queue-fed workers** — each worker owns a bounded ``multiprocessing``
-  request queue and runs a full :class:`~repro.serving.ModelServer` inside
-  (micro-batching, warm kernel, version stamps). The pool dispatches
-  requests round-robin across *live* workers; a full worker queue raises
-  :class:`~repro.exceptions.ServerOverloadedError` — the same bounded-queue
-  overflow contract as the in-process server, one level up.
+* **Each worker is a micro-batcher** — each worker owns a bounded
+  ``multiprocessing`` request queue and runs the in-process server's
+  batching core straight off it (coalescing up to ``max_batch`` rows per
+  kernel call, version stamps, FIFO control messages), with no second
+  queue or thread. The pool dispatches round-robin across *live* workers;
+  a full worker queue raises :class:`~repro.exceptions.ServerOverloadedError`
+  at submission. That is the only admission check per worker: an
+  admitted request is scored or fails typed, never with an overload.
 * **Supervision** — the collector thread doubles as the fleet supervisor:
   between result messages it polls every worker's liveness
   (``Process.is_alive()``). A worker that died without sending its clean
@@ -35,12 +37,12 @@
   absolute expiry through the fork queues. Expired requests fail fast
   with :class:`~repro.exceptions.DeadlineExceededError` wherever they are
   found first: at submission, by the supervisor (which also covers
-  requests stuck behind a stalled or dead worker), in the worker's queue,
-  or in its serving loop — never scored late, never hung.
+  requests stuck behind a stalled or dead worker), or when the worker
+  dequeues it — never scored late, never hung.
 * **Fleet-wide hot swap** — :meth:`swap_model` publishes a new *artifact
   path* to every live worker. Each worker loads the challenger (mmap'd
   again — the fleet converges onto one shared copy of the *new* model),
-  warm-packs it off its serving thread, then flips its ``_ActiveModel``
+  warm-packs it on a side thread, then flips its ``_ActiveModel``
   record; the serving queue keeps draining with the old model until the
   flip, so no request is ever dropped or blocked. Crashed workers
   converge through respawn (the respawn source is updated before the
@@ -50,8 +52,8 @@
   broadcast, leaving every worker on the old version.
 * **Observability** — :meth:`stats` aggregates pool-level counters,
   per-worker versions, states and crash counts; :meth:`worker_stats` asks
-  every live worker for its full :meth:`ModelServer.stats` snapshot plus
-  its private-memory footprint; :meth:`wait_healthy` blocks until the
+  every live worker for its served-traffic counters plus its
+  private-memory footprint; :meth:`wait_healthy` blocks until the
   fleet is back at full, responsive capacity.
 
 The pool requires the ``fork`` start method (Linux/macOS): zero-copy
@@ -70,7 +72,6 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import Future
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -86,9 +87,16 @@ from ..exceptions import (
     UnsupportedPlatformError,
     WorkerCrashedError,
 )
-from ..fastpath.codetable import warm_serving_pack
-from ..utils.validation import check_is_fitted
-from .server import ModelServer, ScoredBatch, _resolve_positive_idx
+from .server import (
+    ScoredBatch,
+    _Batcher,
+    _decode,
+    _expires_at,
+    _load_active,
+    _record_from_model,
+    _Request,
+    _VersionRecord,
+)
 
 __all__ = ["WorkerPool", "process_private_kb"]
 
@@ -119,19 +127,6 @@ def process_private_kb() -> Optional[float]:
         return None
 
 
-@dataclass(frozen=True)
-class _VersionRecord:
-    """Parent-side decoding identity of one published model version."""
-
-    classes: np.ndarray
-    positive_idx: int
-
-
-def _record_from_model(model) -> _VersionRecord:
-    classes = np.asarray(getattr(model, "classes_", np.array([0, 1])))
-    return _VersionRecord(classes, _resolve_positive_idx(model, classes))
-
-
 def _rebuild_exception(name: str, text: str) -> BaseException:
     """Reconstruct a worker-side exception by name, preserving its type.
 
@@ -156,9 +151,17 @@ def _rebuild_exception(name: str, text: str) -> BaseException:
 
 
 def _worker_main(
-    worker_id: int, generation: int, model, options: Dict, req_q, res_q, chaos
+    worker_id: int,
+    generation: int,
+    model,
+    version: str,
+    max_batch: int,
+    mmap: bool,
+    req_q,
+    res_q,
+    chaos,
 ) -> None:
-    """One worker process: a ModelServer draining its pool queue.
+    """One worker process: the micro-batcher of its fork queue.
 
     Message protocol (FIFO per worker):
       ("req", req_id, rows, expires_at, ctx)
@@ -169,139 +172,104 @@ def _worker_main(
       ("stats", token)             → ("stats", worker_id, token, payload)
       ("stop",)                    → ("stopped", worker_id)   [terminates]
 
-    ``ctx`` is the request's ``(trace_id, span_id)`` telemetry context
-    (or ``None``): the worker resumes the trace around its local submit,
-    so the inner ModelServer's queue-wait/kernel spans join the parent's
-    trace. ``spans`` carries them back — each reply drains this worker's
-    span sink for the trace (``Span.to_wire`` tuples) and the parent
-    re-records them, stitching the cross-process timeline together.
+    The loop takes a request off the queue and coalesces the requests
+    already queued behind it into one batch (the shared
+    :class:`~repro.serving.server._Batcher`): one read of the active
+    record, one kernel call, one reply per request. A control message
+    ends the batch it is found in and is handled after it, so swaps,
+    stats and stop stay in FIFO order. The fork queue is the worker's only
+    admission bound: nothing it delivers is ever rejected here.
+
+    ``ctx`` is the request's ``(trace_id, span_id)`` telemetry context (or
+    ``None``); the batcher records ``server.queue_wait`` (dequeue to kernel
+    call) and ``server.kernel_eval`` spans under it, and ``spans`` carries
+    them back — each reply drains this worker's span sink for the trace
+    (``Span.to_wire`` tuples) and the parent re-records them, stitching
+    the cross-process timeline together.
 
     On start the worker announces ("ready", worker_id, generation) — the
-    supervisor's respawn-convergence signal. Swaps run on a side thread
-    so the serving queue keeps draining while the challenger's kernel
-    builds; ``ModelServer.swap_model`` then flips the active record
-    atomically. Requests already dequeued keep the version that was
-    active when their batch was drained — zero drops.
+    supervisor's respawn-convergence signal. Swaps load and warm-pack the
+    challenger on a side thread, so the queue keeps draining with the old
+    model until the active record flips; a batch is served entirely by the
+    version it read — zero drops.
 
     ``chaos`` (a :class:`repro.chaos.FaultPlan` or ``None``) is fired at
     the ``worker.request`` / ``worker.reply`` / ``worker.swap`` sites
     with this worker's own deterministic counters and generation.
     """
     baseline_kb = process_private_kb()
-    server = ModelServer(model, **options)
     swap_lock = threading.Lock()  # serialise overlapping fleet swaps
     swap_threads: List[threading.Thread] = []
-    n_reqs_seen = 0
-    n_swaps_seen = 0
-    reply_counter = itertools.count(1)
+    requests_seen = itertools.count(1)
+    swaps_seen = itertools.count(1)
+    replies_sent = itertools.count(1)
 
-    res_q.put(("ready", worker_id, generation))
-
-    def finish(req_id: int, ctx, future: Future) -> None:
-        spans: Tuple = ()
-        if ctx is not None:
-            # This worker's half of the trace (server.queue_wait,
-            # server.kernel_eval) rides home inside the reply message.
-            spans = tuple(
-                span.to_wire() for span in telemetry.drain_trace(ctx[0])
-            )
-        try:
-            scored: ScoredBatch = future.result()
-        except BaseException as exc:
-            payload = ("err", req_id, type(exc).__name__, str(exc), spans)
-        else:
-            payload = (
-                "ok", req_id, scored.proba, scored.model_version, spans
-            )
+    def fire(site: str, counter) -> None:
         if chaos is not None:
             chaos.fire(
-                "worker.reply",
-                worker=worker_id,
-                count=next(reply_counter),
-                generation=generation,
+                site, worker=worker_id, count=next(counter), generation=generation
             )
-        res_q.put(payload)
+
+    def take(block: bool = True):
+        msg = req_q.get() if block else req_q.get_nowait()
+        if msg[0] != "req":
+            return msg
+        fire("worker.request", requests_seen)
+        _, req_id, rows, expires_at, ctx = msg
+        return _Request(rows, expires_at, ctx, req_id)
+
+    def reply(tag: str, req: _Request, *fields) -> None:
+        spans: Tuple = ()
+        if req.ctx is not None:
+            # This worker's half of the trace rides home in the reply.
+            spans = tuple(s.to_wire() for s in telemetry.drain_trace(req.ctx[0]))
+        fire("worker.reply", replies_sent)
+        res_q.put((tag, req.reply, *fields, spans))
+
+    batcher = _Batcher(
+        _load_active(model, version, mmap),
+        max_batch,
+        ok=lambda req, proba, version: reply("ok", req, proba, version),
+        fail=lambda req, exc: reply("err", req, type(exc).__name__, str(exc)),
+    )
+    res_q.put(("ready", worker_id, generation))
 
     def do_swap(path: str, version: str) -> None:
         with swap_lock:
+            swap_watch = telemetry.stopwatch()
             try:
-                installed = server.swap_model(path, version=version)
+                batcher.install(_load_active(path, version, mmap))
+                swap_watch.observe(batcher.swap_seconds)
                 # Acks are emitted under swap_lock on purpose: the parent
                 # records worker_versions in ack order, so overlapping
                 # swaps must ack in completion order. res_q is drained
                 # continuously by the parent collector, bounding the put.
-                res_q.put(("swapped", worker_id, installed, None))  # repro-lint: disable=lock-blocking-call
+                res_q.put(("swapped", worker_id, version, None))  # repro-lint: disable=lock-blocking-call
             except BaseException as exc:
                 res_q.put(  # repro-lint: disable=lock-blocking-call
                     ("swapped", worker_id, version, (type(exc).__name__, str(exc)))
                 )
 
+    carry = None  # dequeued message that ended the previous batch
     while True:
-        msg = req_q.get()
-        kind = msg[0]
-        if kind == "req":
-            _, req_id, rows, expires_at, ctx = msg
-            n_reqs_seen += 1
-            if chaos is not None:
-                chaos.fire(
-                    "worker.request",
-                    worker=worker_id,
-                    count=n_reqs_seen,
-                    generation=generation,
-                )
-            deadline = None
-            if expires_at is not None:
-                deadline = expires_at - time.monotonic()
-                if deadline <= 0:
-                    res_q.put(
-                        (
-                            "err",
-                            req_id,
-                            "DeadlineExceededError",
-                            "request expired in the worker queue; not scored",
-                            (),
-                        )
-                    )
-                    continue
-            try:
-                if ctx is not None:
-                    # Resume the parent's trace so the inner server's
-                    # spans (captured at submit) link to the request span.
-                    with telemetry.resume_trace(*ctx):
-                        future = server.submit_scored(rows, deadline=deadline)
-                else:
-                    future = server.submit_scored(rows, deadline=deadline)
-            except BaseException as exc:
-                res_q.put(("err", req_id, type(exc).__name__, str(exc), ()))
-            else:
-                future.add_done_callback(
-                    lambda f, req_id=req_id, ctx=ctx: finish(req_id, ctx, f)
-                )
-        elif kind == "swap":
-            _, path, version = msg
-            n_swaps_seen += 1
-            if chaos is not None:
-                chaos.fire(
-                    "worker.swap",
-                    worker=worker_id,
-                    count=n_swaps_seen,
-                    generation=generation,
-                )
-            thread = threading.Thread(
-                target=do_swap, args=(path, version), daemon=True
-            )
+        msg = take() if carry is None else carry
+        carry = None
+        if isinstance(msg, _Request):
+            carry = batcher.run(msg, lambda: take(block=False))
+        elif msg[0] == "swap":
+            fire("worker.swap", swaps_seen)
+            thread = threading.Thread(target=do_swap, args=msg[1:], daemon=True)
             swap_threads.append(thread)
             thread.start()
-        elif kind == "stats":
-            payload = server.stats()
+        elif msg[0] == "stats":
+            payload = batcher.stats()
             payload["private_kb"] = process_private_kb()
             payload["baseline_private_kb"] = baseline_kb
             payload["generation"] = generation
             res_q.put(("stats", worker_id, msg[1], payload))
-        elif kind == "stop":
+        elif msg[0] == "stop":
             for thread in swap_threads:
                 thread.join()
-            server.close()  # drains the internal queue; callbacks fire first
             res_q.put(("stopped", worker_id))
             return
 
@@ -319,9 +287,16 @@ class WorkerPool:
     n_workers : int, default 2
         Worker process count. Supervision keeps the fleet at this
         capacity: crashed workers respawn automatically.
-    threshold, max_batch, max_pending, model_version :
-        Forwarded to each worker's :class:`~repro.serving.ModelServer`;
-        ``max_pending`` also bounds each worker's pool-level request queue.
+    threshold : float in [0, 1], default 0.5
+        Decision threshold :meth:`predict` applies (parent-side).
+    max_batch : int, default 256
+        Maximum rows a worker coalesces into one kernel call.
+    max_pending : int, default 1024
+        Bound on each worker's request queue — the pool's only admission
+        check; a full queue raises
+        :class:`~repro.exceptions.ServerOverloadedError` at submission.
+    model_version : str, default "v0"
+        Version stamp of the initial model.
     mmap : bool, default True
         Memory-map artifact loads (parent *and* every worker-side swap
         load), so the fleet shares one page-cache copy per artifact.
@@ -370,6 +345,8 @@ class WorkerPool:
                 "WorkerPool requires the 'fork' start method (zero-copy "
                 "model inheritance); use ModelServer on this platform"
             )
+        if max_batch < 1 or max_pending < 1:
+            raise ValueError("max_batch and max_pending must be >= 1")
         if poll_interval <= 0:
             raise ValueError("poll_interval must be > 0")
         if respawn_backoff <= 0 or respawn_backoff_cap < respawn_backoff:
@@ -385,26 +362,20 @@ class WorkerPool:
         self.respawn_backoff = float(respawn_backoff)
         self.respawn_backoff_cap = float(respawn_backoff_cap)
         self._chaos = chaos
+        self._max_batch = int(max_batch)
         model_version = str(model_version)
-
-        if isinstance(model, (str, bytes)) or hasattr(model, "__fspath__"):
-            # Respawns re-load the artifact themselves; keep the path.
-            self._current_source = os.fspath(model)
-            from ..persistence import load_model
-
-            model = load_model(model, mmap_mode="r" if self.mmap else None)
-        else:
-            # Live model: respawns fork it copy-on-write, exactly like the
-            # original workers — keep the strong reference alive.
-            self._current_source = model
-        check_is_fitted(model)
-        # Build the packed serving kernel ONCE, pre-fork: every worker's
-        # ModelServer construction hits this exact cache entry (inherited
-        # through fork) instead of building a private copy.
-        warm_serving_pack(model)
+        # Load, validate and build the packed serving kernel ONCE,
+        # pre-fork: every worker's batcher hits this exact cache entry
+        # (inherited through fork) instead of building a private copy.
+        active = _load_active(model, model_version, self.mmap)
+        # Respawns re-load an artifact themselves (keep the path); a live
+        # model is forked copy-on-write, exactly like the original
+        # workers — keep the strong reference alive.
+        is_path = isinstance(model, (str, bytes)) or hasattr(model, "__fspath__")
+        self._current_source = os.fspath(model) if is_path else model
         self._current_version = model_version
         self._version_records: Dict[str, _VersionRecord] = {
-            model_version: _record_from_model(model)
+            model_version: active.record
         }
 
         self._ctx = multiprocessing.get_context("fork")
@@ -414,30 +385,9 @@ class WorkerPool:
             for _ in range(self.n_workers)
         ]
         self._res_q = self._ctx.Queue()
-        self._options = dict(
-            threshold=self.threshold,
-            max_batch=int(max_batch),
-            max_pending=self._max_pending,
-            model_version=model_version,
-            mmap=self.mmap,
-        )
         self._procs: List[Optional[multiprocessing.process.BaseProcess]] = [
-            self._ctx.Process(
-                target=_worker_main,
-                args=(
-                    i,
-                    0,
-                    model,
-                    self._options,
-                    self._req_queues[i],
-                    self._res_q,
-                    chaos,
-                ),
-                name=f"repro-pool-worker-{i}",
-                daemon=True,
-            )
-            for i in range(self.n_workers)
-        ]
+            None
+        ] * self.n_workers
 
         self._lock = threading.Lock()
         self._closed = False
@@ -465,8 +415,8 @@ class WorkerPool:
         self._stats_waits: Dict[int, Dict] = {}
         self._stats_tokens = itertools.count()
 
-        for proc in self._procs:
-            proc.start()
+        for i in range(self.n_workers):
+            self._start_worker(i, 0, active.model)
         self._collector = threading.Thread(
             target=self._collect, name="repro-pool-supervisor", daemon=True
         )
@@ -785,25 +735,8 @@ class WorkerPool:
         generation = self._worker_generation[worker] + 1
         self._worker_generation[worker] = generation
         old_q = self._req_queues[worker]
-        new_q = self._ctx.Queue(maxsize=self._max_pending)
-        self._req_queues[worker] = new_q
-        options = dict(self._options, model_version=self._current_version)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                worker,
-                generation,
-                self._current_source,
-                options,
-                new_q,
-                self._res_q,
-                self._chaos,
-            ),
-            name=f"repro-pool-worker-{worker}-gen{generation}",
-            daemon=True,
-        )
-        self._procs[worker] = proc
-        proc.start()
+        self._req_queues[worker] = self._ctx.Queue(maxsize=self._max_pending)
+        self._start_worker(worker, generation, self._current_source)
         self._worker_state[worker] = _ALIVE
         self._worker_versions[worker] = self._current_version
         self._m_respawns.inc()
@@ -812,6 +745,31 @@ class WorkerPool:
         # interpreter exit wait on that flush.
         old_q.cancel_join_thread()
         old_q.close()
+
+    def _live_workers(self) -> List[int]:
+        """Slots whose worker is alive (lock held)."""
+        return [i for i, state in self._worker_state.items() if state == _ALIVE]
+
+    def _start_worker(self, worker: int, generation: int, source) -> None:
+        """Fork the process for slot ``worker`` onto its request queue."""
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(
+                worker,
+                generation,
+                source,
+                self._current_version,
+                self._max_batch,
+                self.mmap,
+                self._req_queues[worker],
+                self._res_q,
+                self._chaos,
+            ),
+            name=f"repro-pool-worker-{worker}-gen{generation}",
+            daemon=True,
+        )
+        self._procs[worker] = proc
+        proc.start()
 
     # ------------------------------------------------------------------ #
     def submit(self, rows, *, deadline: Optional[float] = None) -> Future:
@@ -836,15 +794,7 @@ class WorkerPool:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         ctx = telemetry.current_context()
         sw = telemetry.stopwatch()
-        expires_at = None
-        if deadline is not None:
-            deadline = float(deadline)
-            if deadline <= 0:
-                self._m_deadline.inc()
-                raise DeadlineExceededError(
-                    f"deadline of {deadline}s already expired at submission"
-                )
-            expires_at = time.monotonic() + deadline
+        expires_at = _expires_at(deadline, self._m_deadline)
         future: Future = Future()
         with self._lock:
             if self._closed:
@@ -894,13 +844,7 @@ class WorkerPool:
         scored = self.score(rows)
         with self._lock:
             record = self._version_records[scored.model_version]
-        proba = scored.proba
-        if len(record.classes) != 2:
-            return record.classes[np.argmax(proba, axis=1)]
-        positive = proba[:, record.positive_idx] >= self.threshold
-        return record.classes[
-            np.where(positive, record.positive_idx, 1 - record.positive_idx)
-        ]
+        return _decode(record, scored.proba, self.threshold)
 
     # ------------------------------------------------------------------ #
     #: Fleet swaps ship artifact *paths*, not live objects — the
@@ -974,10 +918,7 @@ class WorkerPool:
             # from here on respawns straight onto the new artifact.
             self._current_source = path
             self._current_version = version
-            live = [
-                i for i in range(self.n_workers)
-                if self._worker_state[i] == _ALIVE
-            ]
+            live = self._live_workers()
             # Workers currently down converge via respawn — pre-ack them.
             waiter = {
                 "event": threading.Event(),
@@ -1100,20 +1041,20 @@ class WorkerPool:
             time.sleep(self.poll_interval / 2)
 
     def worker_stats(self, timeout: float = 30.0) -> Dict[int, Dict]:
-        """Every live worker's ``ModelServer.stats()`` plus its
-        private-memory footprint (``private_kb`` now,
-        ``baseline_private_kb`` at worker start) — the numbers the
-        zero-copy claim is verified against. Workers that crash during
-        the round-trip are dropped from the expectation instead of
-        hanging the call."""
+        """Every live worker's batcher counters (``n_requests``,
+        ``n_batches``, ``n_rows``, ...; ``n_overflows`` is always 0, as
+        admission happens at the pool's queue) plus its private-memory
+        footprint (``private_kb`` now, ``baseline_private_kb`` at worker
+        start) — the numbers the zero-copy claim is verified against.
+        Each worker answers in FIFO order, after every request queued
+        before the stats message. Workers that crash during the
+        round-trip are dropped from the expectation instead of hanging
+        the call."""
         with self._lock:
             if self._closed:
                 raise ServerClosedError("WorkerPool is closed")
             token = next(self._stats_tokens)
-            live = [
-                i for i in range(self.n_workers)
-                if self._worker_state[i] == _ALIVE
-            ]
+            live = self._live_workers()
             if not live:
                 # Whole fleet down (e.g. a crash was detected between the
                 # caller's health check and this call): nothing will ever
@@ -1158,8 +1099,8 @@ class WorkerPool:
         """Stop the fleet; queued requests are still served first.
 
         Each live worker's stop sentinel is FIFO behind its pending
-        requests, and the worker drains its internal server before
-        exiting — so close never drops an admitted request. Requests that
+        requests, which the worker serves before exiting — so close
+        never drops an admitted request. Requests that
         were in flight on a worker that crashed (and whatever its
         respawn would have served) fail typed with
         :class:`~repro.exceptions.WorkerCrashedError` — resolved or
@@ -1171,10 +1112,7 @@ class WorkerPool:
                 return
             self._closed = True
             self._respawn_at.clear()  # no respawns after close
-            live = [
-                i for i in range(self.n_workers)
-                if self._worker_state[i] == _ALIVE
-            ]
+            live = self._live_workers()
             queues = [self._req_queues[i] for i in live]
         for req_q in queues:
             req_q.put(("stop",))

@@ -35,7 +35,8 @@ endpoint:
   drained batch, so every request is served end-to-end by exactly one
   model version (stamped into :class:`ScoredBatch` results as
   ``model_version``), in-flight requests never block on a re-pack, and
-  the queue never drops a request across a swap.
+  the queue never drops a request across a swap. Swapped-out models are
+  released: only their decode identity (:class:`_VersionRecord`) is kept.
 * **Observability** — :meth:`stats` reports served-traffic counters
   (requests, batches, rows, batch-size distribution, overflow rejections,
   per-version request counts, swap count, current version) so monitoring
@@ -45,18 +46,20 @@ endpoint:
   child per server instance) — ``stats()`` is a thin view over them —
   and requests submitted under an active :func:`repro.telemetry.trace`
   leave ``server.queue_wait`` / ``server.kernel_eval`` spans behind.
+
+The batching core, :class:`_Batcher`, is shared with every
+:class:`~repro.serving.WorkerPool` worker, which runs it on its fork queue.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import queue
 import threading
 import time
 from collections import Counter
 from concurrent.futures import Future
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,18 +95,6 @@ class ScoredBatch:
     model_version: str
 
 
-@dataclass(frozen=True)
-class _ActiveModel:
-    """Immutable serving identity; swapped as a single pointer flip."""
-
-    model: object
-    version: str
-    classes: np.ndarray
-    positive_idx: int
-    packed: bool
-    code_table: bool
-
-
 def _resolve_positive_idx(model, classes: np.ndarray) -> int:
     minority = getattr(model, "minority_class_", None)
     if minority is not None:
@@ -111,6 +102,273 @@ def _resolve_positive_idx(model, classes: np.ndarray) -> int:
     # Label-generic ensembles (forest/bagging): by the library's
     # convention the higher-sorted label is the positive one.
     return len(classes) - 1
+
+
+@dataclass(frozen=True)
+class _VersionRecord:
+    """Decode identity of one model version: what :func:`_decode` needs,
+    kept per version without keeping the model itself alive."""
+
+    classes: np.ndarray
+    positive_idx: int
+
+
+def _record_from_model(model) -> _VersionRecord:
+    classes = np.asarray(getattr(model, "classes_", np.array([0, 1])))
+    return _VersionRecord(classes, _resolve_positive_idx(model, classes))
+
+
+def _decode(record: _VersionRecord, proba: np.ndarray, threshold: float) -> np.ndarray:
+    """Labels for ``proba`` as scored by the version ``record`` describes.
+
+    Binary models emit the positive class where its probability is
+    ``>= threshold``; multi-class models fall back to argmax (a single
+    threshold is not meaningful there).
+    """
+    if len(record.classes) != 2:
+        return record.classes[np.argmax(proba, axis=1)]
+    positive = proba[:, record.positive_idx] >= threshold
+    return record.classes[
+        np.where(positive, record.positive_idx, 1 - record.positive_idx)
+    ]
+
+
+@dataclass(frozen=True)
+class _ActiveModel:
+    """Immutable serving identity; swapped as a single pointer flip."""
+
+    model: object
+    version: str
+    record: _VersionRecord
+    packed: bool
+    code_table: bool
+
+
+def _load_active(model, version: str, mmap: bool) -> _ActiveModel:
+    """Load (when given a path), validate and warm-pack a model into its
+    serving identity.
+
+    The packed-kernel build — the expensive part — runs in the calling
+    thread, before the record becomes visible to any batcher.
+    """
+    if isinstance(model, (str, bytes)) or hasattr(model, "__fspath__"):
+        from ..persistence import load_model
+
+        model = load_model(model, mmap_mode="r" if mmap else None)
+    check_is_fitted(model)
+    packed, code_table = warm_serving_pack(model)
+    return _ActiveModel(model, version, _record_from_model(model), packed, code_table)
+
+
+def _expires_at(deadline: Optional[float], expired) -> Optional[float]:
+    """A seconds-from-now budget as an absolute ``time.monotonic`` expiry.
+
+    ``None`` waits indefinitely; a budget already spent counts on the
+    ``expired`` counter and raises
+    :class:`~repro.exceptions.DeadlineExceededError` at submission.
+    """
+    if deadline is None:
+        return None
+    deadline = float(deadline)
+    if deadline <= 0:
+        expired.inc()
+        raise DeadlineExceededError(
+            f"deadline of {deadline}s already expired at submission"
+        )
+    return time.monotonic() + deadline
+
+
+@dataclass
+class _Request:
+    """One queued scoring request.
+
+    ``reply`` is what the answer goes to: a ``Future`` in
+    :class:`ModelServer`, the request id in a pool worker. ``waited``
+    starts at submission in :class:`ModelServer` and at dequeue in a pool
+    worker; it ends at the kernel call (``server.queue_wait``).
+    """
+
+    rows: np.ndarray
+    expires_at: Optional[float]
+    ctx: Optional[Tuple[int, int]]
+    reply: object
+    want_version: bool = True
+    waited: object = field(default_factory=telemetry.stopwatch)
+
+
+class _Batcher:
+    """The micro-batching core under :class:`ModelServer`'s thread and
+    every pool worker's loop.
+
+    It holds the active record and the served-traffic ledger (this
+    process's ``repro_server_*`` registry children); the caller owns the
+    queue and says how a request is answered: ``ok(req, proba, version)``
+    or ``fail(req, exc)``.
+    """
+
+    def __init__(
+        self,
+        active: _ActiveModel,
+        max_batch: int,
+        ok: Callable,
+        fail: Callable,
+        chaos=None,
+    ):
+        self.active = active
+        self.max_batch = int(max_batch)
+        self._ok, self._fail = ok, fail
+        self._chaos = chaos
+        self._batch_rows: Counter = Counter()
+        self._requests_by_version: Counter = Counter()
+        registry = telemetry.get_registry()
+        self.label = telemetry.instance_label("server")
+
+        def child(kind: str, name: str, help: str):
+            family = getattr(registry, kind)(name, help, labels=("server",))
+            return family.labels(self.label)
+
+        self.requests = child("counter", "repro_server_requests_total",
+                              "Requests served by ModelServer.")
+        self.batches = child("counter", "repro_server_batches_total",
+                             "Micro-batches drained (kernel calls).")
+        self.rows = child("counter", "repro_server_rows_total",
+                          "Rows scored by ModelServer.")
+        self.overflows = child("counter", "repro_server_overflows_total",
+                               "Submissions rejected on a full queue.")
+        self.deadline = child("counter", "repro_server_deadline_expired_total",
+                              "Requests failed on an expired deadline.")
+        self.swaps = child("counter", "repro_server_swaps_total",
+                           "Hot model swaps installed.")
+        self.queue_depth = child("gauge", "repro_server_queue_depth",
+                                 "Requests waiting in the ModelServer queue.")
+        self.queue_wait = child(
+            "histogram", "repro_server_queue_wait_seconds",
+            "Time a request waits in the ModelServer queue before its "
+            "batch is drained.")
+        self.kernel = child("histogram", "repro_server_kernel_eval_seconds",
+                            "predict_proba kernel duration per drained batch.")
+        self.swap_seconds = child(
+            "histogram", "repro_server_swap_seconds",
+            "Hot-swap duration (challenger validation + kernel build + flip).")
+
+    def install(self, active: _ActiveModel) -> None:
+        """Flip the active record (one reference assignment) and count it."""
+        self.active = active
+        self.swaps.inc()
+
+    def run(self, msg, get_nowait: Callable):
+        """Drain one batch starting at request ``msg``, score it, answer it.
+
+        Coalesces the requests already queued behind ``msg`` (fetched with
+        ``get_nowait``, which raises ``queue.Empty``) up to ``max_batch``
+        rows; a single larger request is served alone. Expired requests
+        fail typed instead of being scored. Returns the dequeued message
+        that ended the batch — a request that did not fit, or a control
+        message that must wait for this batch — or ``None``.
+        """
+        batch: List[_Request] = []
+        total = 0
+        while isinstance(msg, _Request):
+            if msg.expires_at is not None and time.monotonic() > msg.expires_at:
+                self.deadline.inc()
+                self._fail(
+                    msg,
+                    DeadlineExceededError(
+                        f"request of {len(msg.rows)} row(s) expired after "
+                        "waiting in the serving queue; not scored"
+                    ),
+                )
+            elif batch and total + len(msg.rows) > self.max_batch:
+                break  # would overflow the bound: first of the next batch
+            else:
+                batch.append(msg)
+                total += len(msg.rows)
+                if total >= self.max_batch:
+                    msg = None
+                    break
+            try:
+                msg = get_nowait()
+            except queue.Empty:
+                msg = None
+        if batch:
+            self._score(batch, total)
+        return msg
+
+    def _score(self, batch: List[_Request], total: int) -> None:
+        try:
+            if self._chaos is not None:
+                self._chaos.fire("server.batch", count=int(self.batches.value) + 1)
+            rows = (
+                batch[0].rows
+                if len(batch) == 1
+                else np.vstack([req.rows for req in batch])
+            )
+            # Queue-wait ends here: the batch is drained and about to be
+            # scored. Traced requests additionally leave a span each.
+            for req in batch:
+                telemetry.record_span(
+                    "server.queue_wait",
+                    req.waited.observe(self.queue_wait),
+                    req.ctx,
+                    server=self.label,
+                    rows=len(req.rows),
+                )
+            # One read of the active record per drained batch: every
+            # request in the batch is served by exactly this version,
+            # and a concurrent swap only affects later batches.
+            active = self.active
+            kernel_watch = telemetry.stopwatch()
+            proba = active.model.predict_proba(rows)
+            kernel_s = kernel_watch.observe(self.kernel)
+        except BaseException as exc:  # propagate per request
+            for req in batch:
+                self._fail(req, exc)
+            return
+        self.batches.inc()
+        self.requests.inc(len(batch))
+        self.rows.inc(total)
+        self._batch_rows[total] += 1
+        self._requests_by_version[active.version] += len(batch)
+        offset = 0
+        for req in batch:
+            # The whole batch is one kernel call; each traced request is
+            # attributed the shared duration.
+            telemetry.record_span(
+                "server.kernel_eval",
+                kernel_s,
+                req.ctx,
+                server=self.label,
+                version=active.version,
+                batch_rows=total,
+            )
+            self._ok(req, proba[offset : offset + len(req.rows)], active.version)
+            offset += len(req.rows)
+
+    def stats(self) -> Dict:
+        """Served-traffic snapshot: the active version and every counter."""
+        active = self.active
+        # dict(counter) copies at C level under the GIL — an atomic
+        # snapshot; iterating the live Counter while the batcher inserts a
+        # new key would raise "dictionary changed size during iteration".
+        batch_rows = dict(self._batch_rows)
+        by_version = dict(self._requests_by_version)
+        return {
+            "model_version": active.version,
+            "packed": active.packed,
+            "code_table": active.code_table,
+            "n_requests": int(self.requests.value),
+            "n_batches": int(self.batches.value),
+            "n_rows": int(self.rows.value),
+            "n_overflows": int(self.overflows.value),
+            "n_deadline_expired": int(self.deadline.value),
+            "n_swaps": int(self.swaps.value),
+            "batch_size_distribution": {
+                int(k): int(v) for k, v in sorted(batch_rows.items())
+            },
+            "requests_by_version": {
+                str(k): int(v) for k, v in sorted(by_version.items())
+            },
+        }
 
 
 class ModelServer:
@@ -177,170 +435,96 @@ class ModelServer:
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.mmap = bool(mmap)
-        self._chaos = chaos
-        self.max_batch = int(max_batch)
         self.threshold = threshold
         self._queue: "queue.Queue" = queue.Queue(maxsize=int(max_pending))
         self._worker: Optional[threading.Thread] = None
         self._lock = threading.Lock()
         self._closed = False
-        self._init_metrics()
-        self._batch_rows: Counter = Counter()
-        self._requests_by_version: Counter = Counter()
-        self._active = self._make_active(model, str(model_version))
-        # version → serving record, for decoding results stamped with a
-        # version other than the current one (predict across a swap).
-        self._version_records: Dict[str, _ActiveModel] = {
-            self._active.version: self._active
+        active = _load_active(model, str(model_version), self.mmap)
+        self._batcher = _Batcher(
+            active,
+            max_batch,
+            ok=lambda req, proba, version: req.reply.set_result(
+                ScoredBatch(proba, version) if req.want_version else proba
+            ),
+            fail=lambda req, exc: req.reply.set_exception(exc),
+            chaos=chaos,
+        )
+        self.telemetry_label_ = self._batcher.label
+        # version → decode identity, for results stamped with a version
+        # other than the current one (predict across a swap).
+        self._version_records: Dict[str, _VersionRecord] = {
+            active.version: active.record
         }
-
-    # ------------------------------------------------------------------ #
-    def _init_metrics(self) -> None:
-        """Register this instance's labeled children in the process-wide
-        telemetry registry; ``stats()`` reads these, nothing else."""
-        registry = telemetry.get_registry()
-        self.telemetry_label_ = telemetry.instance_label("server")
-        label = ("server",)
-
-        def counter(name: str, help: str):
-            return registry.counter(name, help, labels=label).labels(
-                self.telemetry_label_
-            )
-
-        self._m_requests = counter(
-            "repro_server_requests_total", "Requests served by ModelServer."
-        )
-        self._m_batches = counter(
-            "repro_server_batches_total", "Micro-batches drained (kernel calls)."
-        )
-        self._m_rows = counter(
-            "repro_server_rows_total", "Rows scored by ModelServer."
-        )
-        self._m_overflows = counter(
-            "repro_server_overflows_total", "Submissions rejected on a full queue."
-        )
-        self._m_deadline = counter(
-            "repro_server_deadline_expired_total",
-            "Requests failed on an expired deadline.",
-        )
-        self._m_swaps = counter(
-            "repro_server_swaps_total", "Hot model swaps installed."
-        )
-        self._g_queue_depth = registry.gauge(
-            "repro_server_queue_depth",
-            "Requests waiting in the ModelServer queue.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._h_queue_wait = registry.histogram(
-            "repro_server_queue_wait_seconds",
-            "Time a request waits in the ModelServer queue before its "
-            "batch is drained.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._h_kernel = registry.histogram(
-            "repro_server_kernel_eval_seconds",
-            "predict_proba kernel duration per drained batch.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._h_swap = registry.histogram(
-            "repro_server_swap_seconds",
-            "Hot-swap duration (challenger validation + kernel build + flip).",
-            labels=label,
-        ).labels(self.telemetry_label_)
 
     # -- served-traffic counters (views over the telemetry registry) ---- #
     @property
+    def max_batch(self) -> int:
+        """Maximum rows coalesced into one kernel call."""
+        return self._batcher.max_batch
+
+    @property
     def n_requests_(self) -> int:
         """Requests served (registry view)."""
-        return int(self._m_requests.value)
+        return int(self._batcher.requests.value)
 
     @property
     def n_batches_(self) -> int:
         """Micro-batches drained (registry view)."""
-        return int(self._m_batches.value)
+        return int(self._batcher.batches.value)
 
     @property
     def n_rows_(self) -> int:
         """Rows scored (registry view)."""
-        return int(self._m_rows.value)
+        return int(self._batcher.rows.value)
 
     @property
     def n_overflows_(self) -> int:
         """Overflow rejections (registry view)."""
-        return int(self._m_overflows.value)
+        return int(self._batcher.overflows.value)
 
     @property
     def n_deadline_expired_(self) -> int:
         """Deadline failures (registry view)."""
-        return int(self._m_deadline.value)
+        return int(self._batcher.deadline.value)
 
     @property
     def n_swaps_(self) -> int:
         """Hot swaps installed (registry view)."""
-        return int(self._m_swaps.value)
-
-    def _refresh_queue_depth(self) -> int:
-        """Read the queue depth and mirror it into the gauge."""
-        depth = self._queue.qsize()
-        self._g_queue_depth.set(depth)
-        return depth
-
-    # ------------------------------------------------------------------ #
-    def _make_active(self, model, version: str) -> _ActiveModel:
-        """Validate a model and build its warm serving identity.
-
-        Runs *outside* any lock: the packed-kernel build (the expensive
-        part) happens in the calling thread, before the identity becomes
-        visible to the batching worker.
-        """
-        if isinstance(model, (str, bytes)) or hasattr(model, "__fspath__"):
-            from ..persistence import load_model
-
-            model = load_model(model, mmap_mode="r" if self.mmap else None)
-        check_is_fitted(model)
-        classes = np.asarray(getattr(model, "classes_", np.array([0, 1])))
-        packed, code_table = warm_serving_pack(model)
-        return _ActiveModel(
-            model=model,
-            version=version,
-            classes=classes,
-            positive_idx=_resolve_positive_idx(model, classes),
-            packed=packed,
-            code_table=code_table,
-        )
+        return int(self._batcher.swaps.value)
 
     # -- serving identity (all views of the one _ActiveModel record) ---- #
     @property
     def model(self):
         """The currently served model."""
-        return self._active.model
+        return self._batcher.active.model
 
     @property
     def model_version(self) -> str:
         """Version stamp of the currently served model."""
-        return self._active.version
+        return self._batcher.active.version
 
     @property
     def positive_class(self):
         """The label :meth:`predict` emits when the thresholded probability
         clears :attr:`threshold` (the minority class when known)."""
-        active = self._active
-        return active.classes[active.positive_idx]
+        record = self._batcher.active.record
+        return record.classes[record.positive_idx]
 
     @property
     def positive_index(self) -> int:
         """Column of the positive class in ``predict_proba`` output."""
-        return self._active.positive_idx
+        return self._batcher.active.record.positive_idx
 
     @property
     def packed_(self) -> bool:
         """Whether the active model serves via a packed kernel."""
-        return self._active.packed
+        return self._batcher.active.packed
 
     @property
     def code_table_(self) -> bool:
         """Whether the active model serves via a code table."""
-        return self._active.code_table
+        return self._batcher.active.code_table
 
     @property
     def threshold(self) -> float:
@@ -374,12 +558,13 @@ class ModelServer:
            dropped or blocked.
 
         Requests scored after the flip carry the new ``model_version``
-        stamp in their :class:`ScoredBatch`.
+        stamp in their :class:`ScoredBatch`. The outgoing model is not
+        retained.
         """
         swap_watch = telemetry.stopwatch()
         # expensive part (validation + kernel build), outside the lock
-        active = self._make_active(
-            model, "(pending)" if version is None else str(version)
+        active = _load_active(
+            model, "(pending)" if version is None else str(version), self.mmap
         )
         with self._lock:
             if self._closed:
@@ -387,13 +572,10 @@ class ModelServer:
             if version is None:
                 # auto-version under the lock: concurrent unnamed swaps
                 # must never install the same stamp
-                active = dataclasses.replace(
-                    active, version=f"swap-{self.n_swaps_ + 1}"
-                )
-            self._active = active  # atomic pointer flip
-            self._version_records[active.version] = active
-            self._m_swaps.inc()
-        swap_watch.observe(self._h_swap)
+                active = replace(active, version=f"swap-{self.n_swaps_ + 1}")
+            self._version_records[active.version] = active.record
+            self._batcher.install(active)  # atomic pointer flip
+        swap_watch.observe(self._batcher.swap_seconds)
         return active.version
 
     # ------------------------------------------------------------------ #
@@ -413,28 +595,17 @@ class ModelServer:
         :class:`ScoredBatch` carrying the serving ``model_version``."""
         return self._enqueue(rows, want_version=True, deadline=deadline)
 
-    def _resolve_deadline(self, deadline: Optional[float]) -> Optional[float]:
-        """Seconds-from-now budget → absolute ``time.monotonic`` expiry."""
-        if deadline is None:
-            return None
-        deadline = float(deadline)
-        if deadline <= 0:
-            self._m_deadline.inc()
-            raise DeadlineExceededError(
-                f"deadline of {deadline}s already expired at submission"
-            )
-        return time.monotonic() + deadline
-
     def _enqueue(
         self, rows, want_version: bool, deadline: Optional[float] = None
     ) -> Future:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        expires_at = self._resolve_deadline(deadline)
+        expires_at = _expires_at(deadline, self._batcher.deadline)
         future: Future = Future()
-        # Trace context + queue-wait stopwatch travel with the request;
-        # both are no-ops for untraced/unsampled traffic.
-        ctx = telemetry.current_context()
-        waited = telemetry.stopwatch()
+        # The trace context and queue-wait stopwatch travel with the
+        # request; both are no-ops for untraced/unsampled traffic.
+        request = _Request(
+            rows, expires_at, telemetry.current_context(), future, want_version
+        )
         # Enqueue under the lock: close() also holds it while setting
         # _closed and enqueuing the stop sentinel, so a request can never
         # slip in after the sentinel (its future would otherwise hang).
@@ -447,117 +618,23 @@ class ModelServer:
                 )
                 self._worker.start()
             try:
-                self._queue.put_nowait(
-                    (rows, future, want_version, expires_at, waited, ctx)
-                )
+                self._queue.put_nowait(request)
             except queue.Full:
-                self._m_overflows.inc()
+                self._batcher.overflows.inc()
                 raise ServerOverloadedError(
                     f"request queue is full ({self._queue.maxsize} pending); "
                     "back off and retry"
                 ) from None
         return future
 
-    def _expire(self, item) -> bool:
-        """Fail a dequeued request typed if its deadline already passed."""
-        rows_, future, _, expires_at, _, _ = item
-        if expires_at is not None and time.monotonic() > expires_at:
-            self._m_deadline.inc()
-            future.set_exception(
-                DeadlineExceededError(
-                    f"request of {len(rows_)} row(s) expired after waiting "
-                    "in the serving queue; not scored"
-                )
-            )
-            return True
-        return False
-
     def _serve_loop(self) -> None:
-        carry = None  # dequeued request deferred to the next batch
+        carry = None  # dequeued message that ended the previous batch
         while True:
-            if carry is not None:
-                item, carry = carry, None
-            else:
-                item = self._queue.get()
-            if item is _STOP:
+            msg = self._queue.get() if carry is None else carry
+            if msg is _STOP:
                 return
-            if self._expire(item):
-                continue
-            batch: List[Tuple] = [item]
-            total = len(item[0])
-            # Coalesce whatever is already queued, up to max_batch rows
-            # per kernel call (a single larger request is the only case
-            # that exceeds the bound — it is always served alone).
-            while total < self.max_batch:
-                try:
-                    nxt = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is _STOP:
-                    self._queue.put(nxt)  # re-deliver the sentinel
-                    break
-                if self._expire(nxt):
-                    continue
-                if total + len(nxt[0]) > self.max_batch:
-                    carry = nxt  # would overflow the bound: next batch
-                    break
-                batch.append(nxt)
-                total += len(nxt[0])
-            if self._chaos is not None:
-                self._chaos.fire("server.batch", count=self.n_batches_ + 1)
-            rows = (
-                batch[0][0]
-                if len(batch) == 1
-                else np.vstack([item[0] for item in batch])
-            )
-            # Queue-wait ends here: the batch is drained and about to be
-            # scored. Traced requests additionally leave a span each.
-            for req_rows, _, _, _, waited, ctx in batch:
-                wait_s = waited.observe(self._h_queue_wait)
-                if ctx is not None:
-                    telemetry.record_span(
-                        "server.queue_wait",
-                        wait_s,
-                        ctx,
-                        server=self.telemetry_label_,
-                        rows=len(req_rows),
-                    )
-            # One read of the active record per drained batch: every
-            # request in the batch is served by exactly this version,
-            # and a concurrent swap_model only affects later batches.
-            active = self._active
-            kernel_watch = telemetry.stopwatch()
-            try:
-                proba = active.model.predict_proba(rows)
-            except BaseException as exc:  # propagate per request
-                for item in batch:
-                    item[1].set_exception(exc)
-                continue
-            kernel_s = kernel_watch.observe(self._h_kernel)
-            self._m_batches.inc()
-            self._m_requests.inc(len(batch))
-            self._m_rows.inc(total)
-            self._g_queue_depth.set(self._queue.qsize())
-            self._batch_rows[total] += 1
-            self._requests_by_version[active.version] += len(batch)
-            offset = 0
-            for req_rows, future, want_version, _, _, ctx in batch:
-                if ctx is not None:
-                    # The whole batch is one kernel call; each traced
-                    # request is attributed the shared duration.
-                    telemetry.record_span(
-                        "server.kernel_eval",
-                        kernel_s,
-                        ctx,
-                        server=self.telemetry_label_,
-                        version=active.version,
-                        batch_rows=total,
-                    )
-                out = proba[offset : offset + len(req_rows)]
-                future.set_result(
-                    ScoredBatch(out, active.version) if want_version else out
-                )
-                offset += len(req_rows)
+            carry = self._batcher.run(msg, self._queue.get_nowait)
+            self._batcher.queue_depth.set(self._queue.qsize())
 
     # ------------------------------------------------------------------ #
     def predict_proba(self, rows) -> np.ndarray:
@@ -572,21 +649,15 @@ class ModelServer:
         """Thresholded classification (not the estimators' argmax).
 
         Binary models emit :attr:`positive_class` where its probability is
-        ``>= threshold``; multi-class models fall back to argmax (a single
-        threshold is not meaningful there). The probabilities are decoded
-        with the classes/positive-index of the *version that scored them*
-        (looked up by the ``ScoredBatch`` stamp), so a swap landing
-        between submission and scoring can never mis-map the columns.
+        ``>= threshold``; multi-class models fall back to argmax. The
+        probabilities are decoded with the classes/positive-index of the
+        *version that scored them* (looked up by the ``ScoredBatch``
+        stamp), so a swap landing between submission and scoring can
+        never mis-map the columns.
         """
         scored = self.score(rows)
-        active = self._version_records[scored.model_version]
-        proba = scored.proba
-        if len(active.classes) != 2:
-            return active.classes[np.argmax(proba, axis=1)]
-        positive = proba[:, active.positive_idx] >= self._threshold
-        return active.classes[
-            np.where(positive, active.positive_idx, 1 - active.positive_idx)
-        ]
+        record = self._version_records[scored.model_version]
+        return _decode(record, scored.proba, self._threshold)
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict:
@@ -596,30 +667,12 @@ class ModelServer:
         the submit path (overflows); the snapshot is advisory — exact for
         a drained queue, approximate by a batch under load.
         """
-        active = self._active
-        # dict(counter) copies at C level under the GIL — an atomic
-        # snapshot; iterating the live Counter while the worker inserts a
-        # new key would raise "dictionary changed size during iteration".
-        batch_rows = dict(self._batch_rows)
-        by_version = dict(self._requests_by_version)
+        depth = self._queue.qsize()
+        self._batcher.queue_depth.set(depth)
         return {
-            "model_version": active.version,
-            "packed": active.packed,
-            "code_table": active.code_table,
+            **self._batcher.stats(),
             "threshold": self._threshold,
-            "n_requests": self.n_requests_,
-            "n_batches": self.n_batches_,
-            "n_rows": self.n_rows_,
-            "n_overflows": self.n_overflows_,
-            "n_deadline_expired": self.n_deadline_expired_,
-            "n_swaps": self.n_swaps_,
-            "queue_depth": self._refresh_queue_depth(),
-            "batch_size_distribution": {
-                int(k): int(v) for k, v in sorted(batch_rows.items())
-            },
-            "requests_by_version": {
-                str(k): int(v) for k, v in sorted(by_version.items())
-            },
+            "queue_depth": depth,
         }
 
     # ------------------------------------------------------------------ #

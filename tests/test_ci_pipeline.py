@@ -263,6 +263,36 @@ class TestRegistryCompleteness:
         assert set(missing) == set(bench_report.ARTIFACTS)
         assert "Missing artifacts" in report
 
+    def test_bench_report_prints_code_size_next_to_lint(self, tmp_path):
+        """The net-LoC headline: physical lines of `.py` files under
+        src/repro and, separately, src/repro/serving (as `wc -l`)."""
+        import sys
+
+        sys.path.insert(0, str(REPO_ROOT / "tools"))
+        try:
+            import bench_report
+        finally:
+            sys.path.pop(0)
+        serving = tmp_path / "src" / "repro" / "serving"
+        serving.mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "a.py").write_text("x = 1\n\ny = 2\n")
+        (serving / "b.py").write_text("z = 3\n")
+        (serving / "notes.txt").write_text("not python\n")
+        report, _ = bench_report.build_report(str(tmp_path))
+        lines = report.splitlines()
+        code = lines.index(
+            "Code size: 4 lines of Python under `src/repro`, "
+            "1 under `src/repro/serving`."
+        )
+        assert lines[code - 1].startswith("Lint: ")
+        # On the real tree the counts agree with a direct newline count.
+        real = bench_report.code_size_line()
+        expected = sum(
+            path.read_bytes().count(b"\n")
+            for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
+        )
+        assert f"Code size: {expected:,} lines" in real
+
 
 class TestRegistrySmoke:
     """Registry round-trip smoke: the artifact path CI's lifecycle relies

@@ -7,7 +7,9 @@ queue is bounded (overflow raises, never grows silently), and ``predict``
 classifies by the tunable threshold instead of the estimators' argmax.
 """
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -342,7 +344,46 @@ class TestStats:
         server.close()
 
 
+class _GatedSPE(SelfPacedEnsembleClassifier):
+    """An SPE whose predict_proba can be held mid-call by a test."""
+
+    entered = release = None
+
+    def predict_proba(self, X):
+        if self.release is not None:
+            self.entered.set()
+            self.release.wait(30)
+        return super().predict_proba(X)
+
+
 class TestSwapModel:
+    def test_swap_frees_the_outgoing_model_but_keeps_its_decoding(self, data):
+        """A request scored by v0 while v1 is installed still decodes with
+        v0's classes, and once it is answered nothing keeps v0 alive."""
+        X, y = data
+        old = _GatedSPE(n_estimators=2, random_state=0).fit(X, y)
+        expected = old.classes_[(old.predict_proba(X[:32])[:, 1] >= 0.5).astype(int)]
+        new = SelfPacedEnsembleClassifier(n_estimators=2, random_state=1).fit(
+            X, np.where(y == 1, "fraud", "legit")
+        )
+        old.entered, old.release = threading.Event(), threading.Event()
+        released = weakref.ref(old)
+        with ModelServer(old, model_version="v0") as server:
+            del old
+            out = {}
+            caller = threading.Thread(
+                target=lambda: out.update(labels=server.predict(X[:32]))
+            )
+            caller.start()
+            assert released().entered.wait(30)  # v0 is scoring the request
+            server.swap_model(new, version="v1")
+            released().release.set()
+            caller.join(30)
+            assert np.array_equal(out["labels"], expected)
+            gc.collect()
+            assert released() is None, "the swapped-out model is still alive"
+            assert set(server.predict(X[:32])) <= {"fraud", "legit"}
+
     def test_swap_changes_model_and_version(self, fitted, data, tmp_path):
         X, y = data
         other = SelfPacedEnsembleClassifier(n_estimators=3, random_state=9).fit(X, y)

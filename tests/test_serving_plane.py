@@ -11,9 +11,17 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro import serve
-from repro.exceptions import PersistenceError, ServerOverloadedError
+from repro.chaos import FaultPlan, StallWorker
+from repro.exceptions import (
+    DeadlineExceededError,
+    PersistenceError,
+    ServerOverloadedError,
+    WorkerCrashedError,
+)
 from repro.persistence import save_model
 from repro.registry import get_classifier, toy_imbalanced_split
 from repro.serving import (
@@ -179,23 +187,83 @@ class TestWorkerPool:
             with pytest.raises(TypeError, match="artifact path"):
                 pool.swap_model(champion)
 
-    def test_overflow_raises_and_counts(self, artifacts, toy):
+    @settings(
+        max_examples=3,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        max_pending=st.integers(1, 16),
+        max_batch=st.sampled_from([1, 4, 64, 256]),
+        rows=st.sampled_from([1, 64, 512, 4096]),
+    )
+    @example(max_pending=16, max_batch=4, rows=64)
+    @example(max_pending=2, max_batch=1, rows=4096)
+    def test_overflow_raises_and_counts(
+        self, artifacts, champion, toy, max_pending, max_batch, rows
+    ):
+        """Admission is checked once per worker, at the pool's queue: a
+        saturated 2-worker fleet pushes back at submission, and every
+        request it admitted is scored exactly or fails typed with a
+        crash/deadline — never with an overload."""
         X, _ = toy
-        pool = WorkerPool(artifacts[0], n_workers=1, max_pending=1)
+        pool = WorkerPool(
+            artifacts[0], n_workers=2, max_pending=max_pending, max_batch=max_batch
+        )
         try:
-            futures, overflowed = [], False
-            for _ in range(1000):
+            admitted, n_overflows = [], 0
+            for i in range(3000):  # back-to-back, no stop at an overflow
+                batch = X[(np.arange(rows) + i) % len(X)]
                 try:
-                    futures.append(pool.submit(np.repeat(X[:64], 4, axis=0)))
+                    admitted.append((batch, pool.submit(batch)))
                 except ServerOverloadedError:
-                    overflowed = True
-                    break
-            assert overflowed, "bounded worker queue never pushed back"
-            assert pool.n_overflows_ >= 1
-            for future in futures:  # admitted work is still all served
-                assert future.result(timeout=60).shape[1] == 2
+                    n_overflows += 1
+            assert pool.n_overflows_ == n_overflows
+            for batch, future in admitted:
+                try:
+                    proba = future.result(timeout=60)
+                except (WorkerCrashedError, DeadlineExceededError):
+                    continue
+                assert np.array_equal(proba, champion.predict_proba(batch))
         finally:
             pool.close()
+
+    def test_worker_batches_and_answers_stats_in_fifo_order(
+        self, artifacts, toy
+    ):
+        """Each worker coalesces its queued requests into kernel calls,
+        and a stats message queued behind k requests is answered after
+        them: it counts every one."""
+        X, _ = toy
+        # Hold each worker on its first request so the rest queue up.
+        plan = FaultPlan(
+            [StallWorker(worker=w, after_requests=1, seconds=0.3) for w in (0, 1)]
+        )
+        with WorkerPool(
+            artifacts[0], n_workers=2, max_batch=64, chaos=plan
+        ) as pool:
+            futures = []
+
+            def traffic(offset):
+                for i in range(100):
+                    futures.append(pool.submit(X[offset + i % 50 :][:4]))
+
+            threads = [threading.Thread(target=traffic, args=(o,)) for o in (0, 7)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            per_worker = pool.worker_stats()  # FIFO behind all 200 requests
+            for future in futures:
+                assert future.result(timeout=60).shape == (4, 2)
+        assert set(per_worker) == {0, 1}
+        for stats in per_worker.values():
+            assert stats["n_requests"] >= len(futures) // 2
+            assert stats["n_overflows"] == 0
+        assert sum(s["n_rows"] for s in per_worker.values()) == 4 * len(futures)
+        assert sum(s["n_batches"] for s in per_worker.values()) < sum(
+            s["n_requests"] for s in per_worker.values()
+        )
 
     def test_worker_stats_report_memory_and_server_health(
         self, artifacts, toy

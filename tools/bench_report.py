@@ -65,6 +65,29 @@ def lint_summary_line(root: str = REPO_ROOT) -> str:
     )
 
 
+def _python_lines(directory: str) -> int:
+    """Physical lines (newlines, as ``wc -l`` counts) of every ``.py`` file
+    under ``directory``."""
+    total = 0
+    for dirpath, _, names in os.walk(directory):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), "rb") as handle:
+                    total += handle.read().count(b"\n")
+    return total
+
+
+def code_size_line(root: str = REPO_ROOT) -> str:
+    """Physical lines of Python under ``src/repro`` and, separately, under
+    ``src/repro/serving`` — the net-LoC headline, produced by a tool."""
+    package = _python_lines(os.path.join(root, "src", "repro"))
+    serving = _python_lines(os.path.join(root, "src", "repro", "serving"))
+    return (
+        f"Code size: {package:,} lines of Python under `src/repro`, "
+        f"{serving:,} under `src/repro/serving`."
+    )
+
+
 def flatten_numeric(value: Any, prefix: str = "") -> List[Tuple[str, Any]]:
     """Depth-first (dotted-path, scalar) pairs for every numeric/bool leaf."""
     out: List[Tuple[str, Any]] = []
@@ -147,6 +170,7 @@ def build_report(root: str = REPO_ROOT) -> Tuple[str, List[str]]:
         "`make bench-smoke` (regenerate with `python tools/bench_report.py`).",
         "",
         lint_summary_line(root),
+        code_size_line(root),
         "",
         "## Headlines",
         "",
