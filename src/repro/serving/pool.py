@@ -263,6 +263,7 @@ def _worker_main(
             thread.start()
         elif msg[0] == "stats":
             payload = batcher.stats()
+            payload["n_overflows"] = 0  # admission is the pool's fork queue
             payload["private_kb"] = process_private_kb()
             payload["baseline_private_kb"] = baseline_kb
             payload["generation"] = generation

@@ -202,8 +202,8 @@ class _Batcher:
 
     It holds the active record and the served-traffic ledger (this
     process's ``repro_server_*`` registry children); the caller owns the
-    queue and says how a request is answered: ``ok(req, proba, version)``
-    or ``fail(req, exc)``.
+    queue and its admission check, and says how a request is answered:
+    ``ok(req, proba, version)`` or ``fail(req, exc)``.
     """
 
     def __init__(
@@ -233,14 +233,10 @@ class _Batcher:
                              "Micro-batches drained (kernel calls).")
         self.rows = child("counter", "repro_server_rows_total",
                           "Rows scored by ModelServer.")
-        self.overflows = child("counter", "repro_server_overflows_total",
-                               "Submissions rejected on a full queue.")
         self.deadline = child("counter", "repro_server_deadline_expired_total",
                               "Requests failed on an expired deadline.")
         self.swaps = child("counter", "repro_server_swaps_total",
                            "Hot model swaps installed.")
-        self.queue_depth = child("gauge", "repro_server_queue_depth",
-                                 "Requests waiting in the ModelServer queue.")
         self.queue_wait = child(
             "histogram", "repro_server_queue_wait_seconds",
             "Time a request waits in the ModelServer queue before its "
@@ -359,7 +355,6 @@ class _Batcher:
             "n_requests": int(self.requests.value),
             "n_batches": int(self.batches.value),
             "n_rows": int(self.rows.value),
-            "n_overflows": int(self.overflows.value),
             "n_deadline_expired": int(self.deadline.value),
             "n_swaps": int(self.swaps.value),
             "batch_size_distribution": {
@@ -451,6 +446,18 @@ class ModelServer:
             chaos=chaos,
         )
         self.telemetry_label_ = self._batcher.label
+        # Admission is this server's: the batcher never sees a rejection.
+        registry = telemetry.get_registry()
+        self._overflows = registry.counter(
+            "repro_server_overflows_total",
+            "Submissions rejected on a full queue.",
+            labels=("server",),
+        ).labels(self.telemetry_label_)
+        self._queue_depth = registry.gauge(
+            "repro_server_queue_depth",
+            "Requests waiting in the ModelServer queue.",
+            labels=("server",),
+        ).labels(self.telemetry_label_)
         # version → decode identity, for results stamped with a version
         # other than the current one (predict across a swap).
         self._version_records: Dict[str, _VersionRecord] = {
@@ -481,7 +488,7 @@ class ModelServer:
     @property
     def n_overflows_(self) -> int:
         """Overflow rejections (registry view)."""
-        return int(self._batcher.overflows.value)
+        return int(self._overflows.value)
 
     @property
     def n_deadline_expired_(self) -> int:
@@ -620,7 +627,7 @@ class ModelServer:
             try:
                 self._queue.put_nowait(request)
             except queue.Full:
-                self._batcher.overflows.inc()
+                self._overflows.inc()
                 raise ServerOverloadedError(
                     f"request queue is full ({self._queue.maxsize} pending); "
                     "back off and retry"
@@ -634,7 +641,7 @@ class ModelServer:
             if msg is _STOP:
                 return
             carry = self._batcher.run(msg, self._queue.get_nowait)
-            self._batcher.queue_depth.set(self._queue.qsize())
+            self._queue_depth.set(self._queue.qsize())
 
     # ------------------------------------------------------------------ #
     def predict_proba(self, rows) -> np.ndarray:
@@ -668,9 +675,10 @@ class ModelServer:
         a drained queue, approximate by a batch under load.
         """
         depth = self._queue.qsize()
-        self._batcher.queue_depth.set(depth)
+        self._queue_depth.set(depth)
         return {
             **self._batcher.stats(),
+            "n_overflows": self.n_overflows_,
             "threshold": self._threshold,
             "queue_depth": depth,
         }

@@ -218,6 +218,7 @@ class TestWorkerPool:
                     admitted.append((batch, pool.submit(batch)))
                 except ServerOverloadedError:
                     n_overflows += 1
+            assert n_overflows > 0, "the bounded fork queues never pushed back"
             assert pool.n_overflows_ == n_overflows
             for batch, future in admitted:
                 try:
