@@ -49,13 +49,24 @@ class HardnessBins:
 
 
 def cut_hardness_bins(hardness: np.ndarray, k: int) -> HardnessBins:
-    """Split samples into ``k`` equal-width bins over ``[min(H), max(H)]``."""
+    """Split samples into ``k`` equal-width bins over ``[min(H), max(H)]``.
+
+    Raises ``ValueError`` when any hardness is NaN or ±inf (a custom
+    hardness function can return them): the bin range would be undefined.
+    """
     if k < 1:
         raise ValueError("k (number of bins) must be >= 1")
     hardness = np.asarray(hardness, dtype=float)
     if hardness.ndim != 1 or hardness.size == 0:
         raise ValueError("hardness must be a non-empty 1D array")
     lo, hi = float(hardness.min()), float(hardness.max())
+    # min/max propagate NaN and reach ±inf, so this checks every value.
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        bad = hardness[~np.isfinite(hardness)]
+        raise ValueError(
+            f"hardness must be finite; got {bad.size} non-finite value(s) "
+            f"(first: {float(bad[0])}) — check the hardness function"
+        )
     edges = np.linspace(lo, hi, k + 1)
     if hi > lo:
         width = (hi - lo) / k

@@ -141,6 +141,13 @@ def self_paced_under_sample(
     so each bin's member array — and therefore every ``rng.choice`` draw —
     is bit-identical to the per-bin-scan formulation (pinned by
     ``tests/test_fastpath_units.py``).
+
+    With ``k_bins ≤ 256`` the sort key is the assignments cast to
+    ``uint8``, for which numpy's stable sort is a radix sort (about 5×
+    faster than sorting int64 keys over 150k rows); larger ``k_bins`` sort
+    the int assignments as they are. A stable sort orders equal keys the
+    same way whatever their dtype, so the draw is unchanged. Bin ``b``'s
+    members start at the summed populations of bins ``< b``.
     """
     bins = cut_hardness_bins(hardness, k_bins)
     if bins.degenerate:
@@ -148,8 +155,11 @@ def self_paced_under_sample(
         return rng.choice(hardness.size, size=n, replace=False), bins
     weights = self_paced_bin_weights(bins, alpha)
     counts = allocate_bin_samples(weights, bins.populations, n_samples)
-    order = np.argsort(bins.assignments, kind="stable")
-    starts = np.searchsorted(bins.assignments[order], np.arange(bins.k + 1))
+    keys = bins.assignments
+    if bins.k <= 256:
+        keys = keys.astype(np.uint8)
+    order = np.argsort(keys, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(bins.populations)])
     chosen: List[np.ndarray] = []
     for b in np.flatnonzero(counts > 0):
         members = order[starts[b] : starts[b + 1]]
@@ -238,8 +248,11 @@ class InMemoryMajorityAccess:
                 scored = self._score_shared_member(model, forest)
                 if scored is not None:
                     return scored
+                # One member: its probability is its leaf value. Leaf values
+                # are finite and non-negative, so this read is bit-identical
+                # to proba_from_leaves (0.0 + x, then x / 1).
                 leaves = forest.apply_columns(self._columns)
-                return forest.proba_from_leaves(leaves)[:, 1]
+                return forest.value[leaves[0], 1]
         return self._proba_fn(model, np.ascontiguousarray(self._columns.T))
 
     def _score_shared_member(self, model, forest) -> Optional[np.ndarray]:
@@ -303,14 +316,18 @@ class SelfPacedEnsembleClassifier(
         Keep per-iteration :class:`HardnessBins` and α in ``bin_history_``
         (used by the Fig 3 reproduction).
     n_jobs : int, optional
-        Workers for the chunked scoring paths (per-iteration majority
-        re-scoring and ``predict_proba``); ``None``/1 serial, ``-1`` all
-        CPUs. Training stays iteration-sequential (Algorithm 1 is a
-        cascade), so results are identical for every ``n_jobs``.
+        Workers for the chunked fallback scoring path; ``None``/1 serial,
+        ``-1`` all CPUs. That path runs only for non-tree members or with
+        ``REPRO_FASTPATH=0``: tree ensembles are scored (majority
+        re-scoring in ``fit``, ``eval_set`` and ``predict_proba``) by the
+        single-threaded packed kernel, which ignores ``n_jobs``,
+        ``backend`` and ``chunk_size``. Training stays
+        iteration-sequential (Algorithm 1 is a cascade), so results are
+        identical for every ``n_jobs``.
     backend : {"serial", "thread", "process"}, default "thread"
-        Executor used by the scoring paths (see :mod:`repro.parallel`).
+        Executor of the chunked fallback path (see :mod:`repro.parallel`).
     chunk_size : int, optional
-        Rows per scoring task; default
+        Rows per task on the chunked fallback path; default
         :data:`repro.parallel.DEFAULT_CHUNK_SIZE`. Any value yields the
         same probabilities.
     shared_binning : bool, default False

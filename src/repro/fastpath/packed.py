@@ -30,9 +30,16 @@ lanes (:data:`_FUSED_LANES`, measured crossover in ``DESIGN.md``):
   :data:`_PARTITION_ROWS` chunk at a time, never whole) and each tree
   pops ``(node, row indices)`` from a stack: the node's split is
   ``columns[feature].take(rows) < key``, a 1-D gather from one
-  cache-resident column, and the non-empty children are pushed. Nodes
-  reached by fewer than :data:`_LANE_ROWS` rows hand their rows to one
-  fused-style lane walk shared by all trees of the chunk.
+  cache-resident column, and the non-empty children, cut out of the
+  rows with ``compress`` (about 4× cheaper per element than a boolean
+  mask at 64k rows), are pushed. Nodes reached by fewer than
+  :data:`_LANE_ROWS` rows hand their rows to one fused-style lane walk
+  shared by all trees of the chunk; the lane walk keeps boolean masks,
+  which win on the smallest serving batches.
+
+The kernel runs on one thread. Splitting the rows into equal chunks over
+two threads made it slower on a 2-core x86_64 host (routing 10 SPE
+members over 149k rows 0.20 → 0.26 s, a 50k-row predict 0.064 → 0.10 s).
 
 Bit-identity: routing uses the same ``x < threshold`` comparisons as
 :meth:`repro.tree.Tree.apply` (NaN falls right in both), leaf lookup is
@@ -253,7 +260,15 @@ class PackedForest:
         stack, splits the rows by one 1-D gather from one column and pushes
         the non-empty children. Nodes reached by fewer than
         :data:`_LANE_ROWS` rows would pay more python cost than gather work,
-        so their rows finish together, across all trees, in one lane walk."""
+        so their rows finish together, across all trees, in one lane walk.
+
+        A node's rows are split with ``idx.compress(mask)``, not
+        ``idx[mask]``: on a 64k-row node boolean-mask indexing costs about
+        7.9 ns per element and ``compress`` about 2.1 ns (2-core x86_64,
+        numpy 2.4). The lane walk keeps masks: serving runs it on arrays of
+        10–5,000 lanes, and at the small end ``compress``'s fixed
+        method-call cost loses (10 elements: 0.66 µs masked, 1.2 µs
+        compressed)."""
         feature, left = self.feature, self.left
         n = columns.shape[1]
         pending = []  # (tree, node, rows) left to the lane walk
@@ -268,8 +283,8 @@ class PackedForest:
                 else:
                     go_left = columns[feature[node]].take(idx) < keys[node]
                     right = left[node] + 1
-                    for child, part in ((right, idx[~go_left]),
-                                        (right - 1, idx[go_left])):
+                    for child, part in ((right, idx.compress(~go_left)),
+                                        (right - 1, idx.compress(go_left))):
                         if part.size:
                             stack.append((child, part))
         if pending:

@@ -117,6 +117,17 @@ class TestCutHardnessBins:
         with pytest.raises(ValueError):
             cut_hardness_bins(np.array([]), 5)
 
+    @pytest.mark.parametrize(
+        "hardness",
+        [[0.1, np.nan, 0.7], [np.nan, np.nan], [0.1, np.inf], [-np.inf, 0.2]],
+        ids=["nan", "all_nan", "inf", "neg_inf"],
+    )
+    def test_non_finite_hardness_rejected(self, hardness):
+        """NaN used to land every row in bin 0 under NaN edges, and inf
+        failed inside ``bincount``; both now raise a named error."""
+        with pytest.raises(ValueError, match="hardness must be finite"):
+            cut_hardness_bins(np.array(hardness), 5)
+
     @settings(max_examples=30)
     @given(
         arrays(

@@ -240,6 +240,21 @@ class TestSPEValidation:
         with pytest.raises(ValueError):
             SelfPacedEnsembleClassifier(k_bins=0).fit(X, y)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_custom_hardness_rejected(self, imbalanced_data, bad):
+        X, y = imbalanced_data
+
+        def hardness(y_true, proba_pos):
+            h = np.abs(proba_pos - y_true)
+            h[0] = bad
+            return h
+
+        spe = SelfPacedEnsembleClassifier(
+            _base(), n_estimators=3, hardness=hardness, random_state=0
+        )
+        with pytest.raises(ValueError, match="non-finite value"):
+            spe.fit(X, y)
+
     def test_invalid_schedule(self, imbalanced_data):
         X, y = imbalanced_data
         with pytest.raises(ValueError, match="alpha_schedule"):

@@ -6,7 +6,7 @@ import contextlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.binning import cut_hardness_bins, allocate_bin_samples, self_paced_bin_weights
 from repro.core.self_paced import self_paced_under_sample
@@ -45,6 +45,26 @@ def _reference_under_sample(hardness, k_bins, alpha, n_samples, rng):
     return np.concatenate(chosen), bins
 
 
+@st.composite
+def _sampler_cases(draw):
+    """``(hardness, k_bins, alpha, n_samples, seed)`` for the sampler."""
+    n = draw(st.integers(1, 5000))
+    values = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["continuous", "few_distinct", "constant"]))
+    if shape == "continuous":
+        # rounding to 3 decimals leaves ties in every large draw
+        hardness = np.round(values.rand(n), draw(st.sampled_from([3, 16])))
+    else:
+        pool = draw(st.lists(st.floats(0.0, 10.0), min_size=1,
+                             max_size=1 if shape == "constant" else 4))
+        hardness = np.array(pool)[values.randint(len(pool), size=n)]
+    k_bins = draw(st.one_of(st.sampled_from([255, 256, 257]),
+                            st.integers(1, 600)))
+    alpha = draw(st.one_of(st.just(0.0), st.floats(1e-9, 1.0), st.just(1e16)))
+    n_samples = draw(st.integers(0, n + 10))
+    return hardness, k_bins, alpha, n_samples, draw(st.integers(0, 2**32 - 1))
+
+
 class TestVectorisedUnderSample:
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 5.0, 1e16])
     @pytest.mark.parametrize("seed", [0, 7, 123])
@@ -73,6 +93,26 @@ class TestVectorisedUnderSample:
         got, _ = self_paced_under_sample(hardness, 50, 0.0, 50, np.random.RandomState(2))
         want, _ = _reference_under_sample(hardness, 50, 0.0, 50, np.random.RandomState(2))
         assert np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_sampler_cases())
+    @example(case=(np.linspace(0.0, 1.0, 3000), 255, 0.0, 400, 0))
+    @example(case=(np.linspace(0.0, 1.0, 3000), 256, 1e-3, 400, 1))
+    @example(case=(np.linspace(0.0, 1.0, 3000), 257, 1e16, 400, 2))
+    def test_property_matches_per_bin_scan(self, case):
+        """Differential property over both sort keys: uint8 up to 256
+        bins, the int assignments beyond; ties, constant vectors, few distinct
+        values, α from 0 to the schedule's 1e16 clamp, and any sample
+        size. Both sides draw from identically seeded RNGs."""
+        hardness, k_bins, alpha, n_samples, seed = case
+        got, got_bins = self_paced_under_sample(
+            hardness, k_bins, alpha, n_samples, np.random.RandomState(seed)
+        )
+        want, want_bins = _reference_under_sample(
+            hardness, k_bins, alpha, n_samples, np.random.RandomState(seed)
+        )
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_bins.populations, want_bins.populations)
 
 
 # --------------------------------------------------------------------- #
@@ -581,6 +621,51 @@ class TestPackedKernel:
 
 
 # --------------------------------------------------------------------- #
+class TestMajorityScoring:
+    """``InMemoryMajorityAccess.score`` reads one member's leaf values
+    directly; that must equal the averaged-probability route and the
+    chunked fallback bit for bit."""
+
+    @staticmethod
+    def _member(kind, X, y):
+        if kind == "deep":
+            return DecisionTreeClassifier(random_state=0).fit(X, y)
+        if kind == "depth0":
+            return DecisionTreeClassifier(max_depth=0).fit(X, y)
+        # fitted on majority rows only: classes_ == [0], so the packed
+        # minority column is scattered as 0
+        return DecisionTreeClassifier(random_state=0).fit(X[:500], np.zeros(500, int))
+
+    @pytest.mark.parametrize("regime", _REGIMES)
+    @pytest.mark.parametrize("kind", ["deep", "depth0", "majority_only"])
+    def test_score_matches_proba_routes(self, rng, kind, regime):
+        from repro.core import SelfPacedEnsembleClassifier
+        from repro.core.self_paced import InMemoryMajorityAccess
+
+        X = rng.randn(20000, 3)
+        y = (X[:, 0] + 0.5 * rng.randn(20000) > 1.5).astype(int)
+        maj_idx = np.flatnonzero(y == 0)
+        member = self._member(kind, X, y)
+        majority = InMemoryMajorityAccess(
+            X, maj_idx, SelfPacedEnsembleClassifier()._proba_pos
+        )
+        with _routing_regime(regime):
+            got = majority.score(member)
+            forest = PackedForest.from_estimators([member], np.array([0, 1]))
+            columns = np.ascontiguousarray(X[maj_idx].T)
+            want = forest.proba_from_leaves(forest.apply_columns(columns))[:, 1]
+        with fastpath_disabled():
+            legacy = majority.score(member)
+        assert got.shape == (len(maj_idx),)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, legacy)
+        if kind == "majority_only":
+            assert not got.any()
+        else:
+            assert got.any()
+
+
+# --------------------------------------------------------------------- #
 class TestInferencePayloads:
     def test_payload_registry_cleaned_up(self, rng):
         X = rng.randn(300, 2)
@@ -706,3 +791,12 @@ class TestFitDigestTool:
             sys.path.pop(0)
         assert fit_digest.fit_digest(3000, 10.0, 1) == printed
         assert fit_digest.fit_digest(3000, 10.0, 2) != printed
+
+        # --predict extends the same digest with the predict_proba bytes
+        run = subprocess.run(
+            [sys.executable, str(tools / "fit_digest.py"), *args, "--predict"],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        with_predict = run.stdout.strip()
+        assert len(with_predict) == 64 and with_predict != printed
+        assert fit_digest.fit_digest(3000, 10.0, 1, predict=True) == with_predict

@@ -9,7 +9,9 @@ running this once per checkout:
 
     PYTHONPATH=src python tools/fit_digest.py --rows 20000 --ir 20 --seed 3
 
-``--seed`` seeds both the table and the ensemble.
+``--seed`` seeds both the table and the ensemble. ``--predict`` also
+hashes the bytes of the fitted model's ``predict_proba`` on its own
+table, so equal digests then mean equal predictions as well as trees.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ TREE_ARRAYS = ("feature", "threshold", "children_left", "children_right",
                "value", "n_node_samples", "impurity")
 
 
-def fit_digest(rows: int, ir: float, seed: int) -> str:
+def _update(digest, name: str, array) -> None:
+    digest.update(name.encode())
+    digest.update(str(array.dtype).encode())
+    digest.update(repr(array.shape).encode())
+    digest.update(array.tobytes())
+
+
+def fit_digest(rows: int, ir: float, seed: int, predict: bool = False) -> str:
     from repro.core import SelfPacedEnsembleClassifier
     from repro.datasets import make_credit_fraud
 
@@ -33,11 +42,9 @@ def fit_digest(rows: int, ir: float, seed: int) -> str:
     digest = hashlib.sha256()
     for member in spe.estimators_:
         for name in TREE_ARRAYS:
-            array = getattr(member.tree_, name)
-            digest.update(name.encode())
-            digest.update(str(array.dtype).encode())
-            digest.update(repr(array.shape).encode())
-            digest.update(array.tobytes())
+            _update(digest, name, getattr(member.tree_, name))
+    if predict:
+        _update(digest, "predict_proba", spe.predict_proba(X))
     return digest.hexdigest()
 
 
@@ -46,8 +53,10 @@ def main(argv=None) -> int:
     parser.add_argument("--rows", type=int, default=20_000)
     parser.add_argument("--ir", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--predict", action="store_true",
+                        help="also hash predict_proba on the training table")
     args = parser.parse_args(argv)
-    print(fit_digest(args.rows, args.ir, args.seed))
+    print(fit_digest(args.rows, args.ir, args.seed, predict=args.predict))
     return 0
 
 
