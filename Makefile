@@ -52,14 +52,14 @@ bench-smoke:
 perfbench-smoke:
 	$(PYTHON) -m pytest -q perfbench/smoke.py
 
-# Full-scale fastpath speedup benchmark (fit / score / predict, legacy vs
-# packed + shared-binning paths, bit-identity asserted on every pair).
+# Full-scale fastpath speedup benchmark (fit / predict, legacy vs packed
+# paths, bit-identity asserted on every pair).
 bench-fastpath:
 	$(PYTHON) benchmarks/bench_fastpath.py
 
 # Full-scale serving benchmark: cold artifact load + warm micro-batch
-# latency (p50/p99 at request sizes 1/64/512) for the packed-forest and
-# code-table serving paths, then the multi-process fleet phases — the
+# latency (p50/p99 at request sizes 1/64/512) for the packed-forest
+# serving path, then the multi-process fleet phases — the
 # 1/2/4-worker throughput curve, per-worker private-memory deltas vs the
 # mmap'd artifact (zero-copy claim), admission-control overflow, and a
 # fleet-wide hot swap under load with zero dropped requests asserted.

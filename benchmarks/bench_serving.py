@@ -4,12 +4,11 @@ Measures the production loop the persistence + serving subsystem exists
 for — train once, save, then serve heavy traffic:
 
 * **cold load** — ``load_model`` + ``ModelServer`` construction (which
-  eagerly builds the packed kernel / code table), i.e. the time from
+  eagerly builds the packed kernel), i.e. the time from
   "process starts" to "first request can be served warm";
 * **warm micro-batch latency** — p50/p99 per-request latency through the
-  server's batching queue at request sizes 1 / 64 / 512, for both a
-  default-config SPE (packed-forest kernel) and a shared-binning SPE
-  (compiled code table);
+  server's batching queue at request sizes 1 / 64 / 512, for a
+  default-config SPE (packed-forest kernel);
 * **fleet phases** (the ``WorkerPool`` serving plane) —
   throughput-vs-workers curve (1/2/4 forked workers over one mmap'd
   artifact), per-extra-worker *private* memory against the artifact size
@@ -106,7 +105,6 @@ def _bench_variant(name, clf, X_serve, tmp_dir, requests_per_batch):
         "artifact_kb": artifact_kb,
         "cold_load_ms": _percentiles(cold) | {"repeats": COLD_REPEATS},
         "warm_batches": batches,
-        "code_table": True if name == "spe_codetable" else False,
     }
 
 
@@ -380,15 +378,6 @@ def run_serving_bench(scale: float) -> dict:
         results["spe_packed"] = _bench_variant(
             "spe_packed", spe, X_serve, tmp_dir, requests_per_batch
         )
-        spe_shared = SelfPacedEnsembleClassifier(
-            estimator=base,
-            n_estimators=N_ESTIMATORS,
-            shared_binning=True,
-            random_state=0,
-        ).fit(X, y)
-        results["spe_codetable"] = _bench_variant(
-            "spe_codetable", spe_shared, X_serve, tmp_dir, requests_per_batch
-        )
         fleet = run_fleet_bench(scale, tmp_dir)
 
     return {
@@ -409,8 +398,8 @@ def run_serving_bench(scale: float) -> dict:
         "results": results,
         "fleet": fleet,
         "headline": {
-            "cold_load_p50_ms": results["spe_codetable"]["cold_load_ms"]["p50_ms"],
-            "batch1_p50_ms": results["spe_codetable"]["warm_batches"]["1"]["p50_ms"],
+            "cold_load_p50_ms": results["spe_packed"]["cold_load_ms"]["p50_ms"],
+            "batch1_p50_ms": results["spe_packed"]["warm_batches"]["1"]["p50_ms"],
             "bit_identical": True,
             "fleet_rows_per_s_4w": fleet["workers_curve"][-1]["rows_per_s"],
             "fleet_speedup_at_4w": fleet["scaling"]["achieved_speedup_at_4"],

@@ -29,13 +29,7 @@ import numpy as np
 from .. import telemetry
 from ..base import BaseEstimator, ClassifierMixin
 from ..ensemble.bagging import make_member_model
-from ..fastpath import (
-    BinnedSubset,
-    CodeTable,
-    PackedForest,
-    fastpath_enabled,
-    shared_bin_context_for,
-)
+from ..fastpath import PackedForest, fastpath_enabled
 from ..parallel import ensemble_predict_proba, fit_ensemble_member
 from ..utils.validation import (
     BinaryLabelEncoderMixin,
@@ -44,6 +38,7 @@ from ..utils.validation import (
     check_random_state,
     check_X_y,
     encode_binary_labels,
+    warn_shared_binning,
 )
 from .binning import (
     HardnessBins,
@@ -101,23 +96,14 @@ def _majority_union_minority_sample(
     X_min,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Engine ``sample_fn`` for one SPE member: shuffled sampled-majority ∪
-    all-minority training set (labels rebuilt as 0/1).
-
-    With ``shared_binning`` both inputs are :class:`BinnedSubset` views of
-    the same :class:`~repro.fastpath.SharedBinContext`; concatenation and
-    shuffling then stay pure index arithmetic (no feature rows copied), and
-    the RNG consumption is identical to the array path.
-    """
+    all-minority training set (labels rebuilt as 0/1)."""
     y_train = np.concatenate(
         [
             np.zeros(len(X_sub_maj), dtype=int),
             np.ones(len(X_min), dtype=int),
         ]
     )
-    if isinstance(X_sub_maj, BinnedSubset):
-        X_train = X_sub_maj.concat(X_min)
-    else:
-        X_train = np.vstack([X_sub_maj, X_min])
+    X_train = np.vstack([X_sub_maj, X_min])
     perm = rng.permutation(len(y_train))
     return X_train[perm], y_train[perm]
 
@@ -208,36 +194,19 @@ class InMemoryMajorityAccess:
     bit-identical to the legacy ``proba_fn`` path (gated by the fastpath
     equivalence suite); non-tree models, or ``REPRO_FASTPATH=0``, fall back
     to ``proba_fn`` over a row-major copy.
-
-    With ``bin_context`` set (``shared_binning=True``), the gather methods
-    hand out :class:`BinnedSubset` views so member trees fit directly on the
-    shared pre-binned codes.
     """
 
-    def __init__(
-        self,
-        X: np.ndarray,
-        maj_idx: np.ndarray,
-        proba_fn: Callable,
-        bin_context=None,
-    ):
+    def __init__(self, X: np.ndarray, maj_idx: np.ndarray, proba_fn: Callable):
         self._X = X
-        self._maj_idx = maj_idx
         self._columns = _gather_columns(X, maj_idx)
         self._proba_fn = proba_fn
-        self._context = bin_context
-        self._fine_codes_maj: Optional[np.ndarray] = None
 
     def take_global(self, indices: np.ndarray) -> np.ndarray:
         """Rows by global dataset index (the cold-start draw)."""
-        if self._context is not None:
-            return self._context.view(indices)
         return self._X[indices]
 
     def take(self, local_indices: np.ndarray) -> np.ndarray:
         """Rows by majority-local index (the self-paced subsets)."""
-        if self._context is not None:
-            return self._context.view(self._maj_idx[local_indices])
         return self._columns[:, local_indices].T
 
     def score(self, model) -> np.ndarray:
@@ -245,43 +214,12 @@ class InMemoryMajorityAccess:
         if fastpath_enabled():
             forest = PackedForest.from_estimators([model], np.array([0, 1]))
             if forest is not None and forest.n_features == len(self._columns):
-                scored = self._score_shared_member(model, forest)
-                if scored is not None:
-                    return scored
                 # One member: its probability is its leaf value. Leaf values
                 # are finite and non-negative, so this read is bit-identical
                 # to proba_from_leaves (0.0 + x, then x / 1).
                 leaves = forest.apply_columns(self._columns)
                 return forest.value[leaves[0], 1]
         return self._proba_fn(model, np.ascontiguousarray(self._columns.T))
-
-    def _score_shared_member(self, model, forest) -> Optional[np.ndarray]:
-        """Decision-table scoring for a member fitted against this fit's
-        shared bin context: compile the member's (small) per-cell table,
-        then score all majority rows with d LUT gathers over the cached
-        fine codes — no tree traversal over rows at all."""
-        if (
-            self._context is None
-            or getattr(model, "_shared_bin_context", None) is not self._context
-        ):
-            return None
-        member_binner = getattr(model, "_member_binner", None)
-        if member_binner is None:
-            return None
-        table = CodeTable.maybe_build(forest, member_binner)
-        if table is None:
-            return None
-        if self._fine_codes_maj is None:
-            self._fine_codes_maj = self._context.codes[self._maj_idx]
-        remap = getattr(model, "_member_remap", None)
-        fine = self._fine_codes_maj
-        cells = np.zeros(len(fine), dtype=np.int64)
-        for j in range(fine.shape[1]):
-            if remap is None:
-                cells += table.strides[j] * fine[:, j].astype(np.int64)
-            else:
-                cells += (remap[j] * table.strides[j])[fine[:, j]]
-        return table.table[cells, 1]
 
 
 class SelfPacedEnsembleClassifier(
@@ -331,14 +269,9 @@ class SelfPacedEnsembleClassifier(
         :data:`repro.parallel.DEFAULT_CHUNK_SIZE`. Any value yields the
         same probabilities.
     shared_binning : bool, default False
-        Bin the training matrix once (:class:`repro.fastpath.SharedBinContext`)
-        and fit every member tree on row-subset views of the cached integer
-        codes instead of re-running ``FeatureBinner.fit`` per member.
-        Requires a tree base estimator. Bin edges are then computed over the
-        full matrix rather than each member's subset, so the fitted ensemble
-        is statistically equivalent but *not* bit-identical to the default
-        path (which is why this is opt-in). RNG consumption is unchanged:
-        the same rows are drawn for every member in both modes.
+        Deprecated no-op, removed in the next release. ``True`` emits a
+        :class:`DeprecationWarning` from ``fit``, which then fits the
+        default path.
     random_state : int / RandomState, optional
 
     Notes
@@ -442,6 +375,7 @@ class SelfPacedEnsembleClassifier(
         eval data is recorded after every iteration in ``train_curve_``
         (the paper's Fig 5 training curves).
         """
+        warn_shared_binning(self)
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if self.k_bins < 1:
@@ -454,16 +388,8 @@ class SelfPacedEnsembleClassifier(
         min_idx = np.flatnonzero(y == 1)
         if len(min_idx) == 0 or len(maj_idx) == 0:
             raise ValueError("SPE requires both classes present (0=majority, 1=minority)")
-        if self.shared_binning:
-            with telemetry.stage_timer("shared_binning"):
-                context = shared_bin_context_for(self.estimator, X, y=y)
-        else:
-            context = None
-        majority = InMemoryMajorityAccess(
-            X, maj_idx, self._proba_pos, bin_context=context
-        )
-        X_min = context.view(min_idx) if context is not None else X[min_idx]
-        self._fit_loop(majority, X_min, maj_idx, rng, eval_set)
+        majority = InMemoryMajorityAccess(X, maj_idx, self._proba_pos)
+        self._fit_loop(majority, X[min_idx], maj_idx, rng, eval_set)
         self.n_features_in_ = X.shape[1]
         return self
 

@@ -8,7 +8,6 @@ from typing import Optional
 import numpy as np
 
 from ..base import BaseEstimator, ClassifierMixin, clone
-from ..fastpath import check_shared_binning_backend, shared_bin_context_for
 from ..parallel import ensemble_predict_proba, fit_ensemble_parallel
 from ..tree import DecisionTreeClassifier
 from ..utils.validation import (
@@ -16,6 +15,7 @@ from ..utils.validation import (
     check_is_fitted,
     check_random_state,
     check_X_y,
+    warn_shared_binning,
 )
 
 __all__ = [
@@ -85,12 +85,9 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
     ``predict_proba`` through :mod:`repro.parallel`; results are identical
     for every backend and worker count at a fixed ``random_state``.
 
-    ``shared_binning=True`` (tree members only) bins the training matrix
-    once and fits every bootstrap member on views of the cached codes — the
-    biggest win of the bin-once context, since plain bagging re-binned a
-    full-size bootstrap per member. Bin edges then come from the full
-    matrix, so the fitted trees are statistically equivalent but not
-    bit-identical to the default per-member-binned ones.
+    ``shared_binning`` is a deprecated no-op, removed in the next release:
+    ``True`` emits a :class:`DeprecationWarning` from ``fit``, which then
+    fits the default path.
     """
 
     def __init__(
@@ -115,6 +112,7 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
 
     def fit(self, X, y) -> "BaggingClassifier":
         """Fit on ``X``, ``y``; returns ``self``."""
+        warn_shared_binning(self)
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if not 0.0 < self.max_samples <= 1.0:
@@ -123,13 +121,8 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
         rng = check_random_state(self.random_state)
         self.classes_ = np.unique(y)
         size = max(1, int(round(self.max_samples * X.shape[0])))
-        if self.shared_binning:
-            check_shared_binning_backend(self.backend)
-            X_fit = shared_bin_context_for(self.estimator, X).all_rows()
-        else:
-            X_fit = X
         self.estimators_, _ = fit_ensemble_parallel(
-            X_fit,
+            X,
             y,
             n_estimators=self.n_estimators,
             sample_fn=partial(

@@ -8,8 +8,6 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from ..base import BaseEstimator, ClassifierMixin
-from ..fastpath import SharedBinContext, check_shared_binning_backend
-from ..fastpath.bincontext import FINE_FACTOR, MAX_FINE_BINS
 from ..parallel import ensemble_predict_proba, fit_ensemble_parallel
 from ..tree import DecisionTreeClassifier
 from ..utils.validation import (
@@ -17,6 +15,7 @@ from ..utils.validation import (
     check_is_fitted,
     check_random_state,
     check_X_y,
+    warn_shared_binning,
 )
 
 __all__ = ["RandomForestClassifier"]
@@ -54,10 +53,9 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     :mod:`repro.parallel` engine; ``n_jobs`` / ``backend`` never change the
     forest grown under a fixed ``random_state``.
 
-    ``shared_binning=True`` bins the training matrix once and fits every
-    tree on views of the cached codes (each member previously re-binned a
-    full-size bootstrap). Statistically equivalent, not bit-identical, to
-    the default per-member binning — see ``DESIGN.md`` → "fastpath".
+    ``shared_binning`` is a deprecated no-op, removed in the next release:
+    ``True`` emits a :class:`DeprecationWarning` from ``fit``, which then
+    fits the default path.
     """
 
     def __init__(
@@ -90,6 +88,7 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
 
     def fit(self, X, y) -> "RandomForestClassifier":
         """Fit on ``X``, ``y``; returns ``self``."""
+        warn_shared_binning(self)
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         X, y = check_X_y(X, y)
@@ -103,16 +102,8 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             max_features=self.max_features,
             max_bins=self.max_bins,
         )
-        if self.shared_binning:
-            check_shared_binning_backend(self.backend)
-            fine = max(
-                self.max_bins, min(MAX_FINE_BINS, FINE_FACTOR * self.max_bins)
-            )
-            X_fit = SharedBinContext(X, max_bins=fine).all_rows()
-        else:
-            X_fit = X
         self.estimators_, _ = fit_ensemble_parallel(
-            X_fit,
+            X,
             y,
             n_estimators=self.n_estimators,
             sample_fn=partial(

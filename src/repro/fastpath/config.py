@@ -1,15 +1,12 @@
 """Runtime switch for the fastpath kernels.
 
-The packed-forest inference kernel and the binned majority-scoring path are
+The packed-forest inference kernel and the packed majority-scoring path are
 bit-identical to the legacy per-tree code, so they are **on by default**.
 The switch exists for A/B benchmarking (``benchmarks/bench_fastpath.py``
 times both sides) and as an escape hatch: set the environment variable
 ``REPRO_FASTPATH=0`` or call :func:`set_fastpath` / use
 :func:`fastpath_disabled` to force every consumer back onto the legacy
-per-tree loops. The *training*-side :class:`~repro.fastpath.SharedBinContext`
-is not governed by this switch — it is opt-in per ensemble via the
-``shared_binning`` hyper-parameter because it changes the fitted model (see
-``DESIGN.md``).
+per-tree loops.
 """
 
 from __future__ import annotations

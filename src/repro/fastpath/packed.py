@@ -57,17 +57,32 @@ distinct values) and maps any tree threshold ``t`` to the exact code cut
 The SPE fit loop does not use it: on continuous features the codes are as
 wide as the float64 rows, and building them costs more than routing the
 raw columns (see ``DESIGN.md``).
+
+:func:`cached_packed_ensemble` keeps the packed forest alive per ensemble
+so repeated ``predict_proba`` calls — the serving pattern — skip
+re-packing. The cache is keyed weakly by the first estimator and
+revalidated by identity against every member and its fitted ``tree_``, so
+refitting any member rebuilds the pack.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..tree._tree import Tree
+from .config import fastpath_enabled
 
-__all__ = ["ESTIMATOR_BLOCK", "PackedForest", "ScoringMatrix", "trees_of"]
+__all__ = [
+    "ESTIMATOR_BLOCK",
+    "PackedForest",
+    "ScoringMatrix",
+    "cached_packed_ensemble",
+    "trees_of",
+    "warm_serving_pack",
+]
 
 #: Estimators per accumulation block. Must match the legacy chunked engine
 #: (:mod:`repro.parallel.inference` imports it from here) so the two paths
@@ -376,3 +391,65 @@ class ScoringMatrix:
         matrix, bit-identical to evaluating the raw floats."""
         leaves = forest.apply_codes(self.codes, self.threshold_cuts(forest))
         return forest.proba_from_leaves(leaves)
+
+
+#: first estimator -> (other members, trees, classes key, forest). The
+#: entry must NOT hold a strong reference to the key itself (a
+#: WeakKeyDictionary value that references its key is immortal), so the
+#: first estimator is stored only implicitly as the key; the remaining
+#: members and every fitted Tree are held strongly, which keeps the
+#: identity checks valid for exactly as long as the entry is reachable.
+_PACK_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def cached_packed_ensemble(
+    estimators: Sequence, classes: np.ndarray
+) -> Optional[PackedForest]:
+    """Packed forest of an ensemble, cached across calls; ``None`` when
+    the ensemble is not packable."""
+    est0 = estimators[0]
+    classes_key = tuple(np.asarray(classes).tolist())
+    trees = tuple(getattr(est, "tree_", None) for est in estimators)
+    try:
+        entry = _PACK_CACHE.get(est0)
+    except TypeError:  # unhashable / non-weakrefable estimator type
+        entry = None
+    if entry is not None:
+        others, cached_trees, cached_classes, forest = entry
+        if (
+            cached_classes == classes_key
+            and len(others) == len(estimators) - 1
+            and all(a is b for a, b in zip(others, estimators[1:]))
+            and all(a is b for a, b in zip(cached_trees, trees))
+        ):
+            return forest
+    forest = PackedForest.from_estimators(estimators, classes)
+    if forest is None:
+        return None
+    try:
+        _PACK_CACHE[est0] = (tuple(estimators[1:]), trees, classes_key, forest)
+    except TypeError:
+        pass
+    return forest
+
+
+def warm_serving_pack(model) -> bool:
+    """Eagerly build (and cache) a model's packed serving kernel; returns
+    whether one was built.
+
+    Uses the model's ``__serving_ensemble__`` hook — the exact
+    ``(estimators, classes)`` pair ``predict_proba`` feeds to the pack
+    cache — so the warmed entry is the one every later request hits.
+    ``False`` when the model has no hook, its members are not packable,
+    or the fastpath is disabled; callers then serve through the model's
+    normal path. This is the pre-build step of both
+    :class:`~repro.serving.ModelServer` construction and
+    :meth:`~repro.serving.ModelServer.swap_model` — the swap packs the
+    challenger *before* flipping the active model, so no in-flight request
+    ever waits on a re-pack.
+    """
+    hook = getattr(model, "__serving_ensemble__", None)
+    if hook is None or not fastpath_enabled():
+        return False
+    estimators, classes = hook()
+    return cached_packed_ensemble(list(estimators), classes) is not None

@@ -8,8 +8,8 @@ from typing import Optional
 import numpy as np
 
 from ..ensemble.adaboost import AdaBoostClassifier, fit_supports_sample_weight
-from ..fastpath import check_shared_binning_backend, shared_bin_context_for
 from ..tree import DecisionTreeClassifier
+from ..utils.validation import warn_shared_binning
 from .base import (
     BaseImbalanceEnsemble,
     balanced_subset_sample,
@@ -42,11 +42,9 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
     ``boost_incapable='plain'`` — degenerates to UnderBagging, which is the
     equivalence the paper notes for C4.5.
 
-    ``shared_binning=True`` bins the matrix once; plain (un-boosted) bags
-    fit directly on the cached codes, while boosted bags transparently
-    materialise their float rows (AdaBoost re-weights per round, so the
-    shared codes cannot feed it) — correct either way, faster only for the
-    plain degenerate case.
+    ``shared_binning`` is a deprecated no-op, removed in the next release:
+    ``True`` emits a :class:`DeprecationWarning` from ``fit``, which then
+    fits the default path.
     """
 
     def __init__(
@@ -92,17 +90,11 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
 
     def fit(self, X, y) -> "EasyEnsembleClassifier":
         """Fit on ``X``, ``y``; returns ``self``."""
+        warn_shared_binning(self)
         make_model = self._member_factory()
         X, y, rng = self._validate(X, y)
-        if self.shared_binning:
-            check_shared_binning_backend(self.backend)
-            X_fit = shared_bin_context_for(
-                self.estimator, X, y=y, strict=False
-            ).all_rows()
-        else:
-            X_fit = X
         self.estimators_, self.n_training_samples_ = fit_resampled_ensemble(
-            X_fit,
+            X,
             y,
             n_estimators=self.n_estimators,
             sample_fn=balanced_subset_sample,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..fastpath import check_shared_binning_backend, shared_bin_context_for
+from ..utils.validation import warn_shared_binning
 from .base import (
     BaseImbalanceEnsemble,
     balanced_subset_sample,
@@ -22,9 +22,9 @@ class UnderBaggingClassifier(BaseImbalanceEnsemble):
     sees only ``|P| / |N|`` of the majority information, the information-loss
     failure mode the paper attributes to RandUnder-style methods.
 
-    ``shared_binning=True`` (tree members only) bins the matrix once and
-    fits every bag on views of the cached codes; statistically equivalent,
-    not bit-identical, to the default per-bag binning (``DESIGN.md``).
+    ``shared_binning`` is a deprecated no-op, removed in the next release:
+    ``True`` emits a :class:`DeprecationWarning` from ``fit``, which then
+    fits the default path.
     """
 
     def __init__(
@@ -45,14 +45,10 @@ class UnderBaggingClassifier(BaseImbalanceEnsemble):
 
     def fit(self, X, y) -> "UnderBaggingClassifier":
         """Fit on ``X``, ``y``; returns ``self``."""
+        warn_shared_binning(self)
         X, y, rng = self._validate(X, y)
-        if self.shared_binning:
-            check_shared_binning_backend(self.backend)
-            X_fit = shared_bin_context_for(self.estimator, X, y=y).all_rows()
-        else:
-            X_fit = X
         self.estimators_, self.n_training_samples_ = fit_resampled_ensemble(
-            X_fit,
+            X,
             y,
             n_estimators=self.n_estimators,
             sample_fn=balanced_subset_sample,

@@ -36,9 +36,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..fastpath.codetable import cached_packed_ensemble
 from ..fastpath.config import fastpath_enabled
-from ..fastpath.packed import ESTIMATOR_BLOCK
+from ..fastpath.packed import ESTIMATOR_BLOCK, cached_packed_ensemble
 from .executor import parallel_map
 
 #: ``repro_fastpath_predict_seconds{path=...}`` children, cached — the
@@ -103,9 +102,8 @@ def _packed_proba(
     packable (any non-tree member, unknown classes, feature-count mismatch)
     — the chunked path then owns both the computation and error reporting.
 
-    The packed layout (and, for shared-binner ensembles with a small code
-    grid, the compiled per-cell table) is cached per ensemble, so repeated
-    serving calls pay only the kernel.
+    The packed layout is cached per ensemble, so repeated serving calls
+    pay only the kernel.
 
     Non-finite rows are declined up front: the chunked path rejects them
     through each member's ``check_array`` (NaN would otherwise silently
@@ -113,14 +111,9 @@ def _packed_proba(
     error behaviour."""
     if not np.isfinite(X).all():
         return None
-    entry = cached_packed_ensemble(estimators, classes)
-    if entry is None:
+    forest = cached_packed_ensemble(estimators, classes)
+    if forest is None or forest.n_features != X.shape[1]:
         return None
-    forest, table = entry
-    if forest.n_features != X.shape[1]:
-        return None
-    if table is not None:
-        return table.predict_proba(X)
     return forest.predict_proba(X)
 
 

@@ -7,7 +7,7 @@ An artifact is a single numpy ``.npz`` archive:
   SHA-256 checksum table, and the ``root`` node — a recursive description
   of the saved estimator: class name, JSON-encoded hyper-parameters, scalar
   fitted metadata, the attribute → archive-key map for its arrays, and its
-  child objects (member models, binners, the shared bin context).
+  child objects (member models, binners).
 * ``a0 .. aN`` — one ``.npy`` member per fitted array (tree node arrays,
   class vectors, binner edges, ...), exactly the bytes of the live model.
 
@@ -34,8 +34,8 @@ corrupting the page cache.
 Round-trip guarantee (gated by ``tests/test_persistence.py``): for every
 supported ensemble, ``load_model(save_model(clf, path))`` predicts
 **bit-identically** to ``clf`` — the arrays are byte-preserved and every
-inference path (chunked, packed forest, compiled code table; any backend)
-is deterministic in them.
+inference path (chunked or packed forest; any backend) is deterministic in
+them.
 """
 
 from __future__ import annotations
@@ -72,9 +72,15 @@ SCHEMA_VERSION = 1
 #: persistable classifier automatically makes its artifacts loadable.
 _AUX: Dict[str, str] = {
     "FeatureBinner": "repro.tree._binning",
-    "SharedBinContext": "repro.fastpath.bincontext",
     "GradientRegressionTree": "repro.ensemble.gbdt.regression_tree",
 }
+
+#: Child classes of older artifacts that carry no prediction state any
+#: more. ``SharedBinContext`` held the bin edges shared-binning ensembles
+#: were fitted on; their members' thresholds are raw floats, so the model
+#: predicts without it. Such children (and their own children) are skipped
+#: on load, nothing is imported for them.
+_RETIRED = frozenset({"SharedBinContext"})
 
 
 def _persistable_names():
@@ -356,6 +362,8 @@ def _restore(node: Dict, data) -> Any:
         arrays[attr] = data[key]
     children: Dict = {}
     for child_name, child in node["children"].items():
+        if isinstance(child, dict) and child.get("class") in _RETIRED:
+            continue
         if isinstance(child, list):
             children[child_name] = [_restore(c, data) for c in child]
         else:

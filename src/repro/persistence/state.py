@@ -10,11 +10,8 @@ Every persistable class implements the two-method protocol
   helpers, the classmethod ``__from_state_arrays__``).
 
 The six ensemble classifiers share one shape — ``classes_`` + label
-encoding + member list + (optionally) the one :class:`SharedBinContext`
-all tree members were fitted against — so their hooks delegate to the two
-functions here. The shared context is exported exactly once at the
-ensemble level and re-attached to every tree member on restore, preserving
-the *same-instance* invariant the code-table compiler keys on.
+encoding + member list — so their hooks delegate to the two functions
+here.
 
 This module is import-light on purpose (numpy only): estimator modules
 import it lazily from inside their hooks, so persistence never creates an
@@ -23,29 +20,11 @@ import cycle with the estimator layers.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "common_shared_context",
-    "export_ensemble_state",
-    "restore_ensemble_state",
-]
-
-
-def common_shared_context(members: Sequence):
-    """The one ``SharedBinContext`` every member was fitted against, or
-    ``None`` (mirrors the identity check of the code-table compiler)."""
-    if not members:
-        return None
-    context = getattr(members[0], "_shared_bin_context", None)
-    if context is None:
-        return None
-    for member in members[1:]:
-        if getattr(member, "_shared_bin_context", None) is not context:
-            return None
-    return context
+__all__ = ["export_ensemble_state", "restore_ensemble_state"]
 
 
 def export_ensemble_state(est) -> Tuple[Dict, Dict, Dict]:
@@ -53,9 +32,9 @@ def export_ensemble_state(est) -> Tuple[Dict, Dict, Dict]:
 
     Covers the prediction-relevant state every ensemble shares:
     ``classes_``, the internal minority mapping (when the ensemble is
-    label-encoded), ``n_features_in_``, the member models, and the shared
-    bin context (exported once). Fit-time diagnostics (``train_curve_``,
-    ``bin_history_``) are deliberately not persisted.
+    label-encoded), ``n_features_in_`` and the member models. Fit-time
+    diagnostics (``train_curve_``, ``bin_history_``) are deliberately not
+    persisted.
     """
     classes = np.asarray(est.classes_)
     meta: Dict = {"n_features_in": int(est.n_features_in_)}
@@ -64,12 +43,7 @@ def export_ensemble_state(est) -> Tuple[Dict, Dict, Dict]:
         meta["minority_class_index"] = int(
             np.flatnonzero(classes == minority)[0]
         )
-    members = list(est.estimators_)
-    children: Dict = {"estimators": members}
-    context = common_shared_context(members)
-    if context is not None:
-        children["shared_bin_context"] = context
-    return meta, {"classes": classes}, children
+    return meta, {"classes": classes}, {"estimators": list(est.estimators_)}
 
 
 def restore_ensemble_state(est, meta: Dict, arrays: Dict, children: Dict) -> None:
@@ -85,8 +59,3 @@ def restore_ensemble_state(est, meta: Dict, arrays: Dict, children: Dict) -> Non
         est.majority_class_ = est.classes_[0]
     est.estimators_ = list(children["estimators"])
     est.n_features_in_ = int(meta["n_features_in"])
-    context = children.get("shared_bin_context")
-    if context is not None:
-        for member in est.estimators_:
-            if hasattr(member, "tree_"):
-                member._shared_bin_context = context

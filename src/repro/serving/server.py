@@ -5,10 +5,8 @@ endpoint:
 
 * **Warm loading** — given an artifact path, the model is restored through
   :func:`repro.persistence.load_model` and its packed inference kernel
-  (:class:`~repro.fastpath.PackedForest`, plus the compiled
-  :class:`~repro.fastpath.CodeTable` for shared-binner ensembles) is built
-  *at construction*, through
-  :func:`~repro.fastpath.warm_serving_pack` — which warms the very
+  (:class:`~repro.fastpath.PackedForest`) is built *at construction*,
+  through :func:`~repro.fastpath.warm_serving_pack` — which warms the very
   ``(estimators, classes)`` cache entry ``predict_proba`` feeds — so the
   first request pays only the kernel, never a re-pack.
 * **Micro-batching** — requests submitted through :meth:`submit` enter a
@@ -69,7 +67,7 @@ from ..exceptions import (
     ServerClosedError,
     ServerOverloadedError,
 )
-from ..fastpath.codetable import warm_serving_pack
+from ..fastpath.packed import warm_serving_pack
 
 # Historical import path: threshold_for_precision grew up here but is a
 # ranking-metrics concern; it now lives in repro.metrics and is re-exported
@@ -141,7 +139,6 @@ class _ActiveModel:
     version: str
     record: _VersionRecord
     packed: bool
-    code_table: bool
 
 
 def _load_active(model, version: str, mmap: bool) -> _ActiveModel:
@@ -156,8 +153,8 @@ def _load_active(model, version: str, mmap: bool) -> _ActiveModel:
 
         model = load_model(model, mmap_mode="r" if mmap else None)
     check_is_fitted(model)
-    packed, code_table = warm_serving_pack(model)
-    return _ActiveModel(model, version, _record_from_model(model), packed, code_table)
+    packed = warm_serving_pack(model)
+    return _ActiveModel(model, version, _record_from_model(model), packed)
 
 
 def _expires_at(deadline: Optional[float], expired) -> Optional[float]:
@@ -351,7 +348,6 @@ class _Batcher:
         return {
             "model_version": active.version,
             "packed": active.packed,
-            "code_table": active.code_table,
             "n_requests": int(self.requests.value),
             "n_batches": int(self.batches.value),
             "n_rows": int(self.rows.value),
@@ -399,7 +395,6 @@ class ModelServer:
     Attributes
     ----------
     packed_ : bool — the active model is served by a warm ``PackedForest``.
-    code_table_ : bool — a compiled ``CodeTable`` additionally serves it.
     n_requests_ / n_batches_ : served-traffic counters (micro-batching
         efficiency = requests per batch); see :meth:`stats` for the rest.
 
@@ -527,11 +522,6 @@ class ModelServer:
     def packed_(self) -> bool:
         """Whether the active model serves via a packed kernel."""
         return self._batcher.active.packed
-
-    @property
-    def code_table_(self) -> bool:
-        """Whether the active model serves via a code table."""
-        return self._batcher.active.code_table
 
     @property
     def threshold(self) -> float:

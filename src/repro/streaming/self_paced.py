@@ -38,7 +38,11 @@ from ..core.self_paced import (
 )
 from ..ensemble.bagging import make_member_model
 from ..parallel import ensemble_predict_proba, fit_ensemble_member
-from ..utils.validation import check_array, check_random_state
+from ..utils.validation import (
+    check_array,
+    check_random_state,
+    warn_shared_binning,
+)
 from .reservoir import BinReservoir, streaming_self_paced_under_sample
 from .sources import (
     ArraySource,
@@ -102,11 +106,11 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
         in-memory classifier for the same ``random_state``; ``"reservoir"``
         bounds memory independently of the majority size.
 
-        ``shared_binning`` is rejected here: the shared bin context caches
-        an O(rows × features) code matrix, which would break the
-        out-of-core memory contract. The bit-identical inference fastpath
-        still applies — per-iteration block scoring and ``predict_proba``
-        run through the packed kernel automatically.
+        ``shared_binning`` is a deprecated no-op, removed in the next
+        release: ``True`` emits a :class:`DeprecationWarning` from ``fit``,
+        which then fits the default path. The bit-identical inference
+        fastpath applies — per-iteration block scoring and
+        ``predict_proba`` run through the packed kernel automatically.
     hardness_range : (low, high), default (0.0, 1.0)
         Fixed bin support for ``mode="reservoir"`` (unbounded hardness
         functions such as cross-entropy are clipped into it). Ignored in
@@ -162,6 +166,7 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
     ) -> "StreamingSelfPacedEnsembleClassifier":
         """Fit from a :class:`DataSource` (or an in-memory ``(X, y)`` pair,
         which is wrapped in an :class:`ArraySource` and streamed)."""
+        warn_shared_binning(self)
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if self.k_bins < 1:
@@ -169,13 +174,6 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
         if self.mode not in ("exact", "reservoir"):
             raise ValueError(
                 f"Unknown mode {self.mode!r}; expected 'exact' or 'reservoir'"
-            )
-        if self.shared_binning:
-            raise ValueError(
-                "shared_binning is not supported out-of-core: the shared "
-                "code matrix is O(rows x features) and would break the "
-                "streaming memory contract. Use the in-memory "
-                "SelfPacedEnsembleClassifier for shared binning."
             )
         if isinstance(X, DataSource):
             if y is not None:

@@ -34,8 +34,8 @@ Quickstart::
     print(telemetry.render_prometheus())
     snap = telemetry.snapshot()
 
-Fit-path stage timers (:func:`stage_timer`) account shared binning,
-per-iteration self-paced sampling, member fits, and tree levels into the
+Fit-path stage timers (:func:`stage_timer`) account per-iteration
+self-paced sampling, ensemble scoring, member fits, and tree levels into the
 ``repro_fit_stage_seconds{stage=...}`` histogram family.
 """
 
@@ -117,8 +117,8 @@ def stage_histogram(stage: str) -> Histogram:
     if child is None:
         child = get_registry().histogram(
             "repro_fit_stage_seconds",
-            "Fit-path stage durations (shared binning, self-paced "
-            "sampling, member fits, tree levels).",
+            "Fit-path stage durations (self-paced sampling, ensemble "
+            "scoring, member fits, tree levels).",
             labels=("stage",),
         ).labels(stage)
         _STAGE_CHILDREN[stage] = child

@@ -69,8 +69,8 @@ class FeatureBinner:
     def _set_edges(self, edges_list) -> "FeatureBinner":
         self.n_bins_ = np.array([e.size + 1 for e in edges_list], dtype=np.int64)
         # Immutable tuple: the fitted cut points are shared freely (e.g. by
-        # a SharedBinContext across many member trees) without defensive
-        # copies, and accidental per-member mutation is impossible.
+        # a tree and its pickled or persisted copies) without defensive
+        # copies, and accidental mutation is impossible.
         self.edges_: Tuple[np.ndarray, ...] = tuple(edges_list)
         self.n_features_ = len(edges_list)
         return self

@@ -95,42 +95,10 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             raise ValueError(
                 f"Unknown criterion {self.criterion!r}; expected one of {CRITERIA}"
             )
-        # Bin-once/fit-many fast path: a BinnedSubset view (duck-typed via
-        # `binned_codes`, see repro.fastpath.bincontext) carries pre-binned
-        # integer codes from an ensemble-wide SharedBinContext — slice them
-        # instead of re-running check_X_y + FeatureBinner.fit_transform on
-        # every member fit.
-        if hasattr(X, "binned_codes") and hasattr(X, "bin_context"):
-            context = X.bin_context
-            X_binned = X.binned_codes()
-            n_features = context.n_features
-            y = np.asarray(y)
-            if y.ndim != 1 or len(y) != len(X_binned):
-                raise ValueError("y must be 1-D and aligned with X")
-            if int(context.binner.n_bins_.max()) > self.max_bins:
-                # Fine shared codes: derive this member's own quantile cuts
-                # in code space (histogram + LUT remap, no sorting) so the
-                # tree keeps per-subset adaptivity while every threshold
-                # stays on a shared fine edge.
-                from ..fastpath.bincontext import requantize_member
-
-                binner, X_binned, remap = requantize_member(
-                    context, X_binned, self.max_bins
-                )
-                self._member_remap = remap
-            else:
-                binner = context.binner
-                self._member_remap = None
-            # Remembered so inference can recognise shared-binner ensembles
-            # (every threshold on a shared edge → code-table compilation).
-            self._shared_bin_context = context
-            self._member_binner = binner
-        else:
-            X, y = check_X_y(X, y)
-            binner = FeatureBinner(max_bins=self.max_bins)
-            X_binned = binner.fit_transform(X)
-            n_features = X.shape[1]
-            self._shared_bin_context = None
+        X, y = check_X_y(X, y)
+        binner = FeatureBinner(max_bins=self.max_bins)
+        X_binned = binner.fit_transform(X)
+        n_features = X.shape[1]
         self.classes_, y_enc = np.unique(y, return_inverse=True)
         w = _check_tree_sample_weight(sample_weight, len(y))
         rng = check_random_state(self.random_state)
@@ -180,9 +148,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     def __getstate_arrays__(self):
         """Pickle-free fitted-state export (see :mod:`repro.persistence`).
 
-        Exports the flat node arrays of ``tree_`` plus ``classes_``. The
-        shared bin context (when this tree was fitted through one) is owned
-        and exported by the *ensemble* — a member never serialises it.
+        Exports the flat node arrays of ``tree_`` plus ``classes_``.
         """
         check_is_fitted(self, ["tree_"])
         tree = self.tree_

@@ -9,7 +9,6 @@ from repro.core import SelfPacedEnsembleClassifier
 from repro.datasets import make_checkerboard
 from repro.ensemble import BaggingClassifier, RandomForestClassifier
 from repro.fastpath import (
-    CodeTable,
     PackedForest,
     ScoringMatrix,
     cached_packed_ensemble,
@@ -56,10 +55,14 @@ class TestPackedEqualsPerTree:
         _assert_packed_matches_legacy(model, test_rows)
 
     def test_self_paced_ensemble_shared_binning(self, data, test_rows):
+        """The deprecated flag fits the default path, so the packed kernel
+        still serves it bit-identically."""
         X, y = data
         model = SelfPacedEnsembleClassifier(
             n_estimators=6, shared_binning=True, random_state=0
-        ).fit(X, y)
+        )
+        with pytest.warns(DeprecationWarning, match="shared_binning"):
+            model.fit(X, y)
         _assert_packed_matches_legacy(model, test_rows)
 
     def test_random_forest(self, data, test_rows):
@@ -153,13 +156,12 @@ class TestDegenerateShapes:
 
 class TestScoringFastpath:
     """The SPE fit loop's majority scoring (node-partition routing over the
-    column-major majority / CodeTable) must not change the fitted ensemble
-    by a single bit."""
+    column-major majority) must not change the fitted ensemble by a single
+    bit."""
 
     @pytest.mark.parametrize("fused_lanes", [0, 1 << 62], ids=["partition", "fused"])
-    @pytest.mark.parametrize("shared", [False, True])
     def test_fit_bit_identical_with_and_without_kernels(
-        self, data, test_rows, shared, fused_lanes, monkeypatch
+        self, data, test_rows, fused_lanes, monkeypatch
     ):
         """Both routing regimes of the fit loop's scoring — the large-batch
         partition kernel and the fused one — against the legacy scorer."""
@@ -167,12 +169,10 @@ class TestScoringFastpath:
 
         X, y = data
         monkeypatch.setattr(packed_mod, "_FUSED_LANES", fused_lanes)
-        fast = SelfPacedEnsembleClassifier(
-            n_estimators=6, shared_binning=shared, random_state=0
-        ).fit(X, y)
+        fast = SelfPacedEnsembleClassifier(n_estimators=6, random_state=0).fit(X, y)
         with fastpath_disabled():
             legacy = SelfPacedEnsembleClassifier(
-                n_estimators=6, shared_binning=shared, random_state=0
+                n_estimators=6, random_state=0
             ).fit(X, y)
             # evaluate both through the same (legacy) path to isolate fit
             p_fast = fast.predict_proba(test_rows)
@@ -194,110 +194,112 @@ class TestScoringFastpath:
             scoring.score(forest), forest.predict_proba(test_rows)
         )
 
-    def test_code_table_refuses_foreign_thresholds(self, data):
-        """A tree whose thresholds are not shared-binner edges must not be
-        compiled into a table."""
-        X, y = data
-        shared = SelfPacedEnsembleClassifier(
-            n_estimators=2, shared_binning=True, random_state=0
-        ).fit(X, y)
-        context = shared.estimators_[0]._shared_bin_context
-        rng = np.random.RandomState(1)
-        foreign = DecisionTreeClassifier(max_depth=4).fit(
-            rng.randn(200, X.shape[1]), rng.randint(0, 2, 200)
-        )
-        forest = PackedForest.from_estimators([foreign], np.array([0, 1]))
-        assert CodeTable.maybe_build(forest, context.binner) is None
 
-    def test_code_table_matches_traversal(self, data, test_rows):
-        X, y = data
-        model = SelfPacedEnsembleClassifier(
-            n_estimators=5, shared_binning=True, random_state=2
-        ).fit(X, y)
-        entry = cached_packed_ensemble(model.estimators_, model.classes_)
-        assert entry is not None
-        forest, table = entry
-        assert table is not None, "shared-binning SPE should compile a table"
-        assert np.array_equal(
-            table.predict_proba(test_rows), forest.predict_proba(test_rows)
-        )
+#: The six ensembles that keep ``shared_binning`` as a deprecated no-op,
+#: each with a small config that fits fast.
+DEPRECATED_FLAG_BUILDERS = {
+    "spe": lambda **kw: SelfPacedEnsembleClassifier(n_estimators=4, **kw),
+    "streaming_spe": lambda **kw: StreamingSelfPacedEnsembleClassifier(
+        n_estimators=4, **kw
+    ),
+    "forest": lambda **kw: RandomForestClassifier(n_estimators=4, **kw),
+    "bagging": lambda **kw: BaggingClassifier(n_estimators=4, **kw),
+    "under_bagging": lambda **kw: UnderBaggingClassifier(n_estimators=4, **kw),
+    "easy_ensemble": lambda **kw: EasyEnsembleClassifier(
+        n_estimators=3, n_boost_rounds=3, **kw
+    ),
+}
+
+
+def _member_tree_bytes(model):
+    """Bytes of every fitted tree, recursing into boosted bags."""
+    out = []
+    for member in model.estimators_:
+        if hasattr(member, "tree_"):
+            tree = member.tree_
+            out.append(b"".join(
+                getattr(tree, name).tobytes()
+                for name in ("feature", "threshold", "children_left",
+                             "children_right", "value")
+            ))
+        else:
+            out.extend(_member_tree_bytes(member))
+    return out
 
 
 class TestSharedBinningBehaviour:
+    """``shared_binning`` is a deprecated no-op: ``True`` warns once, at
+    ``fit``, and fits exactly the model of ``shared_binning=False``."""
+
+    @pytest.mark.parametrize("name", sorted(DEPRECATED_FLAG_BUILDERS))
+    def test_flag_warns_once_at_fit_and_fits_default(
+        self, data, test_rows, tmp_path, name
+    ):
+        import warnings
+
+        from repro.persistence import load_model, save_model
+
+        X, y = data
+        build = DEPRECATED_FLAG_BUILDERS[name]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            flagged = build(shared_binning=True, random_state=0)
+            assert not caught, "constructing with the flag must not warn"
+            flagged.fit(X, y)
+            deprecations = [
+                w for w in caught if issubclass(w.category, DeprecationWarning)
+            ]
+            assert len(deprecations) == 1
+            assert "shared_binning" in str(deprecations[0].message)
+            # the warning points at the caller of fit, not at the library
+            assert deprecations[0].filename == __file__
+            path = save_model(flagged, tmp_path / f"{name}.npz")
+            caught.clear()
+            loaded = load_model(path)
+            assert not caught, "loading a flagged artifact must not warn"
+        assert loaded.shared_binning is True
+        default = build(random_state=0).fit(X, y)
+        assert _member_tree_bytes(flagged) == _member_tree_bytes(default)
+        assert flagged.predict_proba(test_rows).tobytes() == (
+            default.predict_proba(test_rows).tobytes()
+        )
+
     def test_deterministic_and_backend_equivalent(self, data, test_rows):
         X, y = data
         ref = None
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "thread", "process"):
             model = UnderBaggingClassifier(
                 n_estimators=5, shared_binning=True, backend=backend,
                 n_jobs=2, random_state=0,
-            ).fit(X, y)
+            )
+            with pytest.warns(DeprecationWarning, match="shared_binning"):
+                model.fit(X, y)
             proba = model.predict_proba(test_rows)
             if ref is None:
                 ref = proba
             assert np.array_equal(proba, ref)
 
-    def test_process_backend_rejected(self, data):
-        X, y = data
-        model = UnderBaggingClassifier(
-            n_estimators=3, shared_binning=True, backend="process", random_state=0
-        )
-        with pytest.raises(ValueError, match="process"):
-            model.fit(X, y)
-
     def test_spe_draws_same_rows_either_mode(self, data):
-        """Shared binning changes tree thresholds, never the sampling: RNG
-        consumption is identical, so both modes train on the same subsets."""
+        """RNG consumption does not depend on the flag: both settings train
+        on the same subsets."""
         X, y = data
         a = SelfPacedEnsembleClassifier(n_estimators=6, random_state=0).fit(X, y)
         b = SelfPacedEnsembleClassifier(
             n_estimators=6, shared_binning=True, random_state=0
-        ).fit(X, y)
+        )
+        with pytest.warns(DeprecationWarning, match="shared_binning"):
+            b.fit(X, y)
         assert a.n_training_samples_ == b.n_training_samples_
         assert [e.tree_.n_node_samples[0] for e in a.estimators_] == [
             e.tree_.n_node_samples[0] for e in b.estimators_
         ]
 
-    def test_quality_parity(self):
-        """Full-matrix bin edges must not cost measurable quality (averaged
-        over seeds — individual fits differ by normal ensemble variance)."""
-        from repro.metrics import average_precision_score
-
-        X, y = make_checkerboard(n_minority=150, n_majority=1500, random_state=5)
-        X_te, y_te = make_checkerboard(n_minority=150, n_majority=1500, random_state=6)
-        scores = {False: [], True: []}
-        for seed in range(5):
-            for shared in (False, True):
-                model = SelfPacedEnsembleClassifier(
-                    n_estimators=10, shared_binning=shared, random_state=seed
-                ).fit(X, y)
-                scores[shared].append(
-                    average_precision_score(y_te, model.predict_proba(X_te)[:, 1])
-                )
-        assert abs(np.mean(scores[True]) - np.mean(scores[False])) < 0.05
-
-    def test_non_tree_estimator_rejected(self, data):
-        from repro.neighbors import KNeighborsClassifier
-
-        X, y = data
-        model = SelfPacedEnsembleClassifier(
-            estimator=KNeighborsClassifier(), shared_binning=True, random_state=0
-        )
-        with pytest.raises(ValueError, match="tree base estimator"):
-            model.fit(X, y)
-
-    def test_streaming_rejects_shared_binning(self, data):
-        X, y = data
-        model = StreamingSelfPacedEnsembleClassifier(
-            n_estimators=3, shared_binning=True, random_state=0
-        )
-        with pytest.raises(ValueError, match="out-of-core"):
-            model.fit(ArraySource(X, y))
-
     def test_forest_and_bagging_shared_fit_predicts_sanely(self, data, test_rows):
         X, y = data
         for cls in (RandomForestClassifier, BaggingClassifier, EasyEnsembleClassifier):
-            model = cls(n_estimators=4, shared_binning=True, random_state=0).fit(X, y)
+            model = cls(n_estimators=4, shared_binning=True, random_state=0)
+            with pytest.warns(DeprecationWarning, match="shared_binning"):
+                model.fit(X, y)
             proba = model.predict_proba(test_rows)
             assert proba.shape == (len(test_rows), 2)
             assert np.allclose(proba.sum(axis=1), 1.0)
@@ -310,11 +312,11 @@ class TestPackCache:
         model = BaggingClassifier(n_estimators=3, random_state=0).fit(X, y)
         first = cached_packed_ensemble(model.estimators_, model.classes_)
         again = cached_packed_ensemble(model.estimators_, model.classes_)
-        assert first[0] is again[0]  # same PackedForest object: cache hit
+        assert first is again  # same PackedForest object: cache hit
         before = model.predict_proba(test_rows)
         model.fit(X, 1 - y)  # refit in place: trees replaced
         rebuilt = cached_packed_ensemble(model.estimators_, model.classes_)
-        assert rebuilt[0] is not first[0]
+        assert rebuilt is not first
         after = model.predict_proba(test_rows)
         assert not np.array_equal(before, after)
         _assert_packed_matches_legacy(model, test_rows)

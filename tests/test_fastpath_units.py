@@ -11,10 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.binning import cut_hardness_bins, allocate_bin_samples, self_paced_bin_weights
 from repro.core.self_paced import self_paced_under_sample
 from repro.fastpath import (
-    BinnedSubset,
     PackedForest,
     ScoringMatrix,
-    SharedBinContext,
     fastpath_disabled,
     fastpath_enabled,
     set_fastpath,
@@ -369,91 +367,6 @@ class TestLevelSynchronousBuilder:
 
 
 # --------------------------------------------------------------------- #
-class TestSharedBinContext:
-    def test_codes_use_smallest_dtype(self, rng):
-        context = SharedBinContext(rng.randn(500, 2), max_bins=64)
-        assert context.codes.dtype == np.uint8
-
-    def test_views_slice_without_rebinning(self, rng):
-        X = rng.randn(100, 3)
-        context = SharedBinContext(X, max_bins=16)
-        view = context.view(np.array([5, 1, 7]))
-        assert len(view) == 3 and view.shape == (3, 3)
-        assert np.array_equal(view.binned_codes(), context.codes[[5, 1, 7]])
-        # fancy indexing returns a sub-view; __array__ materialises floats
-        sub = view[np.array([2, 0])]
-        assert isinstance(sub, BinnedSubset)
-        assert np.array_equal(np.asarray(sub), X[[7, 5]])
-
-    def test_concat_requires_same_context(self, rng):
-        X = rng.randn(20, 2)
-        a = SharedBinContext(X).view(np.arange(5))
-        b = SharedBinContext(X).view(np.arange(5))
-        with pytest.raises(ValueError):
-            a.concat(b)
-
-    def test_tree_fit_on_view_without_requantization(self, rng):
-        """Context resolution == tree max_bins: the tree trains directly on
-        the shared codes and equals build_tree on them."""
-        X = rng.randn(300, 2)
-        y = (X[:, 0] > 0).astype(int)
-        context = SharedBinContext(X, max_bins=32)
-        tree = DecisionTreeClassifier(max_depth=4, max_bins=32).fit(
-            context.all_rows(), y
-        )
-        reference = build_tree(
-            context.codes, y, np.ones(len(y)), context.binner,
-            n_classes=2, max_depth=4,
-        )
-        assert np.array_equal(tree.tree_.feature, reference.feature)
-        assert np.array_equal(tree.tree_.threshold, reference.threshold)
-        assert tree._shared_bin_context is context
-        assert tree._member_remap is None
-
-    def test_tree_fit_on_fine_view_requantizes_onto_shared_edges(self, rng):
-        """Fine context: the member derives its own cuts, and every fitted
-        threshold is exactly one of the shared fine edges."""
-        X = rng.randn(400, 2)
-        y = (X[:, 0] * X[:, 1] > 0).astype(int)
-        context = SharedBinContext(X, max_bins=255)
-        tree = DecisionTreeClassifier(max_depth=5, max_bins=16).fit(
-            context.all_rows(), y
-        )
-        assert tree._member_remap is not None
-        assert int(tree._member_binner.n_bins_.max()) <= 16
-        internal = tree.tree_.feature >= 0
-        for f, thr in zip(tree.tree_.feature[internal], tree.tree_.threshold[internal]):
-            assert thr in context.binner.edges_[f]
-        # requantized member codes agree with the member binner's transform
-        member_codes = tree._member_remap[
-            np.arange(2)[None, :], context.codes
-        ]
-        assert np.array_equal(member_codes, tree._member_binner.transform(X))
-
-    def test_balanced_fit_rows(self):
-        from repro.fastpath.bincontext import balanced_fit_rows
-
-        y = np.array([0] * 90 + [1] * 10)
-        rows = balanced_fit_rows(y)
-        assert len(rows) == 20
-        assert (y[rows] == 1).sum() == 10
-        assert balanced_fit_rows(np.array([1, 1, 0])) is None
-
-    def test_pickle_drops_matrix_keeps_binner(self, rng):
-        import pickle
-
-        X = rng.randn(50, 2)
-        context = SharedBinContext(X, max_bins=8)
-        restored = pickle.loads(pickle.dumps(context))
-        assert restored.codes is None and restored.X is None
-        assert np.array_equal(
-            restored.binner.transform(X), context.binner.transform(X)
-        )
-        with pytest.raises(ValueError, match="unpickled"):
-            restored.view(np.arange(3))
-
-
-# --------------------------------------------------------------------- #
 #: Routing regimes forced through the kernel's module constants:
 #: ``(_FUSED_LANES, _LANE_ROWS, _PARTITION_ROWS)``. "partition" splits
 #: every node itself over 7-row chunks; "hybrid" hands nodes of < 3 rows
@@ -800,3 +713,15 @@ class TestFitDigestTool:
         with_predict = run.stdout.strip()
         assert len(with_predict) == 64 and with_predict != printed
         assert fit_digest.fit_digest(3000, 10.0, 1, predict=True) == with_predict
+
+        # --estimator picks a registry name; spe is the default, and
+        # EasyEnsemble's trees sit inside its AdaBoost bags
+        run = subprocess.run(
+            [sys.executable, str(tools / "fit_digest.py"), *args,
+             "--estimator", "easy_ensemble"],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        easy = run.stdout.strip()
+        assert len(easy) == 64 and easy != printed
+        assert fit_digest.fit_digest(3000, 10.0, 1, estimator="easy_ensemble") == easy
+        assert fit_digest.fit_digest(3000, 10.0, 1, estimator="spe") == printed

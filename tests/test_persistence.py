@@ -62,7 +62,13 @@ class TestRoundTripBitIdentity:
     @pytest.mark.parametrize("fastpath", [True, False], ids=["fastpath", "legacy"])
     def test_predict_proba_bit_identical(self, data, tmp_path, name, fastpath):
         X, y, X_test = data
-        clf = _builders()[name]().fit(X, y)
+        clf = _builders()[name]()
+        if clf.get_params().get("shared_binning"):
+            # the deprecated no-op flag still round-trips in the params
+            with pytest.warns(DeprecationWarning, match="shared_binning"):
+                clf.fit(X, y)
+        else:
+            clf.fit(X, y)
         loaded = load_model(save_model(clf, tmp_path / f"{name}.npz"))
         if fastpath:
             ref, got = clf.predict_proba(X_test), loaded.predict_proba(X_test)
@@ -88,23 +94,50 @@ class TestRoundTripBitIdentity:
             got = loaded.predict_proba(X_test)
         assert np.array_equal(ref, got)
 
-    def test_shared_binning_context_round_trips(self, data, tmp_path):
-        """A shared-binning ensemble reloads with ONE context instance
-        shared by all members, so the code-table fastpath still compiles."""
-        from repro.fastpath.codetable import cached_packed_ensemble
-        from repro.persistence.state import common_shared_context
+    def test_shared_binning_context_round_trips(self, tmp_path):
+        """An artifact written while shared binning existed still loads.
 
-        X, y, _ = data
-        clf = SelfPacedEnsembleClassifier(
-            n_estimators=4, shared_binning=True, random_state=0
-        ).fit(X, y)
-        loaded = load_model(save_model(clf, tmp_path / "m.npz"))
-        context = common_shared_context(loaded.estimators_)
-        assert context is not None
-        entry = cached_packed_ensemble(loaded.estimators_, np.array([0, 1]))
-        assert entry is not None and entry[1] is not None  # table compiled
-        ref_entry = cached_packed_ensemble(clf.estimators_, np.array([0, 1]))
-        assert np.array_equal(entry[1].table, ref_entry[1].table)
+        Its root holds a ``SharedBinContext`` child (with a ``binner``)
+        that the loader skips; the members' raw-float thresholds carry the
+        whole model. Loaded on the heap and mmap'd, and served through
+        ``ModelServer``, it must reproduce the probabilities recorded when
+        it was written, bit for bit. The two files in ``tests/data`` were
+        written at commit ``9021e82`` with::
+
+            import numpy as np
+            from repro.core import SelfPacedEnsembleClassifier
+            from repro.datasets import make_checkerboard
+            from repro.persistence import save_model
+
+            X, y = make_checkerboard(60, 600, random_state=0)
+            clf = SelfPacedEnsembleClassifier(
+                n_estimators=3, shared_binning=True, random_state=0
+            ).fit(X, y)
+            save_model(clf, "spe_shared_binning_pr17.npz")
+            np.save("spe_shared_binning_pr17_proba.npy", clf.predict_proba(X))
+        """
+        import warnings
+
+        from repro.serving import ModelServer
+
+        data_dir = pathlib.Path(__file__).parent / "data"
+        path = data_dir / "spe_shared_binning_pr17.npz"
+        recorded = np.load(data_dir / "spe_shared_binning_pr17_proba.npy")
+        header = json.loads(bytes(np.load(path)["__header__"]).decode())
+        assert "shared_bin_context" in header["root"]["children"]
+        X, _ = make_checkerboard(60, 600, random_state=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            heap = load_model(path)
+            mapped = load_model(path, mmap_mode="r")
+        for model in (heap, mapped):
+            assert model.shared_binning is True
+            assert len(model.estimators_) == 3
+            assert model.predict_proba(X).tobytes() == recorded.tobytes()
+        for mmap in (False, True):
+            with ModelServer(path, mmap=mmap) as server:
+                assert server.packed_
+                assert server.predict_proba(X).tobytes() == recorded.tobytes()
 
     def test_fit_diagnostics_not_persisted(self, data, tmp_path):
         X, y, _ = data

@@ -96,11 +96,9 @@ class TestMmapMatrix:
 
     def test_serving_from_mmap_never_writes_views(self, toy, tmp_path):
         """A full predict_proba pass over a mapped SPE artifact (packed
-        kernel + code table) leaves the file bytes untouched."""
+        kernel) leaves the file bytes untouched."""
         X, _ = toy
-        clf = get_classifier(
-            "spe", preset="fast", shared_binning=True, random_state=0
-        ).fit(*toy)
+        clf = get_classifier("spe", preset="fast", random_state=0).fit(*toy)
         path = tmp_path / "spe.npz"
         save_model(clf, path)
         before = path.read_bytes()

@@ -186,21 +186,6 @@ class TestStringEstimatorsInEnsembles:
         members = clf.estimators_
         assert len({id(m) for m in members}) == 3
 
-    def test_shared_binning_accepts_tree_name(self, toy):
-        X, y = toy
-        cls = classifier_spec("under_bagging").cls
-        clf = cls(
-            estimator="tree", n_estimators=3, shared_binning=True, random_state=0
-        ).fit(X, y)
-        assert clf.predict_proba(X).shape == (len(y), 2)
-
-    def test_shared_binning_rejects_non_tree_name(self, toy):
-        X, y = toy
-        cls = classifier_spec("bagging").cls
-        clf = cls(estimator="logistic", shared_binning=True, random_state=0)
-        with pytest.raises(ValueError, match="tree base estimator"):
-            clf.fit(X, y)
-
 
 class TestExperimentRunnerNaming:
     def test_evaluate_combination_accepts_registered_name(self, toy):

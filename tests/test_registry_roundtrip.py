@@ -127,12 +127,10 @@ class TestFacadeAcceptance:
             server.close()
 
     def test_tree_backed_fastpath_still_bit_identical(self, toy, tmp_path):
-        """Tree-backed configs keep the packed/code-table kernels exactly:
-        a reloaded artifact served warm equals the live model bit for bit."""
+        """Tree-backed configs keep the packed kernel exactly: a reloaded
+        artifact served warm equals the live model bit for bit."""
         X, _ = toy
-        clf = get_classifier(
-            "spe", preset="fast", shared_binning=True, random_state=0
-        ).fit(*toy)
+        clf = get_classifier("spe", preset="fast", random_state=0).fit(*toy)
         expected = clf.predict_proba(X)
         path = tmp_path / "spe_tree.npz"
         save_model(clf, path)

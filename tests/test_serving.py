@@ -17,7 +17,7 @@ import pytest
 from repro.core import SelfPacedEnsembleClassifier
 from repro.datasets import make_checkerboard
 from repro.exceptions import ServerOverloadedError
-from repro.fastpath.codetable import cached_packed_ensemble
+from repro.fastpath import cached_packed_ensemble
 from repro.metrics import precision_recall_curve
 from repro.persistence import save_model
 from repro.serving import ModelServer, threshold_for_precision
@@ -52,20 +52,7 @@ class TestWarmLoading:
             assert before is not None
             server.predict_proba(X[:8])  # first request
             after = cached_packed_ensemble(list(estimators), classes)
-            assert before[0] is after[0], "first request re-packed the forest"
-
-    def test_shared_binning_artifact_gets_code_table(self, data, tmp_path):
-        X, y = data
-        clf = SelfPacedEnsembleClassifier(
-            n_estimators=4, shared_binning=True, random_state=0
-        ).fit(X, y)
-        path = tmp_path / "shared.npz"
-        save_model(clf, path)
-        with ModelServer(path) as server:
-            assert server.packed_ and server.code_table_
-            assert np.array_equal(
-                server.predict_proba(X[:32]), clf.predict_proba(X[:32])
-            )
+            assert before is after, "first request re-packed the forest"
 
     def test_wraps_live_model_too(self, fitted, data):
         X, _ = data
@@ -175,7 +162,7 @@ class TestMicroBatching:
         X, y = data
         clf = RUSBoostClassifier(n_estimators=3, random_state=0).fit(X, y)
         with ModelServer(clf) as server:
-            assert not server.packed_ and not server.code_table_
+            assert not server.packed_
             assert np.array_equal(
                 server.predict_proba(X[:16]), clf.predict_proba(X[:16])
             )

@@ -385,7 +385,7 @@ class _FakeBackend:
 
 class TestStatsCompat:
     SERVER_KEYS = {
-        "model_version", "packed", "code_table", "threshold",
+        "model_version", "packed", "threshold",
         "n_requests", "n_batches", "n_rows", "n_overflows",
         "n_deadline_expired", "n_swaps", "queue_depth",
         "batch_size_distribution", "requests_by_version",

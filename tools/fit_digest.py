@@ -1,13 +1,15 @@
 #!/usr/bin/env python
-"""Print one SHA-256 over every member tree of an SPE fit.
+"""Print one SHA-256 over every member tree of an ensemble fit.
 
-Fits ``SelfPacedEnsembleClassifier`` (10 members, default trees) on a
-credit-fraud table and hashes each member's flat node arrays in member
-order. Two checkouts that print the same digest grew byte-identical
-trees, so a change to the fit path can show it kept every model by
-running this once per checkout:
+Fits a registered ensemble (``--estimator``, a classifier-registry name,
+default ``spe``; 10 members, default trees) on a credit-fraud table and
+hashes each member's flat node arrays in member order, recursing into the
+members of a member (EasyEnsemble's AdaBoost bags). Two checkouts that
+print the same digest grew byte-identical trees, so a change to the fit
+path can show it kept every model by running this once per checkout:
 
     PYTHONPATH=src python tools/fit_digest.py --rows 20000 --ir 20 --seed 3
+    PYTHONPATH=src python tools/fit_digest.py --estimator forest --seed 3
 
 ``--seed`` seeds both the table and the ensemble. ``--predict`` also
 hashes the bytes of the fitted model's ``predict_proba`` on its own
@@ -33,18 +35,28 @@ def _update(digest, name: str, array) -> None:
     digest.update(array.tobytes())
 
 
-def fit_digest(rows: int, ir: float, seed: int, predict: bool = False) -> str:
-    from repro.core import SelfPacedEnsembleClassifier
+def _trees(model):
+    """Every fitted tree of ``model``'s members, in member order."""
+    for member in model.estimators_:
+        if hasattr(member, "tree_"):
+            yield member.tree_
+        else:
+            yield from _trees(member)
+
+
+def fit_digest(rows: int, ir: float, seed: int, predict: bool = False,
+               estimator: str = "spe") -> str:
     from repro.datasets import make_credit_fraud
+    from repro.registry import get_classifier
 
     X, y = make_credit_fraud(n_samples=rows, imbalance_ratio=ir, random_state=seed)
-    spe = SelfPacedEnsembleClassifier(n_estimators=10, random_state=seed).fit(X, y)
+    model = get_classifier(estimator, n_estimators=10, random_state=seed).fit(X, y)
     digest = hashlib.sha256()
-    for member in spe.estimators_:
+    for tree in _trees(model):
         for name in TREE_ARRAYS:
-            _update(digest, name, getattr(member.tree_, name))
+            _update(digest, name, getattr(tree, name))
     if predict:
-        _update(digest, "predict_proba", spe.predict_proba(X))
+        _update(digest, "predict_proba", model.predict_proba(X))
     return digest.hexdigest()
 
 
@@ -55,8 +67,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--predict", action="store_true",
                         help="also hash predict_proba on the training table")
+    parser.add_argument("--estimator", default="spe",
+                        help="classifier-registry name of the ensemble to fit")
     args = parser.parse_args(argv)
-    print(fit_digest(args.rows, args.ir, args.seed, predict=args.predict))
+    print(fit_digest(args.rows, args.ir, args.seed, predict=args.predict,
+                     estimator=args.estimator))
     return 0
 
 

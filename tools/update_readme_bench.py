@@ -25,7 +25,6 @@ def render_table(report: dict) -> str:
     ds = report["dataset"]
     r = report["results"]
     packed = r["predict_packed"]
-    table = r["predict_codetable"]
     lines = [
         f"Checkerboard |P|={ds['n_minority']}, |N|={ds['n_majority']} "
         f"(IR {ds['imbalance_ratio']}), {report['config']['n_estimators']} "
@@ -33,19 +32,14 @@ def render_table(report: dict) -> str:
         "",
         "| Path | Legacy | Fastpath | Speedup |",
         "|---|---|---|---|",
-        "| SPE end-to-end fit (`shared_binning=True`) "
+        "| SPE end-to-end fit "
         f"| {r['fit']['legacy_seconds']:.3f}s | {r['fit']['fastpath_seconds']:.3f}s "
         f"| **{r['fit']['speedup']:.2f}×** |",
         "| `predict_proba`, bulk, packed kernel "
         f"| {packed['bulk_legacy_seconds']:.3f}s | {packed['bulk_fastpath_seconds']:.3f}s "
         f"| **{packed['bulk_speedup']:.2f}×** |",
-        "| `predict_proba`, bulk, compiled code table "
-        f"| {table['bulk_legacy_seconds']:.3f}s | {table['bulk_fastpath_seconds']:.3f}s "
-        f"| **{table['bulk_speedup']:.2f}×** |",
         f"| `predict_proba`, {packed['serve_batch']}-row serving batches, packed "
         f"| | | **{packed['serve_speedup']:.2f}×** |",
-        f"| `predict_proba`, {table['serve_batch']}-row serving batches, code table "
-        f"| | | **{table['serve_speedup']:.2f}×** |",
     ]
     return "\n".join(lines)
 
