@@ -11,9 +11,11 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # PR-gating subset: skips `slow` experiment/figure reproductions and
-# anything marked `bench` (markers registered in pyproject.toml).
+# anything marked `bench` (markers registered in pyproject.toml). Warning
+# clean by contract: any RuntimeWarning (overflow, invalid value, ...)
+# fails the run.
 test-fast:
-	$(PYTHON) -m pytest -x -q -m "not slow and not bench"
+	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning -m "not slow and not bench"
 
 # Informational line-coverage summary for src/repro. Uses pytest-cov /
 # coverage.py when installed (the CI coverage job installs them); otherwise

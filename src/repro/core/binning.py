@@ -96,13 +96,15 @@ def self_paced_bin_weights(bins: HardnessBins, alpha: float) -> np.ndarray:
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         weights = 1.0 / (bins.avg_hardness + alpha)
     # h_ℓ = α = 0 gives p_ℓ = 1/0 → the harmonise limit where a zero-hardness
     # bin dominates the draw (paper Fig 3(b): the trivial bin floods the
     # subset). Represent it by a huge finite weight; the allocator caps it at
-    # the bin population and redistributes the remainder.
-    weights[~np.isfinite(weights)] = 1e18
+    # the bin population and redistributes the remainder. A subnormal h_ℓ + α
+    # overflows to inf or lands just below it, so every weight is capped at
+    # that sentinel: the weights then sum without overflow.
+    np.minimum(weights, 1e18, out=weights)
     weights[bins.populations == 0] = 0.0
     if weights.sum() <= 0:
         weights = (bins.populations > 0).astype(float)

@@ -440,10 +440,13 @@ class SelfPacedEnsembleClassifier(
             self.n_training_samples_ += n_trained
 
         # --- cold start: random balanced subset (Algorithm 1, line 2) ----
+        # A member is scored over the majority only when a later iteration
+        # reads the running average, so the last member is never scored.
         cold = rng.choice(maj_idx, size=min(n_min, len(maj_idx)), replace=False)
         train_one(majority.take_global(cold))
-        with telemetry.stage_timer("ensemble_score"):
-            proba_maj = majority.score(self.estimators_[0])
+        if self.n_estimators > 1:
+            with telemetry.stage_timer("ensemble_score"):
+                proba_maj = majority.score(self.estimators_[0])
         if eval_set is not None:
             proba_eval = self._proba_pos(self.estimators_[0], X_eval)
             self._record_eval(y_eval, proba_eval)
@@ -467,9 +470,10 @@ class SelfPacedEnsembleClassifier(
             train_one(majority.take(selected))
             # Incremental running-average update (Algorithm 1, line 4).
             n_models = len(self.estimators_)
-            with telemetry.stage_timer("ensemble_score"):
-                latest = majority.score(self.estimators_[-1])
-            proba_maj = (proba_maj * (n_models - 1) + latest) / n_models
+            if i < self.n_estimators - 1:
+                with telemetry.stage_timer("ensemble_score"):
+                    latest = majority.score(self.estimators_[-1])
+                proba_maj = (proba_maj * (n_models - 1) + latest) / n_models
             if eval_set is not None:
                 latest_eval = self._proba_pos(self.estimators_[-1], X_eval)
                 proba_eval = (proba_eval * (n_models - 1) + latest_eval) / n_models

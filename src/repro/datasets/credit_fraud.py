@@ -30,6 +30,9 @@ __all__ = ["make_credit_fraud"]
 PAPER_N_SAMPLES = 284_807
 PAPER_IMBALANCE_RATIO = 578.88
 
+#: rows of normal draws held at once while filling the output
+_CHUNK_ROWS = 16_384
+
 
 def make_credit_fraud(
     n_samples: int = 50_000,
@@ -61,37 +64,47 @@ def make_credit_fraud(
     rng = check_random_state(random_state)
     n_fraud = max(1, int(round(n_samples / (1.0 + imbalance_ratio))))
     n_genuine = n_samples - n_fraud
+    d = n_pca_components
+    # One output buffer: genuine rows first, then fraud rows; columns are
+    # the components, Time, Amount. Every block is drawn straight into its
+    # slice. The draw order fixes every seeded table, so keep it.
+    X = np.empty((n_samples, d + 2))
 
     # PCA-like spectrum: variances decay geometrically as in real PCA tails.
-    stds = 1.8 * (0.88 ** np.arange(n_pca_components)) + 0.15
+    stds = 1.8 * (0.88 ** np.arange(d)) + 0.15
 
-    def genuine_components(n: int) -> np.ndarray:
-        return rng.normal(0.0, 1.0, size=(n, n_pca_components)) * stds
+    def genuine_components(out: np.ndarray) -> None:
+        # Legacy ``RandomState.normal`` called per chunk continues the same
+        # stream as one call over all rows, so the chunked draw is byte-equal
+        # to it and holds only one chunk's temporary.
+        for lo in range(0, len(out), _CHUNK_ROWS):
+            part = out[lo : lo + _CHUNK_ROWS, :d]
+            np.multiply(rng.normal(0.0, 1.0, size=part.shape), stds, out=part)
 
-    X_gen = genuine_components(n_genuine)
+    genuine_components(X[:n_genuine])
 
     # Fraud clusters: shifted in a random low-dimensional direction each.
     n_overlap = int(round(overlap_fraction * n_fraud))
     n_clustered = n_fraud - n_overlap
     cluster_sizes = np.full(n_fraud_clusters, n_clustered // n_fraud_clusters)
     cluster_sizes[: n_clustered % n_fraud_clusters] += 1
-    fraud_blocks = []
+    row = n_genuine
     for size in cluster_sizes:
         if size == 0:
             continue
         # Shift along a few leading components (like V14/V17 in the real
         # data), keeping the tail components genuine-like.
-        direction = np.zeros(n_pca_components)
-        lead = rng.choice(min(10, n_pca_components), size=3, replace=False)
+        direction = np.zeros(d)
+        lead = rng.choice(min(10, d), size=3, replace=False)
         direction[lead] = rng.normal(0.0, 1.0, size=3)
         direction /= np.linalg.norm(direction)
         centre = fraud_shift * direction * stds
         spread = 0.6  # tighter than the genuine mass
-        block = centre + rng.normal(0.0, spread, size=(size, n_pca_components)) * stds
-        fraud_blocks.append(block)
-    if n_overlap:
-        fraud_blocks.append(genuine_components(n_overlap))
-    X_fraud = np.vstack(fraud_blocks)
+        block = X[row : row + size, :d]
+        np.multiply(rng.normal(0.0, spread, size=block.shape), stds, out=block)
+        block += centre
+        row += size
+    genuine_components(X[row:])
 
     # Time: two days (in hours, 0-48), bimodal day/night; frauds skew to
     # night. Hours rather than seconds keep the column on a scale
@@ -105,20 +118,15 @@ def make_credit_fraud(
         hours = np.where(pick_night, night, day) % 24.0
         return hours + rng.randint(0, 2, size=n) * 24.0
 
-    t_gen = sample_time(n_genuine, night_bias=0.2)
-    t_fraud = sample_time(n_fraud, night_bias=0.45)
+    X[:n_genuine, d] = sample_time(n_genuine, night_bias=0.2)
+    X[n_genuine:, d] = sample_time(n_fraud, night_bias=0.45)
 
     # Amount on a log scale (log1p of a log-normal); frauds favour
     # small-to-mid "test" amounts.
-    amount_gen = np.log1p(rng.lognormal(mean=3.4, sigma=1.3, size=n_genuine))
-    amount_fraud = np.log1p(rng.lognormal(mean=3.0, sigma=1.6, size=n_fraud))
+    X[:n_genuine, d + 1] = np.log1p(rng.lognormal(mean=3.4, sigma=1.3, size=n_genuine))
+    X[n_genuine:, d + 1] = np.log1p(rng.lognormal(mean=3.0, sigma=1.6, size=n_fraud))
 
-    X = np.vstack(
-        [
-            np.column_stack([X_gen, t_gen, amount_gen]),
-            np.column_stack([X_fraud, t_fraud, amount_fraud]),
-        ]
-    )
-    y = np.concatenate([np.zeros(n_genuine, dtype=int), np.ones(n_fraud, dtype=int)])
-    perm = rng.permutation(len(y))
+    y = np.zeros(n_samples, dtype=int)
+    y[n_genuine:] = 1
+    perm = rng.permutation(n_samples)
     return X[perm], y[perm]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ..base import BaseEstimator, ClassifierMixin
 from ..utils.validation import (
@@ -84,6 +83,8 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
             else:
                 grad = grad_coef
             return loss, grad
+
+        from scipy import optimize
 
         theta0 = np.zeros(d + (1 if self.fit_intercept else 0))
         result = optimize.minimize(

@@ -13,7 +13,6 @@ values, which SPE needs because its hardness function consumes probabilities.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ..base import BaseEstimator, ClassifierMixin
 from ..utils.validation import (
@@ -47,6 +46,8 @@ def _fit_platt(decision: np.ndarray, y01: np.ndarray) -> tuple:
         sig = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
         grad_z = sig - (1 - t)
         return loss, np.array([np.sum(grad_z * decision), np.sum(grad_z)])
+
+    from scipy import optimize
 
     result = optimize.minimize(
         objective, np.array([-1.0, 0.0]), jac=True, method="L-BFGS-B"

@@ -154,6 +154,19 @@ class TestWorkflowFile:
         assert installs, f"{job} has no install step"
         assert any(re.search(r"\bhypothesis\b", cmd) for cmd in installs), job
 
+    @pytest.mark.parametrize("job", sorted(EXPECTED_JOBS))
+    def test_library_jobs_install_scipy(self, workflow, job):
+        """Every job imports the library (lint through the registry
+        audit); the linear models and SVMs import scipy when fitted, so a
+        runner without it fails their tests and benches."""
+        installs = [
+            step["run"]
+            for step in workflow["jobs"][job]["steps"]
+            if "pip install" in step.get("run", "")
+        ]
+        assert installs, f"{job} has no install step"
+        assert any(re.search(r"\bscipy\b", cmd) for cmd in installs), job
+
     def test_coverage_job_is_informational(self, workflow):
         assert workflow["jobs"]["coverage"].get("continue-on-error") is True
 
@@ -178,6 +191,12 @@ class TestMarkersRegistered:
         dev = re.search(r"^dev\s*=\s*\[(.*?)\]", pyproject, re.M | re.S)
         assert dev and '"hypothesis"' in dev.group(1)
 
+    def test_dev_extras_include_scipy(self):
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+        dev = re.search(r"^dev\s*=\s*\[(.*?)\]", pyproject, re.M | re.S)
+        assert dev and '"scipy"' in dev.group(1)
+        assert re.search(r'^dependencies = \["numpy"\]$', pyproject, re.M)
+
     def test_slow_marker_applied_to_experiment_tests(self):
         for name in (
             "test_experiments.py",
@@ -190,6 +209,11 @@ class TestMarkersRegistered:
     def test_makefile_fast_target_deselects_markers(self):
         makefile = (REPO_ROOT / "Makefile").read_text()
         assert 'not slow and not bench' in makefile
+
+    def test_makefile_fast_target_is_warning_clean(self):
+        makefile = (REPO_ROOT / "Makefile").read_text()
+        fast = makefile.split("\ntest-fast:")[1].split("\n\n")[0]
+        assert "-W error::RuntimeWarning" in fast
 
     def test_running_session_knows_the_markers(self, pytestconfig):
         """The live pytest session parsed pyproject.toml and registered

@@ -1,5 +1,7 @@
 """Tests for hardness functions and the self-paced binning machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core import (
     HARDNESS_FUNCTIONS,
+    HardnessBins,
     absolute_error,
     allocate_bin_samples,
     cross_entropy,
@@ -170,6 +173,44 @@ class TestSelfPacedWeights:
         bins = cut_hardness_bins(np.zeros(10), 3)
         w = self_paced_bin_weights(bins, 0.0)
         assert np.isfinite(w).all() and w.sum() > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        avg=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
+                st.floats(2.2250738585072014e-308, 1.0),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        pops=st.lists(st.integers(0, 50), min_size=12, max_size=12),
+        alpha=st.sampled_from([0.0, 5e-324, 1e16]),
+        n_total=st.integers(0, 300),
+    )
+    def test_tiny_hardness_is_warning_free(self, avg, pops, alpha, n_total):
+        """Zero and subnormal average hardness overflow ``1 / (h + α)``:
+        the weight saturates at the 1e18 sentinel without a RuntimeWarning,
+        and the allocator spends the budget on the populated bins."""
+        avg = np.asarray(avg)
+        populations = np.asarray(pops[: len(avg)])
+        avg[populations == 0] = 0.0  # what cut_hardness_bins reports
+        bins = HardnessBins(
+            assignments=np.repeat(np.arange(len(avg)), populations),
+            populations=populations,
+            avg_hardness=avg,
+            total_contribution=avg * populations,
+            edges=np.linspace(0.0, 1.0, len(avg) + 1),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = self_paced_bin_weights(bins, alpha)
+            counts = allocate_bin_samples(w, populations, n_total)
+        assert np.isfinite(w).all() and (w <= 1e18).all()
+        assert (w[populations == 0] == 0).all()
+        assert (w[populations > 0] > 0).all()
+        assert counts.sum() == min(n_total, int(populations.sum()))
 
 
 class TestAllocateBinSamples:

@@ -229,6 +229,39 @@ class TestSPEFit:
         assert copy.n_estimators == 17 and copy.k_bins == 5 and copy.hardness == "SE"
 
 
+class TestMajorityScoring:
+    """Algorithm 1 reads the running majority score only to cut the next
+    iteration's hardness bins, so the last member is never scored."""
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["memory", "streaming"])
+    @pytest.mark.parametrize("n_estimators", [1, 2, 10])
+    def test_scores_every_member_but_the_last(
+        self, imbalanced_data, monkeypatch, n_estimators, streaming
+    ):
+        from repro.core.self_paced import InMemoryMajorityAccess
+        from repro.streaming import StreamingSelfPacedEnsembleClassifier
+        from repro.streaming.self_paced import _StreamingMajorityAccess
+
+        access = _StreamingMajorityAccess if streaming else InMemoryMajorityAccess
+        scored = []
+        original = access.score
+
+        def counting(self, model):
+            scored.append(model)
+            return original(self, model)
+
+        monkeypatch.setattr(access, "score", counting)
+        cls = (
+            StreamingSelfPacedEnsembleClassifier
+            if streaming
+            else SelfPacedEnsembleClassifier
+        )
+        X, y = imbalanced_data
+        spe = cls(_base(), n_estimators=n_estimators, random_state=0).fit(X, y)
+        assert len(scored) == n_estimators - 1
+        assert all(a is b for a, b in zip(scored, spe.estimators_[:-1]))
+
+
 class TestSPEValidation:
     def test_invalid_n_estimators(self, imbalanced_data):
         X, y = imbalanced_data

@@ -1,5 +1,8 @@
 """Tests for every dataset generator/simulator."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,85 @@ from repro.datasets import (
     make_record_linkage,
 )
 from repro.utils import imbalance_ratio
+
+
+def _credit_digests(n, seed, **kwargs):
+    """sha256 (32 hex digits) of ``X``, ``y`` and the passed RNG's end state.
+
+    Every column of ``X`` but ``Amount`` is hashed at full float64 width.
+    ``Amount`` is ``np.log1p`` of a log-normal draw, and numpy dispatches
+    ``log1p`` to SIMD kernels that differ in the last bit between CPUs
+    (AVX-512 against AVX2), so that column is hashed at float32 width.
+    """
+    rng = np.random.RandomState(seed)
+    X, y = make_credit_fraud(n, random_state=rng, **kwargs)
+    _, key, pos, has_gauss, gauss = rng.get_state()
+    parts = (
+        X[:, :-1].tobytes() + X[:, -1].astype(np.float32).tobytes(),
+        y.tobytes(),
+        key.tobytes() + repr((pos, has_gauss, gauss)).encode(),
+    )
+    return tuple(hashlib.sha256(b).hexdigest()[:32] for b in parts)
+
+
+#: ``(n_samples, seed, kwargs, digests)`` recorded from the vstack-based
+#: generator that preceded the one-buffer writer, with
+#: ``PYTHONPATH=src python record.py``, where ``record.py`` holds
+#: :func:`_credit_digests`, this list's first three fields as ``CASES`` and
+#:
+#:     for n, seed, kwargs in CASES:
+#:         print(n, seed, kwargs, _credit_digests(n, seed, **kwargs))
+#:
+#: The generator draws the genuine components in 16,384-row chunks: 16,411
+#: to 16,413 rows put 16,383 to 16,385 genuine rows on either side of one
+#: chunk boundary, 32,826 rows cross two, and 32,770 rows at IR 1 and
+#: overlap 1 cross one inside the 16,385 overlap rows.
+_CREDIT_DIGESTS = [
+    (10, 0, {},
+     ('b3a7c7a1dcfb45ae613482170d253a55',
+      'b8d9ddb81841a2bddd38993ed339ef3e',
+      'fb31faba37de4ee93b77f3be4bc50df6')),
+    (11, 0, {},
+     ('629d47e760e49242e43759e6d04de19b',
+      'e0e92d4bf0a4fdbd961077bb5537abe9',
+      'a43f908e052c3ca90e6cbd46c14a6dc9')),
+    (10, 0, {'overlap_fraction': 1.0},
+     ('f72f0215d800e3b95e5861afc44f245f',
+      '172ed120f701161d511073cb093bbf61',
+      '901a48b294761197d8466a3f542f30c8')),
+    (11, 0, {'overlap_fraction': 1.0},
+     ('e73212964ba1a4af1391a6fb82e4a432',
+      '73fb20e5884837206017b0b05c03d743',
+      '879ee9f5a04561c055a5aec5b898b0c8')),
+    (16_411, 1, {},
+     ('d858d5d9ff633708458c7b7fd12138e8',
+      '21c2d4161d2d7773830d1db7767d9f79',
+      '6a0f004c7910fbe2c23a895552d1f590')),
+    (16_412, 1, {},
+     ('224976ce346ce95ef72a4f2eb5167701',
+      '18359582cd07bb5e0737bc6483d5088c',
+      '82aa1b2806f1d0ffaf159555c449a7ea')),
+    (16_413, 1, {},
+     ('5e3391ab1d52cf501c818472a0766d1a',
+      '995990f1aaa9985618195ff0b811a88f',
+      '93cc1b5706895c60772d2b9f542a674d')),
+    (32_826, 2, {},
+     ('e6afa86d38ad7dacd236829ba15f22ae',
+      '3781989a849152695897793a7e4cdcbf',
+      'efa57f7f7549ed1a3bd0dac76693be02')),
+    (2_000, 3, {'imbalance_ratio': 1.0, 'overlap_fraction': 0.0, 'n_pca_components': 5},
+     ('1aa4a3d751069e64bcfb69311f22c0e9',
+      'a9966aa1e362f7f0e699ceb776397747',
+      '1caee3f15c4bbd81fb2595df578a5e1b')),
+    (32_770, 4, {'imbalance_ratio': 1.0, 'overlap_fraction': 1.0},
+     ('c38b44749a3ffee4b87ad8763cdce226',
+      '16d40ea1dabb9bafa7a511d3ebc2564b',
+      '1eb7d1967e7649ae88241ebf5505e750')),
+    (5_000, 5, {'imbalance_ratio': 20.0, 'fraud_shift': 1.5},
+     ('bd954a7f2594e69db1d9fb4b68ef6eb4',
+      'fef1a38c5f245082776d04056f5fa807',
+      '10e689959a62e6324f7489759ce9cedc')),
+]
 
 
 class TestCheckerboard:
@@ -136,6 +218,31 @@ class TestCreditFraud:
     def test_overlap_fraction_bounds(self):
         with pytest.raises(ValueError):
             make_credit_fraud(n_samples=1000, overlap_fraction=1.5)
+
+    @pytest.mark.parametrize("n, seed, kwargs, expected", _CREDIT_DIGESTS)
+    def test_output_and_draws_pinned(self, n, seed, kwargs, expected):
+        """The same ``X``, ``y`` and RNG end state as the recorded
+        generator, on both sides of a draw-chunk boundary."""
+        from repro.datasets import credit_fraud
+
+        assert credit_fraud._CHUNK_ROWS == 16_384  # the sizes above assume it
+        assert _credit_digests(n, seed, **kwargs) == expected
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"imbalance_ratio": 1.0, "overlap_fraction": 1.0}]
+    )
+    def test_peak_allocation_near_output(self, kwargs):
+        """The generator writes one output buffer and then gathers it once
+        through the row permutation: its traced peak stays near 2x the
+        output, not the ~3.1x of stacking and permuting copies."""
+        make_credit_fraud(n_samples=100, random_state=0, **kwargs)  # warm-up
+        tracemalloc.start()
+        try:
+            X, _ = make_credit_fraud(n_samples=200_000, random_state=0, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * X.nbytes
 
 
 class TestPaySim:
