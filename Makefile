@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast coverage bench-smoke perfbench-smoke bench-fastpath bench-serving bench-monitoring bench-chaos bench-telemetry lint lint-fix-baseline
+.PHONY: test test-fast coverage bench-smoke perfbench-smoke fit-digest bench-fastpath bench-serving bench-monitoring bench-chaos bench-telemetry lint lint-fix-baseline
 
 # Tier-1 suite (the ROADMAP verify command). Runs everything, including
 # tests marked `slow`.
@@ -53,6 +53,19 @@ bench-smoke:
 # correctness gate fires on a substituted model. Properties, not timings.
 perfbench-smoke:
 	$(PYTHON) -m pytest -q perfbench/smoke.py
+
+# Byte-identity gate of a fit-path change: one SHA-256 per model over its
+# fitted trees and its predict_proba on its own table (tools/fit_digest.py),
+# for SPE at the serve_drift and fit_credit shapes and for the forest,
+# EasyEnsemble and GBDT, seeds 1-3. Run it in the parent's checkout and in
+# the change's on the same host: equal lines mean byte-identical models.
+fit-digest:
+	@for seed in 1 2 3; do \
+	  for args in "--rows 20000 --ir 20" "--rows 150000 --ir 200" \
+	              "--estimator forest" "--estimator easy_ensemble" "--estimator gbdt"; do \
+	    echo "$$($(PYTHON) tools/fit_digest.py $$args --seed $$seed --predict)  $$args --seed $$seed"; \
+	  done; \
+	done
 
 # Full-scale fastpath speedup benchmark (fit / predict, legacy vs packed
 # paths, bit-identity asserted on every pair).

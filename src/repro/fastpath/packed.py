@@ -329,18 +329,24 @@ class PackedForest:
     def proba_from_leaves(self, leaves: np.ndarray) -> np.ndarray:
         """Average class distribution, replaying the legacy reduction order:
         sequential in-block sums, then block partials in block order, then
-        one division by the tree count."""
+        one division by the tree count. Each class sums 1-D takes of its own
+        contiguous ``value`` column, which adds the same floats in the same
+        order as gathering whole rows."""
         n = leaves.shape[1]
-        partials = []
-        for blk_start in range(0, self.n_trees, ESTIMATOR_BLOCK):
-            part = np.zeros((n, self.n_classes))
-            for t in range(blk_start, min(blk_start + ESTIMATOR_BLOCK, self.n_trees)):
-                part += self.value[leaves[t]]
-            partials.append(part)
-        total = partials[0]
-        for extra in partials[1:]:
-            total = total + extra
-        return total / self.n_trees
+        columns = []
+        for c in range(self.n_classes):
+            value = np.ascontiguousarray(self.value[:, c])
+            partials = []
+            for blk_start in range(0, self.n_trees, ESTIMATOR_BLOCK):
+                part = np.zeros(n)
+                for t in range(blk_start, min(blk_start + ESTIMATOR_BLOCK, self.n_trees)):
+                    part += value.take(leaves[t])
+                partials.append(part)
+            total = partials[0]
+            for extra in partials[1:]:
+                total = total + extra
+            columns.append(total)
+        return np.stack(columns, axis=1) / self.n_trees
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""

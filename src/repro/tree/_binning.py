@@ -16,27 +16,91 @@ def _bin_quantiles(max_bins: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
 
 
-def _sorted_column_edges(
-    sorted_col: np.ndarray, col: np.ndarray, quantiles: np.ndarray, max_bins: int
-) -> np.ndarray:
-    """Cut points of column ``col`` given ``sorted_col``, its values sorted.
+#: Most values a block of columns holds. Binning works on one block of
+#: columns at a time, transposed, so its copy, sort order and sorted values
+#: stay near 8 MiB each however tall the matrix: GBDT, forest and
+#: drift-reference fits on whole tables keep bounded memory.
+_BLOCK_VALUES = 1 << 20
 
-    With at most ``max_bins`` distinct values the cuts sit midway between
-    consecutive run heads (the values ``np.unique`` returns): exact splits.
-    Otherwise they are the distinct ``quantiles`` of the column, which
-    ``np.quantile`` finds faster on sorted input. Sorting changes no bit of
-    them unless ``col`` holds both -0.0 and +0.0: the two compare equal, so
-    which one a quantile lands on follows the order the values arrive in
-    (a vectorised ``np.sort`` may even turn one into the other), and only
-    the row-order column reproduces ``np.quantile(col)``.
+#: -0.0 read as an int64: the sign bit alone.
+_NEG_ZERO_BITS = np.int64(np.iinfo(np.int64).min)
+
+
+def _bin_block(T, quantiles, max_bins, codes=None):
+    """Cut points of each row of ``T``, a (k, n) C-contiguous block of
+    columns transposed; given ``codes``, a (k, n) int32 array, also every
+    value's code.
+
+    A row with at most ``max_bins`` distinct values is cut midway between
+    consecutive run heads of its sorted values: exact splits. Midpoints
+    never see the sign of a zero. Any other row is cut at its distinct
+    ``quantiles``: one 2-D ``np.quantile`` over the sorted rows, which on
+    sorted input is bit for bit the per-column call, then a dedupe of each
+    sorted row of quantiles, which is ``np.unique`` as long as no two of
+    them differ only in the sign of a zero. Rows holding -0.0 keep the
+    per-column ``np.unique(np.quantile(col))``: -0.0 and +0.0 compare
+    equal, so which one a quantile lands on follows the order the values
+    arrive in (a vectorised ``np.sort`` may even turn one into the other),
+    and a quantile between two -0.0 can come out +0.0.
+
+    A code is the number of cuts ``<= x``. Each cut's ``searchsorted``
+    position in the sorted row is where the code steps up, so a ``cumsum``
+    of those marks down the sorted order, scattered back through the
+    argsort, is every value's code without a per-value binary search.
+    Codes depend only on values, so the sort kind does not matter.
     """
-    heads = np.flatnonzero(sorted_col[1:] != sorted_col[:-1]) + 1
-    if heads.size < max_bins:
-        unique = sorted_col[np.concatenate(([0], heads))]
-        return (unique[:-1] + unique[1:]) / 2.0
-    zero_signs = np.signbit(col[col == 0.0])
-    mixed_zeros = zero_signs.any() and not zero_signs.all()
-    return np.unique(np.quantile(col if mixed_zeros else sorted_col, quantiles))
+    k, n = T.shape
+    if codes is None:
+        S = np.sort(T, axis=1)
+    else:
+        flat = np.argsort(T, axis=1)
+        flat += np.arange(0, k * n, n)[:, None]
+        S = T.take(flat)
+    head = np.empty((k, n), dtype=bool)
+    head[:, 0] = True
+    np.not_equal(S[:, 1:], S[:, :-1], out=head[:, 1:])
+    n_distinct = np.count_nonzero(head, axis=1)
+    edges = [None] * k
+
+    exact = np.flatnonzero(n_distinct <= max_bins)
+    if exact.size:
+        unique = S[exact][head[exact]]
+        mids = (unique[:-1] + unique[1:]) / 2.0
+        # Drop the pairs that straddle two rows: one row's edges remain.
+        ends = np.cumsum(n_distinct[exact])
+        mids = np.delete(mids, ends[:-1] - 1)
+        for c, e in zip(exact.tolist(), np.split(mids, ends[:-1] - np.arange(1, exact.size))):
+            edges[c] = e
+
+    cut = np.flatnonzero(n_distinct > max_bins)
+    if cut.size:
+        signed = (T.view(np.int64) == _NEG_ZERO_BITS).any(axis=1)[cut]
+        for c in cut[signed].tolist():
+            edges[c] = np.unique(np.quantile(T[c], quantiles))
+        plain = cut[~signed]
+        if plain.size:
+            q = np.quantile(S[plain], quantiles, axis=1, overwrite_input=True)
+            q = np.sort(q.T, axis=1)
+            first = np.empty(q.shape, dtype=bool)
+            first[:, 0] = True
+            np.not_equal(q[:, 1:], q[:, :-1], out=first[:, 1:])
+            ends = np.cumsum(np.count_nonzero(first, axis=1))
+            for c, e in zip(plain.tolist(), np.split(q[first], ends[:-1])):
+                edges[c] = e
+
+    if codes is not None:
+        steps = np.concatenate([
+            np.searchsorted(S[c], e, side="left") + c * (n + 1)
+            for c, e in enumerate(edges)
+        ])
+        # Rows of n + 1 marks: a cut above every value (a midpoint that
+        # overflowed to inf) lands in the spare slot and bumps no code.
+        marks = np.bincount(steps, minlength=k * (n + 1))
+        marks = np.cumsum(marks, out=marks).reshape(k, n + 1)
+        # The flat cumsum carries every earlier row's marks: take them off.
+        marks[1:] -= marks[:-1, n].copy()[:, None]
+        codes.ravel()[flat] = marks[:, :n]
+    return edges
 
 
 class FeatureBinner:
@@ -57,23 +121,29 @@ class FeatureBinner:
         self.max_bins = max_bins
 
     def fit(self, X) -> "FeatureBinner":
-        X = check_array(X)
-        quantiles = _bin_quantiles(self.max_bins)
-        # Column by column with a plain sort: transient memory stays one
-        # column, which matters when a drift reference fits whole tables.
-        return self._set_edges([
-            _sorted_column_edges(np.sort(X[:, j]), X[:, j], quantiles, self.max_bins)
-            for j in range(X.shape[1])
-        ])
+        self._fit_blocks(check_array(X))
+        return self
 
-    def _set_edges(self, edges_list) -> "FeatureBinner":
+    def _fit_blocks(self, X, codes=None):
+        """Fit the cut points of ``X`` one block of columns at a time (see
+        :func:`_bin_block`); given ``codes``, an int32 array shaped like
+        ``X``, also write every value's code into it."""
+        n_rows, n_cols = X.shape
+        quantiles = _bin_quantiles(self.max_bins)
+        width = max(1, _BLOCK_VALUES // n_rows)
+        edges_list = []
+        for lo in range(0, n_cols, width):
+            T = np.ascontiguousarray(X[:, lo:lo + width].T)
+            block = None if codes is None else np.empty(T.shape, dtype=np.int32)
+            edges_list += _bin_block(T, quantiles, self.max_bins, block)
+            if codes is not None:
+                codes[:, lo:lo + width] = block.T
         self.n_bins_ = np.array([e.size + 1 for e in edges_list], dtype=np.int64)
         # Immutable tuple: the fitted cut points are shared freely (e.g. by
         # a tree and its pickled or persisted copies) without defensive
         # copies, and accidental mutation is impossible.
         self.edges_: Tuple[np.ndarray, ...] = tuple(edges_list)
         self.n_features_ = len(edges_list)
-        return self
 
     def transform(self, X) -> np.ndarray:
         # Transform-only validation: a float64 2-D ndarray (the only thing
@@ -95,27 +165,11 @@ class FeatureBinner:
         return codes
 
     def fit_transform(self, X) -> np.ndarray:
-        """``fit(X).transform(X)`` from one argsort per column.
-
-        The sorted column yields the edges, and each edge's ``searchsorted``
-        position in it is where the code steps up: a ``cumsum`` of those
-        marks down the sorted order, scattered back through the argsort,
-        is every row's code without a per-row binary search. Codes depend
-        only on values, so the sort kind does not matter.
-        """
+        """``fit(X).transform(X)`` from one argsort per block of columns
+        (see :func:`_bin_block`)."""
         X = check_array(X)
-        n_rows = X.shape[0]
-        quantiles = _bin_quantiles(self.max_bins)
         codes = np.empty(X.shape, dtype=np.int32)
-        edges_list = []
-        for j in range(X.shape[1]):
-            order = np.argsort(X[:, j])
-            col = X[order, j]
-            edges = _sorted_column_edges(col, X[:, j], quantiles, self.max_bins)
-            steps = np.searchsorted(col, edges, side="left")
-            codes[order, j] = np.bincount(steps, minlength=n_rows).cumsum()
-            edges_list.append(edges)
-        self._set_edges(edges_list)
+        self._fit_blocks(X, codes)
         return codes
 
     def threshold_value(self, feature: int, code: int) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -109,7 +110,7 @@ def _class_planes(cells: np.ndarray, w: Optional[np.ndarray], shape):
     keep their bits. ``w is None`` (uniform weights) skips the weighted
     pass: the split search reads class weights off the integer counts.
     """
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     flat = cells.ravel()
     counts = np.bincount(flat, minlength=size).reshape(shape)
     if w is None:
@@ -118,6 +119,15 @@ def _class_planes(cells: np.ndarray, w: Optional[np.ndarray], shape):
         flat, weights=np.repeat(w, cells.shape[1]), minlength=size
     ).reshape(shape)
     return counts, weighted
+
+
+#: Live candidates scored per :func:`split_gain` call. It bounds one
+#: call's temporaries to a few hundred KiB however wide a level is, so
+#: they are reused from block to block and level to level. A wide level
+#: scored in one call takes multi-MiB temporaries, and where the allocator
+#: hands those back to the OS between levels (a fresh process, for one)
+#: their page faults cost as much as the arithmetic.
+_SCORE_BLOCK = 4096
 
 
 def _best_splits(
@@ -133,11 +143,11 @@ def _best_splits(
 
     ``counts`` / ``weighted`` are the (C, E, F, B) integer and weighted
     (class, node, feature, bin) histograms, ``weighted`` being ``None``
-    for uniform weights; ``class_w`` (E, C), ``imp`` (E,) and ``n_rows``
-    (E,) describe the nodes. Candidate ``(f, b)`` for ``b < B - 1`` sends
-    codes ``<= b`` left. Returns per node the feature position on the F
-    axis, the code and the gain; a node without a usable candidate gets
-    gain ``-inf``.
+    for uniform weights; both are consumed (their cumsums overwrite them).
+    ``class_w`` (E, C), ``imp`` (E,) and ``n_rows`` (E,) describe the
+    nodes. Candidate ``(f, b)`` for ``b < B - 1`` sends codes ``<= b``
+    left. Returns per node the feature position on the F axis, the code
+    and the gain; a node without a usable candidate gets gain ``-inf``.
 
     Only *live* candidates are scored: bin ``b`` holds rows and each side
     keeps ``min_samples_leaf`` rows. A candidate on an empty bin repeats
@@ -148,32 +158,34 @@ def _best_splits(
     ``-inf``. Dead candidates therefore stay ``-inf`` and the argmax picks
     the same (feature, code) as over the dense grid, with identical gains:
     ``split_gain`` is elementwise, and ``right = class_w - left`` is the
-    same subtraction whichever candidates are gathered. With uniform
+    same subtraction whichever candidates are gathered, so scoring them
+    in blocks of ``_SCORE_BLOCK`` changes no bit either. With uniform
     weights the left class weights are the integer cumsums cast to float,
     which is exactly their float cumsum below 2**53 rows.
     """
     C, E, F, B = counts.shape
-    cum = counts.cumsum(axis=-1).reshape(C, -1)
-    occupied = counts.sum(axis=0)
+    live = counts.any(axis=0)
     # Nothing lies right of a (node, feature)'s last bin: no candidate.
-    occupied[..., -1] = 0
-    cand = np.flatnonzero(occupied)
-    left_n = [cum[c][cand] for c in range(C)]
-    n_left = class_sum(left_n)
-    node = cand // (F * B)
-    keep = (n_left >= min_samples_leaf) & (n_rows[node] - n_left >= min_samples_leaf)
-    live = cand[keep]
-    node = node[keep]
+    live[..., -1] = False
+    cum = counts.cumsum(axis=-1, out=counts)
+    n_left = class_sum(cum)
+    if min_samples_leaf > 1:  # an occupied bin already leaves one row left
+        live &= n_left >= min_samples_leaf
+    live &= n_left <= (n_rows - min_samples_leaf)[:, None, None]
+    live = np.flatnonzero(live)
     if weighted is not None:
-        weighted = weighted.cumsum(axis=-1).reshape(C, -1)
-    # Per class: the left children, then ``right = class_w - left``.
-    n = live.size
-    children = np.empty((C, 2 * n))
-    for c in range(C):
-        children[c, :n] = left_n[c][keep] if weighted is None else weighted[c][live]
-        np.subtract(class_w[node, c], children[c, :n], out=children[c, n:])
+        cum = weighted.cumsum(axis=-1, out=weighted)
+    cum = cum.reshape(C, -1)
+    class_w = class_w.T
     gains = np.full(E * F * B, -np.inf)
-    gains[live] = split_gain(children, imp[node], criterion)
+    for lo in range(0, live.size, _SCORE_BLOCK):
+        cand = live[lo:lo + _SCORE_BLOCK]
+        node = cand // (F * B)
+        # The left children, then ``right = class_w - left``.
+        children = np.empty((2, C, cand.size))
+        children[0] = cum.take(cand, axis=1)
+        np.subtract(class_w.take(node, axis=1), children[0], out=children[1])
+        gains[cand] = split_gain(children, imp.take(node), criterion)
     gains = gains.reshape(E, F * B)
     best = gains.argmax(axis=1)
     return best // B, best % B, gains[np.arange(E), best]
@@ -337,22 +349,24 @@ def _grow_depth_first(
     )
 
 
-def _node_impurity_rows(
-    class_w: np.ndarray, total_w: np.ndarray, criterion: str
-) -> np.ndarray:
-    """Row-wise :func:`node_impurity` — identical per-row float ops."""
-    safe = np.where(total_w > 0, total_w, 1.0)
-    p = class_w / safe[:, None]
+def _node_stats(class_w: np.ndarray, criterion: str):
+    """Class distribution and impurity of each node from its (S, C) class
+    weights: row-wise :func:`node_impurity`, identical per-row float ops.
+    A node without weight gets the uniform distribution and impurity 0."""
+    total_w = np.add.reduce(class_w, axis=1)
+    empty = total_w <= 0
+    dist = class_w / np.where(empty, 1.0, total_w)[:, None]
     if criterion == "gini":
-        imp = 1.0 - np.add.reduce(p * p, axis=1)
+        imp = 1.0 - np.add.reduce(dist * dist, axis=1)
     else:
         # log2 of the *actual* probability (node_impurity does not clamp);
         # zero entries contribute exact 0.0 terms, which cannot change any
         # pairwise partial sum.
-        logp = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
-        imp = -np.add.reduce(p * logp, axis=1)
-    imp[total_w <= 0] = 0.0
-    return imp
+        logp = np.where(dist > 0, np.log2(np.where(dist > 0, dist, 1.0)), 0.0)
+        imp = -np.add.reduce(dist * logp, axis=1)
+    imp[empty] = 0.0
+    dist[empty] = 1.0 / class_w.shape[1]
+    return dist, imp
 
 
 def _grow_level_synchronous(
@@ -388,10 +402,16 @@ def _grow_level_synchronous(
     C = n_classes
     F = n_features
     B = int(n_bins_all.max()) if F else 0
-    # Per level, in construction order: (feature, threshold, left, right,
-    # value, n_samples, impurity); child ids are construction ids until
-    # the final renumbering.
+    # Per level, in construction order: (links, threshold, value,
+    # n_samples, impurity), where links holds (feature, left, right) per
+    # node; child ids are construction ids until the final renumbering.
     levels: List[Tuple[np.ndarray, ...]] = []
+    # Every feature's cut points in one flat table: the threshold of a
+    # split after code c of feature f is edge_table[edge_start[f] + c].
+    edge_table = np.concatenate(binner.edges_)
+    edge_start = np.cumsum(n_bins_all - 1) - (n_bins_all - 1)
+    # Row i's code on feature f sits at i * F + f.
+    codes = np.ascontiguousarray(X_binned).ravel()
 
     rows = np.arange(n_rows)
     slots = np.zeros(n_rows, dtype=np.int64)
@@ -413,76 +433,64 @@ def _grow_level_synchronous(
             level_watch.observe(level_hist)
         level_watch = telemetry.stopwatch()
         S = n_slots
-        y_lvl = y_encoded[rows]
+        y_lvl = y_encoded.take(rows)
         comb = slots * C + y_lvl
         counts_cls = np.bincount(comb, minlength=S * C).reshape(S, C)
         if uniform_weight:
             class_w = counts_cls.astype(np.float64)
         else:
             class_w = np.bincount(
-                comb, weights=sample_weight[rows], minlength=S * C
+                comb, weights=sample_weight.take(rows), minlength=S * C
             ).reshape(S, C)
         m_slot = np.add.reduce(counts_cls, axis=1)
-        total_w = np.add.reduce(class_w, axis=1)
-        imp = _node_impurity_rows(class_w, total_w, criterion)
-        dist = class_w / np.where(total_w > 0, total_w, 1.0)[:, None]
-        dist[total_w <= 0] = 1.0 / C
+        dist, imp = _node_stats(class_w, criterion)
         # Every node starts as a leaf; the split below fills in its slots.
-        feature = np.full(S, _LEAF, dtype=np.int64)
+        links = np.full((S, 3), _LEAF, dtype=np.int64)
         threshold = np.zeros(S)
-        left = np.full(S, _LEAF, dtype=np.int64)
-        right = np.full(S, _LEAF, dtype=np.int64)
-        levels.append((feature, threshold, left, right, dist, m_slot, imp))
+        levels.append((links, threshold, dist, m_slot, imp))
         base_id += S
 
         if depth >= max_depth or B < 2:
             break
         can_split = (m_slot >= min_samples_split) & (imp > 1e-12)
         eligible = np.flatnonzero(can_split)
-        if eligible.size == 0:
+        E = eligible.size
+        if E == 0:
             break
 
-        keep = can_split[slots]
-        r = rows[keep]
-        s_old = slots[keep]
-        remap = np.full(S, _LEAF, dtype=np.int64)
-        remap[eligible] = np.arange(eligible.size)
-        s_e = remap[s_old]
-        E = eligible.size
+        keep = can_split.take(slots)
+        r = rows.compress(keep)
+        # Each kept row's node on the eligible (E) axis.
+        node = (np.cumsum(can_split) - 1).take(slots.compress(keep))
         # One bincount over every (class, node, feature, bin) cell.
-        cells = x_off[r]
-        cells += ((y_lvl[keep] * E + s_e) * (F * B))[:, None]
+        cells = x_off.take(r, axis=0)
+        cells += ((y_lvl.compress(keep) * E + node) * (F * B))[:, None]
         counts, weighted = _class_planes(
-            cells, None if uniform_weight else sample_weight[r], (C, E, F, B)
+            cells, None if uniform_weight else sample_weight.take(r), (C, E, F, B)
         )
+        del cells
         best_pos, best_code, best_gain = _best_splits(
-            counts, weighted, class_w[eligible], imp[eligible],
-            m_slot[eligible], criterion, min_samples_leaf,
+            counts, weighted, class_w.take(eligible, axis=0), imp.take(eligible),
+            m_slot.take(eligible), criterion, min_samples_leaf,
         )
         ok = best_gain > min_impurity_decrease + 1e-12
-
-        split_slots = eligible[ok]
-        if split_slots.size == 0:
+        n_split = int(np.count_nonzero(ok))
+        if n_split == 0:
             break
-        n_split = split_slots.size
-        feature[split_slots] = best_pos[ok]
-        code = np.zeros(S, dtype=np.int64)
-        code[split_slots] = best_code[ok]
-        threshold[split_slots] = [
-            binner.threshold_value(f, c)
-            for f, c in zip(feature[split_slots].tolist(), code[split_slots].tolist())
-        ]
+        split_slots = eligible.compress(ok)
+        feat = best_pos.compress(ok)
+        links[split_slots, 0] = feat
+        threshold[split_slots] = edge_table.take(edge_start.take(feat) + best_code.compress(ok))
         # Split k's children are the next level's slots 2k (left), 2k + 1.
-        left[split_slots] = base_id + 2 * np.arange(n_split)
-        right[split_slots] = left[split_slots] + 1
+        left = base_id + 2 * np.arange(n_split)
+        links[split_slots, 1] = left
+        links[split_slots, 2] = left + 1
 
-        keep2 = feature[s_old] != _LEAF
-        rows = r[keep2]
-        s_old2 = s_old[keep2]
-        pair = np.full(S, _LEAF, dtype=np.int64)
-        pair[split_slots] = np.arange(n_split)
-        go_left = X_binned[rows, feature[s_old2]] <= code[s_old2]
-        slots = 2 * pair[s_old2] + ~go_left
+        moved = ok.take(node)
+        rows = r.compress(moved)
+        node = node.compress(moved)
+        go_right = codes.take(rows * F + best_pos.take(node)) > best_code.take(node)
+        slots = 2 * (np.cumsum(ok) - 1).take(node) + go_right
         n_slots = 2 * n_split
         depth += 1
 
@@ -493,11 +501,12 @@ def _grow_level_synchronous(
     # depth-first preorder (node, left subtree, right subtree): subtree
     # sizes bottom-up, then each left child follows its parent and each
     # right child follows the parent's left subtree.
-    feat_arr, thr_arr, left_arr, right_arr, val_arr, ns_arr, imp_arr = (
+    links, thr_arr, val_arr, ns_arr, imp_arr = (
         np.concatenate(column) for column in zip(*levels)
     )
+    feat_arr, left_arr, right_arr = links.T
     n = feat_arr.size
-    level_ids = np.split(np.arange(n), np.cumsum([lv[0].size for lv in levels])[:-1])
+    level_ids = np.split(np.arange(n), np.cumsum([lv[1].size for lv in levels])[:-1])
     inner_ids = [ids[feat_arr[ids] != _LEAF] for ids in level_ids]
     size = np.ones(n, dtype=np.int64)
     for ids in reversed(inner_ids):

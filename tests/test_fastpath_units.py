@@ -725,3 +725,50 @@ class TestFitDigestTool:
         assert len(easy) == 64 and easy != printed
         assert fit_digest.fit_digest(3000, 10.0, 1, estimator="easy_ensemble") == easy
         assert fit_digest.fit_digest(3000, 10.0, 1, estimator="spe") == printed
+
+        # GBDT keeps gradient regression trees in ``trees_``; a single tree
+        # has no ``n_estimators`` and is hashed through its own ``tree_``
+        run = subprocess.run(
+            [sys.executable, str(tools / "fit_digest.py"), *args,
+             "--estimator", "gbdt", "--predict"],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        gbdt = run.stdout.strip()
+        assert len(gbdt) == 64
+        assert fit_digest.fit_digest(3000, 10.0, 1, predict=True, estimator="gbdt") == gbdt
+        singles = {
+            name: fit_digest.fit_digest(3000, 10.0, 1, estimator=name)
+            for name in ("tree", "c45")
+        }
+        assert len({gbdt, printed, easy, *singles.values()}) == 5
+        assert fit_digest.fit_digest(3000, 10.0, 1, estimator="tree") == singles["tree"]
+
+    def test_digest_covers_every_tree_array(self):
+        """Each estimator kind's digest is exactly the SHA-256 over its
+        trees' node arrays in member order, so no array escapes the gate."""
+        import hashlib
+        import pathlib
+        import sys
+
+        from repro.datasets import make_credit_fraud
+        from repro.registry import get_classifier
+
+        sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
+        try:
+            import fit_digest
+        finally:
+            sys.path.pop(0)
+        X, y = make_credit_fraud(n_samples=2000, imbalance_ratio=10.0, random_state=2)
+        for name, params, trees, arrays in (
+            ("gbdt", {"n_estimators": 10}, lambda m: m.trees_,
+             fit_digest.GRADIENT_TREE_ARRAYS),
+            ("tree", {}, lambda m: [m.tree_], fit_digest.TREE_ARRAYS),
+        ):
+            model = get_classifier(name, random_state=2, **params).fit(X, y)
+            digest = hashlib.sha256()
+            for tree in trees(model):
+                for array_name in arrays:
+                    fit_digest._update(digest, array_name, getattr(tree, array_name))
+            assert fit_digest.fit_digest(2000, 10.0, 2, estimator=name) == digest.hexdigest()
+        assert set(fit_digest.GRADIENT_TREE_ARRAYS) == {
+            "feature_", "threshold_", "left_", "right_", "value_"}

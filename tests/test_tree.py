@@ -1,5 +1,8 @@
 """Tests for the decision-tree substrate (binning, CART, C4.5, export)."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from repro.tree import (
     C45Classifier,
     DecisionTreeClassifier,
     FeatureBinner,
+    _binning,
     export_text,
 )
 
@@ -64,15 +68,19 @@ def _reference_edges(col, max_bins):
 
 @st.composite
 def _binner_cases(draw):
-    """Matrices whose columns are continuous, heavily duplicated with a
-    distinct count right around ``max_bins``, constant, or rich in -0.0
-    and +0.0; the bulk values come from a drawn seed."""
+    """Matrices up to member-fit size (2,000+ rows, 32+ columns) whose
+    columns are continuous, heavily duplicated with a distinct count right
+    around ``max_bins``, constant, rich in -0.0 and +0.0, holding -0.0 but
+    never +0.0, or so large that a midpoint overflows to an infinite cut
+    above every value; the bulk values come from a drawn seed."""
     rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
-    n_rows = draw(st.integers(1, 300))
+    n_rows = draw(st.one_of(st.integers(1, 300), st.integers(2_000, 2_200)))
     max_bins = draw(st.integers(2, 255))
     columns = []
-    for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["continuous", "pool", "constant", "zeros"]))
+    for _ in range(draw(st.one_of(st.integers(1, 6), st.integers(32, 36)))):
+        kind = draw(st.sampled_from(
+            ["continuous", "pool", "constant", "zeros", "negative_zeros", "huge"]
+        ))
         if kind == "continuous":
             col = rng.randn(n_rows) * 10.0
         elif kind == "pool":
@@ -80,25 +88,37 @@ def _binner_cases(draw):
             col = rng.randn(n_distinct)[rng.randint(0, n_distinct, n_rows)]
         elif kind == "constant":
             col = np.full(n_rows, 0.5)
-        else:
+        elif kind == "zeros":
             col = np.round(rng.randn(n_rows) * draw(st.sampled_from([0.5, 4.0, 100.0])))
             col[rng.rand(n_rows) < 0.3] = -0.0
+        elif kind == "negative_zeros":
+            col = rng.randn(n_rows)
+            col[rng.rand(n_rows) < draw(st.sampled_from([0.3, 0.9]))] = -0.0
+        else:
+            col = rng.uniform(-1.0, 1.0, n_rows) * np.finfo(np.float64).max
         columns.append(col)
     return np.column_stack(columns), max_bins
 
 
 class TestFeatureBinnerAgainstReference:
     @settings(max_examples=200, deadline=None)
-    @given(case=_binner_cases())
-    def test_fit_transform_matches_fit_and_reference(self, case):
+    @given(case=_binner_cases(), block_columns=st.sampled_from([None, 1, 2, 3]))
+    def test_fit_transform_matches_fit_and_reference(self, case, block_columns):
+        """Both fits give the reference cut points bit for bit, and
+        ``fit_transform`` the codes of ``fit(X).transform(X)``, also when a
+        small block budget (1-3 columns a block) makes the matrix cross
+        block boundaries."""
         X, max_bins = case
-        fused = FeatureBinner(max_bins=max_bins)
-        codes = fused.fit_transform(X)
-        fitted = FeatureBinner(max_bins=max_bins).fit(X)
+        budget = _binning._BLOCK_VALUES if block_columns is None else X.shape[0] * block_columns
+        # Huge columns overflow a midpoint to inf, on every path alike.
+        with mock.patch.object(_binning, "_BLOCK_VALUES", budget), np.errstate(over="ignore"):
+            fused = FeatureBinner(max_bins=max_bins)
+            codes = fused.fit_transform(X)
+            fitted = FeatureBinner(max_bins=max_bins).fit(X)
+            want = [_reference_edges(X[:, j], max_bins) for j in range(X.shape[1])]
         expected = fitted.transform(X)
         assert codes.dtype == expected.dtype
         assert codes.tobytes() == expected.tobytes()
-        want = [_reference_edges(X[:, j], max_bins) for j in range(X.shape[1])]
         for binner in (fused, fitted):
             assert binner.n_bins_.tolist() == [e.size + 1 for e in want]
             for got, ref in zip(binner.edges_, want):
@@ -115,6 +135,23 @@ class TestFeatureBinnerAgainstReference:
             FeatureBinner(max_bins=max_bins).fit(X)
         with pytest.raises(DataValidationError):
             FeatureBinner(max_bins=max_bins).fit_transform(X)
+
+    @pytest.mark.parametrize("method", ["fit", "fit_transform"])
+    def test_block_budget_bounds_peak_memory(self, method):
+        """Binning a tall matrix holds one block of columns at a time: the
+        traced peak stays within the codes it returns plus a few
+        block-sized temporaries, well below one pass over the whole
+        matrix."""
+        X = np.random.RandomState(0).randn(_binning._BLOCK_VALUES // 2, 12)
+        block_bytes = 8 * _binning._BLOCK_VALUES
+        codes_bytes = 4 * X.size if method == "fit_transform" else 0
+        tracemalloc.start()
+        try:
+            getattr(FeatureBinner(max_bins=64), method)(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= codes_bytes + 8 * block_bytes < codes_bytes + 2 * X.nbytes
 
 
 class TestDecisionTree:

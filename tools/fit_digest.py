@@ -1,19 +1,30 @@
 #!/usr/bin/env python
-"""Print one SHA-256 over every member tree of an ensemble fit.
+"""Print one SHA-256 over every fitted tree of a model.
 
-Fits a registered ensemble (``--estimator``, a classifier-registry name,
-default ``spe``; 10 members, default trees) on a credit-fraud table and
-hashes each member's flat node arrays in member order, recursing into the
-members of a member (EasyEnsemble's AdaBoost bags). Two checkouts that
-print the same digest grew byte-identical trees, so a change to the fit
-path can show it kept every model by running this once per checkout:
+Fits a registered model (``--estimator``, a classifier-registry name,
+default ``spe``; 10 members where the model takes ``n_estimators``) on a
+credit-fraud table and hashes the flat node arrays of its trees in member
+order: each member's ``tree_``, recursing into the members of a member
+(EasyEnsemble's AdaBoost bags), a single tree's own ``tree_`` (``tree``,
+``c45``), and GBDT's ``trees_`` of gradient regression trees. Two
+checkouts that print the same digest grew byte-identical trees, so a
+change to the fit path can show it kept every model by running this once
+per checkout:
 
     PYTHONPATH=src python tools/fit_digest.py --rows 20000 --ir 20 --seed 3
     PYTHONPATH=src python tools/fit_digest.py --estimator forest --seed 3
+    PYTHONPATH=../parent/src python tools/fit_digest.py --seed 3  # another checkout
 
-``--seed`` seeds both the table and the ensemble. ``--predict`` also
-hashes the bytes of the fitted model's ``predict_proba`` on its own
-table, so equal digests then mean equal predictions as well as trees.
+``--seed`` seeds both the table and the model. ``--predict`` also hashes
+the bytes of the fitted model's ``predict_proba`` on its own table, so
+equal digests then mean equal predictions as well as trees.
+
+A digest is a same-host check: compare parent and change on one machine
+at one numpy CPU-dispatch level. numpy picks SIMD kernels per CPU, and
+``make_credit_fraud``'s Amount column goes through ``log1p``, whose last
+bit differs between dispatch levels (setting ``NPY_DISABLE_CPU_FEATURES``
+is enough to change it), so the table, and with it every digest, is only
+reproducible within one dispatch level.
 """
 
 from __future__ import annotations
@@ -26,6 +37,8 @@ import sys
 #: The node arrays of :class:`repro.tree._tree.Tree`, hashed in this order.
 TREE_ARRAYS = ("feature", "threshold", "children_left", "children_right",
                "value", "n_node_samples", "impurity")
+#: The node arrays of a GBDT ``GradientRegressionTree``, hashed in this order.
+GRADIENT_TREE_ARRAYS = ("feature_", "threshold_", "left_", "right_", "value_")
 
 
 def _update(digest, name: str, array) -> None:
@@ -36,24 +49,31 @@ def _update(digest, name: str, array) -> None:
 
 
 def _trees(model):
-    """Every fitted tree of ``model``'s members, in member order."""
-    for member in model.estimators_:
-        if hasattr(member, "tree_"):
-            yield member.tree_
-        else:
+    """``(tree, array names)`` for every fitted tree of ``model``, in
+    member order."""
+    if hasattr(model, "tree_"):
+        yield model.tree_, TREE_ARRAYS
+    elif hasattr(model, "trees_"):
+        for tree in model.trees_:
+            yield tree, GRADIENT_TREE_ARRAYS
+    else:
+        for member in model.estimators_:
             yield from _trees(member)
 
 
 def fit_digest(rows: int, ir: float, seed: int, predict: bool = False,
                estimator: str = "spe") -> str:
     from repro.datasets import make_credit_fraud
-    from repro.registry import get_classifier
+    from repro.registry import classifier_spec, get_classifier
 
     X, y = make_credit_fraud(n_samples=rows, imbalance_ratio=ir, random_state=seed)
-    model = get_classifier(estimator, n_estimators=10, random_state=seed).fit(X, y)
+    params = {"random_state": seed}
+    if "n_estimators" in classifier_spec(estimator).cls._get_param_names():
+        params["n_estimators"] = 10
+    model = get_classifier(estimator, **params).fit(X, y)
     digest = hashlib.sha256()
-    for tree in _trees(model):
-        for name in TREE_ARRAYS:
+    for tree, names in _trees(model):
+        for name in names:
             _update(digest, name, getattr(tree, name))
     if predict:
         _update(digest, "predict_proba", model.predict_proba(X))
@@ -68,7 +88,7 @@ def main(argv=None) -> int:
     parser.add_argument("--predict", action="store_true",
                         help="also hash predict_proba on the training table")
     parser.add_argument("--estimator", default="spe",
-                        help="classifier-registry name of the ensemble to fit")
+                        help="classifier-registry name of the model to fit")
     args = parser.parse_args(argv)
     print(fit_digest(args.rows, args.ir, args.seed, predict=args.predict,
                      estimator=args.estimator))
@@ -76,7 +96,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Appended, not prepended: a PYTHONPATH naming another checkout's src
+    # wins, so this one script can digest the parent's and the change's fit.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     if src not in sys.path:
-        sys.path.insert(0, src)
+        sys.path.append(src)
     sys.exit(main())
