@@ -67,7 +67,7 @@ fit-digest:
 	  done; \
 	done
 
-# Full-scale fastpath speedup benchmark (fit / predict, legacy vs packed
+# Full-scale fastpath speedup benchmark (predict_proba, per-tree vs packed
 # paths, bit-identity asserted on every pair).
 bench-fastpath:
 	$(PYTHON) benchmarks/bench_fastpath.py

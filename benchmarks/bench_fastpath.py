@@ -1,22 +1,18 @@
-"""Fastpath speedups: SPE fit, majority scoring, and ensemble predict_proba.
+"""Fastpath speedups: ensemble predict_proba, packed vs per-tree.
 
-Times the two hot paths the fastpath subsystem targets on the checkerboard
-benchmark at the paper's "highly imbalanced" shape (IR = 100):
-
-* **SPE end-to-end fit** — legacy (fastpath kernels disabled) vs the
-  default config (packed majority scoring).
-* **Ensemble ``predict_proba``** — the chunked per-tree path vs the packed
-  path, in bulk (one big batch) and serving style (512-row batches).
+Times ensemble ``predict_proba`` of an SPE fitted on the checkerboard
+benchmark at the paper's "highly imbalanced" shape (IR = 100): the chunked
+per-tree path (``packed="never"``) vs the packed path, in bulk (one big
+batch) and serving style (512-row batches).
 
 Every timed pair is also checked for the fastpath equivalence contract:
 the packed path must be *bit-identical* to the per-tree path on the same
-model, and the fastpath-scored SPE fit must be bit-identical to the
-legacy-scored fit. The bulk ``predict_proba`` speedup is asserted against a
-floor (``REPRO_FASTPATH_MIN_SPEEDUP``, default 1.2 — conservative so shared
-CI runners don't flake; the committed full-scale run shows the real
-margin). The fit speedup is recorded, not asserted: at smoke scale it sits
-too close to the floor to gate on, and the repository benchmark's
-``fit_s`` bound guards the default fit.
+model. The bulk ``predict_proba`` speedup is asserted against a floor
+(``REPRO_FASTPATH_MIN_SPEEDUP``, default 1.2 — conservative so shared CI
+runners don't flake; the committed full-scale run shows the real margin).
+The fit's packed majority scoring is checked bit for bit against the
+per-tree scorer by ``tests/test_fastpath_equivalence.py``
+(``TestScoringFastpath``).
 
 Writes ``BENCH_fastpath.json`` at the repo root. ``REPRO_SCALE`` scales the
 dataset; runs standalone or under pytest like every other bench.
@@ -33,7 +29,6 @@ from conftest import bench_scale, save_result
 
 from repro.core import SelfPacedEnsembleClassifier
 from repro.datasets import make_checkerboard
-from repro.fastpath import fastpath_disabled
 from repro.parallel import ensemble_predict_proba
 from repro.tree import DecisionTreeClassifier
 
@@ -74,38 +69,13 @@ def run_fastpath_bench(scale: float) -> dict:
     base = DecisionTreeClassifier(max_depth=8, random_state=0)
     classes = np.array([0, 1])
 
-    def build():
-        return SelfPacedEnsembleClassifier(
-            estimator=base, n_estimators=N_ESTIMATORS, random_state=0
-        )
-
+    model = SelfPacedEnsembleClassifier(
+        estimator=base, n_estimators=N_ESTIMATORS, random_state=0
+    ).fit(X, y)
     results = {}
 
-    # --- SPE end-to-end fit -------------------------------------------- #
-    def fit_legacy():
-        with fastpath_disabled():
-            return build().fit(X, y)
-
-    model_legacy, t_fit_legacy = _best_of(fit_legacy, repeats)
-    model_fast, t_fit_fast = _best_of(lambda: build().fit(X, y), repeats)
-    results["fit"] = {
-        "legacy_seconds": round(t_fit_legacy, 4),
-        "fastpath_seconds": round(t_fit_fast, 4),
-        "speedup": round(t_fit_legacy / t_fit_fast, 2),
-    }
-
-    # Scoring-path equivalence: fastpath on vs off must give bit-identical
-    # ensembles (same hardness → same draws → same trees).
-    with fastpath_disabled():
-        ref = model_legacy.predict_proba(X_test)
-    check = model_fast.predict_proba(X_test)
-    with fastpath_disabled():
-        check_legacy_eval = model_fast.predict_proba(X_test)
-    assert np.array_equal(ref, check_legacy_eval), "scoring fastpath diverged"
-    assert np.array_equal(check, check_legacy_eval), "packed predict diverged"
-
-    # --- predict_proba: packed traversal (default-config model) --------- #
-    trees = model_legacy.estimators_
+    # --- predict_proba: packed traversal vs per-tree -------------------- #
+    trees = model.estimators_
     proba_fast, t_bulk_fast = _best_of(
         lambda: ensemble_predict_proba(trees, X_test, classes), repeats
     )
@@ -114,6 +84,9 @@ def run_fastpath_bench(scale: float) -> dict:
         repeats,
     )
     assert np.array_equal(proba_fast, proba_legacy), "packed traversal diverged"
+    assert np.array_equal(model.predict_proba(X_test), proba_legacy), (
+        "packed predict diverged"
+    )
     _, t_serve_fast = _best_of(lambda: _serve(trees, X_test, classes, "auto"), repeats)
     _, t_serve_legacy = _best_of(
         lambda: _serve(trees, X_test, classes, "never"), repeats
@@ -144,7 +117,6 @@ def run_fastpath_bench(scale: float) -> dict:
         "cpu_count": os.cpu_count(),
         "results": results,
         "headline": {
-            "spe_fit_speedup": results["fit"]["speedup"],
             "predict_proba_speedup": headline_predict,
             "bit_identical": True,
         },
@@ -164,8 +136,6 @@ def _render(report: dict) -> str:
         f"|P|={ds['n_minority']}, |N|={ds['n_majority']}, IR={ds['imbalance_ratio']}, "
         f"{report['config']['n_estimators']} trees, depth 8) — all paths bit-identical",
         f"{'path':<28} {'legacy_s':>10} {'fast_s':>10} {'speedup':>8}",
-        f"{'SPE fit':<28} {r['fit']['legacy_seconds']:>10.4f} "
-        f"{r['fit']['fastpath_seconds']:>10.4f} {r['fit']['speedup']:>7.2f}x",
         f"{'predict bulk (packed)':<28} {r['predict_packed']['bulk_legacy_seconds']:>10.4f} "
         f"{r['predict_packed']['bulk_fastpath_seconds']:>10.4f} "
         f"{r['predict_packed']['bulk_speedup']:>7.2f}x",

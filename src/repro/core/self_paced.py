@@ -29,7 +29,7 @@ import numpy as np
 from .. import telemetry
 from ..base import BaseEstimator, ClassifierMixin
 from ..ensemble.bagging import make_member_model
-from ..fastpath import PackedForest, fastpath_enabled
+from ..fastpath import PackedForest
 from ..parallel import ensemble_predict_proba, fit_ensemble_member
 from ..utils.validation import (
     BinaryLabelEncoderMixin,
@@ -38,7 +38,6 @@ from ..utils.validation import (
     check_random_state,
     check_X_y,
     encode_binary_labels,
-    warn_shared_binning,
 )
 from .binning import (
     HardnessBins,
@@ -192,8 +191,8 @@ class InMemoryMajorityAccess:
     column, with the exact ``x < t`` comparison of
     :meth:`repro.tree.Tree.apply`, so the returned probabilities are
     bit-identical to the legacy ``proba_fn`` path (gated by the fastpath
-    equivalence suite); non-tree models, or ``REPRO_FASTPATH=0``, fall back
-    to ``proba_fn`` over a row-major copy.
+    equivalence suite); non-tree models fall back to ``proba_fn`` over a
+    row-major copy.
     """
 
     def __init__(self, X: np.ndarray, maj_idx: np.ndarray, proba_fn: Callable):
@@ -211,14 +210,13 @@ class InMemoryMajorityAccess:
 
     def score(self, model) -> np.ndarray:
         """Positive-class probability of ``model`` on every majority row."""
-        if fastpath_enabled():
-            forest = PackedForest.from_estimators([model], np.array([0, 1]))
-            if forest is not None and forest.n_features == len(self._columns):
-                # One member: its probability is its leaf value. Leaf values
-                # are finite and non-negative, so this read is bit-identical
-                # to proba_from_leaves (0.0 + x, then x / 1).
-                leaves = forest.apply_columns(self._columns)
-                return forest.value[leaves[0], 1]
+        forest = PackedForest.from_estimators([model], np.array([0, 1]))
+        if forest is not None and forest.n_features == len(self._columns):
+            # One member: its probability is its leaf value. Leaf values are
+            # finite and non-negative, so this read is bit-identical to
+            # proba_from_leaves (0.0 + x, then x / 1).
+            leaves = forest.apply_columns(self._columns)
+            return forest.value[leaves[0], 1]
         return self._proba_fn(model, np.ascontiguousarray(self._columns.T))
 
 
@@ -255,11 +253,10 @@ class SelfPacedEnsembleClassifier(
         (used by the Fig 3 reproduction).
     n_jobs : int, optional
         Workers for the chunked fallback scoring path; ``None``/1 serial,
-        ``-1`` all CPUs. That path runs only for non-tree members or with
-        ``REPRO_FASTPATH=0``: tree ensembles are scored (majority
-        re-scoring in ``fit``, ``eval_set`` and ``predict_proba``) by the
-        single-threaded packed kernel, which ignores ``n_jobs``,
-        ``backend`` and ``chunk_size``. Training stays
+        ``-1`` all CPUs. That path runs only for non-tree members: tree
+        ensembles are scored (majority re-scoring in ``fit``, ``eval_set``
+        and ``predict_proba``) by the single-threaded packed kernel, which
+        ignores ``n_jobs``, ``backend`` and ``chunk_size``. Training stays
         iteration-sequential (Algorithm 1 is a cascade), so results are
         identical for every ``n_jobs``.
     backend : {"serial", "thread", "process"}, default "thread"
@@ -268,21 +265,15 @@ class SelfPacedEnsembleClassifier(
         Rows per task on the chunked fallback path; default
         :data:`repro.parallel.DEFAULT_CHUNK_SIZE`. Any value yields the
         same probabilities.
-    shared_binning : bool, default False
-        Deprecated no-op, removed in the next release. ``True`` emits a
-        :class:`DeprecationWarning` from ``fit``, which then fits the
-        default path.
     random_state : int / RandomState, optional
 
     Notes
     -----
-    Two further fastpath knobs act on SPE without changing any result:
-    the packed-forest kernel behind ``predict_proba`` and the majority
-    scoring inside ``fit`` (each new member routed by node partition over a
-    column-major copy of the majority, raw thresholds, no rank codes) are
-    bit-identical to the legacy per-tree loops and are on by default — set
-    ``REPRO_FASTPATH=0`` (or use :func:`repro.fastpath.fastpath_disabled`)
-    to fall back, e.g. for A/B timing (``benchmarks/bench_fastpath.py``).
+    Tree members are scored by the packed-forest kernel, both behind
+    ``predict_proba`` and in the majority scoring inside ``fit`` (each new
+    member routed by node partition over a column-major copy of the
+    majority, raw thresholds, no rank codes). Both are bit-identical to the
+    per-tree loops that score every other kind of member.
 
     Attributes
     ----------
@@ -320,7 +311,6 @@ class SelfPacedEnsembleClassifier(
         n_jobs: Optional[int] = None,
         backend: str = "thread",
         chunk_size: Optional[int] = None,
-        shared_binning: bool = False,
         random_state=None,
     ):
         self.estimator = estimator
@@ -333,7 +323,6 @@ class SelfPacedEnsembleClassifier(
         self.n_jobs = n_jobs
         self.backend = backend
         self.chunk_size = chunk_size
-        self.shared_binning = shared_binning
         self.random_state = random_state
 
     # ------------------------------------------------------------------ #
@@ -375,7 +364,6 @@ class SelfPacedEnsembleClassifier(
         eval data is recorded after every iteration in ``train_curve_``
         (the paper's Fig 5 training curves).
         """
-        warn_shared_binning(self)
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if self.k_bins < 1:

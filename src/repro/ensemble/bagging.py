@@ -15,7 +15,6 @@ from ..utils.validation import (
     check_is_fitted,
     check_random_state,
     check_X_y,
-    warn_shared_binning,
 )
 
 __all__ = [
@@ -84,10 +83,6 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
     ``n_jobs`` / ``backend`` drive both the per-member fits and the chunked
     ``predict_proba`` through :mod:`repro.parallel`; results are identical
     for every backend and worker count at a fixed ``random_state``.
-
-    ``shared_binning`` is a deprecated no-op, removed in the next release:
-    ``True`` emits a :class:`DeprecationWarning` from ``fit``, which then
-    fits the default path.
     """
 
     def __init__(
@@ -98,7 +93,6 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
         bootstrap: bool = True,
         n_jobs: Optional[int] = None,
         backend: str = "thread",
-        shared_binning: bool = False,
         random_state=None,
     ):
         self.estimator = estimator
@@ -107,12 +101,10 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
         self.bootstrap = bootstrap
         self.n_jobs = n_jobs
         self.backend = backend
-        self.shared_binning = shared_binning
         self.random_state = random_state
 
     def fit(self, X, y) -> "BaggingClassifier":
         """Fit on ``X``, ``y``; returns ``self``."""
-        warn_shared_binning(self)
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if not 0.0 < self.max_samples <= 1.0:

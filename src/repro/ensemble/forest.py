@@ -15,7 +15,6 @@ from ..utils.validation import (
     check_is_fitted,
     check_random_state,
     check_X_y,
-    warn_shared_binning,
 )
 
 __all__ = ["RandomForestClassifier"]
@@ -52,10 +51,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     Tree fits and chunked ``predict_proba`` run through the
     :mod:`repro.parallel` engine; ``n_jobs`` / ``backend`` never change the
     forest grown under a fixed ``random_state``.
-
-    ``shared_binning`` is a deprecated no-op, removed in the next release:
-    ``True`` emits a :class:`DeprecationWarning` from ``fit``, which then
-    fits the default path.
     """
 
     def __init__(
@@ -70,7 +65,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         max_bins: int = 64,
         n_jobs: Optional[int] = None,
         backend: str = "thread",
-        shared_binning: bool = False,
         random_state=None,
     ):
         self.n_estimators = n_estimators
@@ -83,12 +77,10 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         self.max_bins = max_bins
         self.n_jobs = n_jobs
         self.backend = backend
-        self.shared_binning = shared_binning
         self.random_state = random_state
 
     def fit(self, X, y) -> "RandomForestClassifier":
         """Fit on ``X``, ``y``; returns ``self``."""
-        warn_shared_binning(self)
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         X, y = check_X_y(X, y)

@@ -8,11 +8,9 @@ the SPE fit loop re-scores its column-major majority with each new member,
 on the raw thresholds). :func:`cached_packed_ensemble` keeps one pack per
 ensemble for repeated calls. :class:`ScoringMatrix` rank-codes a fixed
 matrix for exact scoring over integer codes. All are bit-identical to the
-legacy per-tree path and on by default (``REPRO_FASTPATH=0`` /
-:func:`fastpath_disabled` opt out).
+per-tree path, which serves only ensembles that do not pack.
 """
 
-from .config import fastpath_disabled, fastpath_enabled, set_fastpath
 from .packed import (
     ESTIMATOR_BLOCK,
     PackedForest,
@@ -25,9 +23,6 @@ from .packed import (
 __all__ = [
     "cached_packed_ensemble",
     "warm_serving_pack",
-    "fastpath_disabled",
-    "fastpath_enabled",
-    "set_fastpath",
     "ESTIMATOR_BLOCK",
     "PackedForest",
     "ScoringMatrix",

@@ -73,7 +73,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..tree._tree import Tree
-from .config import fastpath_enabled
 
 __all__ = [
     "ESTIMATOR_BLOCK",
@@ -446,16 +445,15 @@ def warm_serving_pack(model) -> bool:
     Uses the model's ``__serving_ensemble__`` hook — the exact
     ``(estimators, classes)`` pair ``predict_proba`` feeds to the pack
     cache — so the warmed entry is the one every later request hits.
-    ``False`` when the model has no hook, its members are not packable,
-    or the fastpath is disabled; callers then serve through the model's
-    normal path. This is the pre-build step of both
-    :class:`~repro.serving.ModelServer` construction and
-    :meth:`~repro.serving.ModelServer.swap_model` — the swap packs the
+    ``False`` when the model has no hook or its members are not packable;
+    callers then serve through the model's normal path. This is the
+    pre-build step of both :class:`~repro.serving.ModelServer` construction
+    and :meth:`~repro.serving.ModelServer.swap_model` — the swap packs the
     challenger *before* flipping the active model, so no in-flight request
     ever waits on a re-pack.
     """
     hook = getattr(model, "__serving_ensemble__", None)
-    if hook is None or not fastpath_enabled():
+    if hook is None:
         return False
     estimators, classes = hook()
     return cached_packed_ensemble(list(estimators), classes) is not None

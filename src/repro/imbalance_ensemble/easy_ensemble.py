@@ -9,7 +9,6 @@ import numpy as np
 
 from ..ensemble.adaboost import AdaBoostClassifier, fit_supports_sample_weight
 from ..tree import DecisionTreeClassifier
-from ..utils.validation import warn_shared_binning
 from .base import (
     BaseImbalanceEnsemble,
     balanced_subset_sample,
@@ -41,10 +40,6 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
     ``n_boost_rounds=1`` — or passing such a learner with
     ``boost_incapable='plain'`` — degenerates to UnderBagging, which is the
     equivalence the paper notes for C4.5.
-
-    ``shared_binning`` is a deprecated no-op, removed in the next release:
-    ``True`` emits a :class:`DeprecationWarning` from ``fit``, which then
-    fits the default path.
     """
 
     def __init__(
@@ -55,7 +50,6 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
         boost_incapable: str = "resample",
         n_jobs: Optional[int] = None,
         backend: str = "thread",
-        shared_binning: bool = False,
         random_state=None,
     ):
         self.estimator = estimator
@@ -64,7 +58,6 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
         self.boost_incapable = boost_incapable
         self.n_jobs = n_jobs
         self.backend = backend
-        self.shared_binning = shared_binning
         self.random_state = random_state
 
     def _member_factory(self):
@@ -90,7 +83,6 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
 
     def fit(self, X, y) -> "EasyEnsembleClassifier":
         """Fit on ``X``, ``y``; returns ``self``."""
-        warn_shared_binning(self)
         make_model = self._member_factory()
         X, y, rng = self._validate(X, y)
         self.estimators_, self.n_training_samples_ = fit_resampled_ensemble(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..utils.validation import warn_shared_binning
 from .base import (
     BaseImbalanceEnsemble,
     balanced_subset_sample,
@@ -21,10 +20,6 @@ class UnderBaggingClassifier(BaseImbalanceEnsemble):
     plus an equally sized random draw of the majority — cheap, but each bag
     sees only ``|P| / |N|`` of the majority information, the information-loss
     failure mode the paper attributes to RandUnder-style methods.
-
-    ``shared_binning`` is a deprecated no-op, removed in the next release:
-    ``True`` emits a :class:`DeprecationWarning` from ``fit``, which then
-    fits the default path.
     """
 
     def __init__(
@@ -33,19 +28,16 @@ class UnderBaggingClassifier(BaseImbalanceEnsemble):
         n_estimators: int = 10,
         n_jobs: Optional[int] = None,
         backend: str = "thread",
-        shared_binning: bool = False,
         random_state=None,
     ):
         self.estimator = estimator
         self.n_estimators = n_estimators
         self.n_jobs = n_jobs
         self.backend = backend
-        self.shared_binning = shared_binning
         self.random_state = random_state
 
     def fit(self, X, y) -> "UnderBaggingClassifier":
         """Fit on ``X``, ``y``; returns ``self``."""
-        warn_shared_binning(self)
         X, y, rng = self._validate(X, y)
         self.estimators_, self.n_training_samples_ = fit_resampled_ensemble(
             X,

@@ -14,7 +14,7 @@
   bit-identical to the chunked path.
 
 * **Chunked fallback** (non-tree members, mixed ensembles, or
-  ``REPRO_FASTPATH=0``): rows are cut into cache-friendly chunks and
+  ``packed="never"``): rows are cut into cache-friendly chunks and
   estimators into fixed-size blocks, each (chunk, block) cell computes a
   partial probability sum, and cells are reduced in grid order. The grid
   and the reduction order depend only on the inputs and ``chunk_size`` —
@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..fastpath.config import fastpath_enabled
 from ..fastpath.packed import ESTIMATOR_BLOCK, cached_packed_ensemble
 from .executor import parallel_map
 
@@ -145,9 +144,9 @@ def ensemble_predict_proba(
         travel one chunk per task.
     chunk_size : rows per task on the chunked path (default
         :data:`DEFAULT_CHUNK_SIZE`). The result is independent of the value.
-    packed : ``"auto"`` (packed kernel for all-tree ensembles when the
-        fastpath is enabled, chunked otherwise) or ``"never"`` (always the
-        chunked path). Both paths are bit-identical.
+    packed : ``"auto"`` (packed kernel for packable ensembles, chunked
+        otherwise) or ``"never"`` (always the chunked path). Both paths
+        are bit-identical.
     """
     estimators = list(estimators)
     if not estimators:
@@ -162,7 +161,7 @@ def ensemble_predict_proba(
         raise ValueError("chunk_size must be >= 1")
 
     watch = telemetry.stopwatch()
-    if packed == "auto" and fastpath_enabled():
+    if packed == "auto":
         proba = _packed_proba(estimators, X, classes)
         if proba is not None:
             watch.observe(_predict_histogram("packed"))

@@ -82,6 +82,10 @@ _AUX: Dict[str, str] = {
 #: on load, nothing is imported for them.
 _RETIRED = frozenset({"SharedBinContext"})
 
+#: Hyper-parameters that older artifacts store and no constructor takes
+#: any more; they are dropped on load.
+_RETIRED_PARAMS = frozenset({"shared_binning"})
+
 
 def _persistable_names():
     from ..registry import list_classifiers, classifier_spec
@@ -180,7 +184,11 @@ def _encode_params(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _decode_params(params: Dict[str, Any]) -> Dict[str, Any]:
-    return {k: _decode_value(v) for k, v in params.items()}
+    return {
+        k: _decode_value(v)
+        for k, v in params.items()
+        if k not in _RETIRED_PARAMS
+    }
 
 
 # --------------------------------------------------------------------- #

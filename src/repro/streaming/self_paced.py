@@ -41,7 +41,6 @@ from ..parallel import ensemble_predict_proba, fit_ensemble_member
 from ..utils.validation import (
     check_array,
     check_random_state,
-    warn_shared_binning,
 )
 from .reservoir import BinReservoir, streaming_self_paced_under_sample
 from .sources import (
@@ -104,13 +103,9 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
     mode : {"exact", "reservoir"}, default "exact"
         See the module docstring. ``"exact"`` is bit-identical to the
         in-memory classifier for the same ``random_state``; ``"reservoir"``
-        bounds memory independently of the majority size.
-
-        ``shared_binning`` is a deprecated no-op, removed in the next
-        release: ``True`` emits a :class:`DeprecationWarning` from ``fit``,
-        which then fits the default path. The bit-identical inference
-        fastpath applies — per-iteration block scoring and
-        ``predict_proba`` run through the packed kernel automatically.
+        bounds memory independently of the majority size. Tree members
+        are scored by the bit-identical packed kernel, in per-iteration
+        block scoring and in ``predict_proba``.
     hardness_range : (low, high), default (0.0, 1.0)
         Fixed bin support for ``mode="reservoir"`` (unbounded hardness
         functions such as cross-entropy are clipped into it). Ignored in
@@ -138,7 +133,6 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
         n_jobs: Optional[int] = None,
         backend: str = "thread",
         chunk_size: Optional[int] = None,
-        shared_binning: bool = False,
         random_state=None,
         mode: str = "exact",
         hardness_range: Tuple[float, float] = (0.0, 1.0),
@@ -154,7 +148,6 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
             n_jobs=n_jobs,
             backend=backend,
             chunk_size=chunk_size,
-            shared_binning=shared_binning,
             random_state=random_state,
         )
         self.mode = mode
@@ -166,7 +159,6 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
     ) -> "StreamingSelfPacedEnsembleClassifier":
         """Fit from a :class:`DataSource` (or an in-memory ``(X, y)`` pair,
         which is wrapped in an :class:`ArraySource` and streamed)."""
-        warn_shared_binning(self)
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if self.k_bins < 1:

@@ -33,7 +33,8 @@ def _bin_block(T, quantiles, max_bins, codes=None):
 
     A row with at most ``max_bins`` distinct values is cut midway between
     consecutive run heads of its sorted values: exact splits. Midpoints
-    never see the sign of a zero. Any other row is cut at its distinct
+    never see the sign of a zero, and two values whose sum overflows are
+    halved before they are added. Any other row is cut at its distinct
     ``quantiles``: one 2-D ``np.quantile`` over the sorted rows, which on
     sorted input is bit for bit the per-column call, then a dedupe of each
     sorted row of quantiles, which is ``np.unique`` as long as no two of
@@ -65,7 +66,12 @@ def _bin_block(T, quantiles, max_bins, codes=None):
     exact = np.flatnonzero(n_distinct <= max_bins)
     if exact.size:
         unique = S[exact][head[exact]]
-        mids = (unique[:-1] + unique[1:]) / 2.0
+        with np.errstate(over="ignore"):
+            mids = (unique[:-1] + unique[1:]) / 2.0
+        # Values are finite, so an infinite midpoint is an overflowed sum:
+        # halve before adding there.
+        big = np.flatnonzero(np.isinf(mids))
+        mids[big] = unique[big] / 2.0 + unique[big + 1] / 2.0
         # Drop the pairs that straddle two rows: one row's edges remain.
         ends = np.cumsum(n_distinct[exact])
         mids = np.delete(mids, ends[:-1] - 1)
@@ -93,8 +99,8 @@ def _bin_block(T, quantiles, max_bins, codes=None):
             np.searchsorted(S[c], e, side="left") + c * (n + 1)
             for c, e in enumerate(edges)
         ])
-        # Rows of n + 1 marks: a cut above every value (a midpoint that
-        # overflowed to inf) lands in the spare slot and bumps no code.
+        # Rows of n + 1 marks: a cut above every value would land in the
+        # spare slot and bump no code.
         marks = np.bincount(steps, minlength=k * (n + 1))
         marks = np.cumsum(marks, out=marks).reshape(k, n + 1)
         # The flat cumsum carries every earlier row's marks: take them off.

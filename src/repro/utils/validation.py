@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numbers
-import warnings
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "binary_column_order",
     "decode_binary_proba",
     "BinaryLabelEncoderMixin",
-    "warn_shared_binning",
 ]
 
 
@@ -274,22 +272,3 @@ class BinaryLabelEncoderMixin:
         """Internal ``[P(majority), P(minority)]`` columns → ``classes_`` order."""
         return decode_binary_proba(internal, self.classes_, self.minority_class_)
 
-
-def warn_shared_binning(estimator: Any) -> None:
-    """Emit the deprecation warning of ``shared_binning=True`` from ``fit``.
-
-    Shared binning (bin the training matrix once, fit every member on the
-    cached codes) is gone: every member trains on a balanced subset of
-    about ``2|P|`` rows, so binning the whole matrix bought nothing on the
-    paper's method. The six ensembles that took the flag keep it for one
-    deprecation cycle — saved artifacts store it — and fit the default
-    path whatever its value.
-    """
-    if getattr(estimator, "shared_binning", False):
-        warnings.warn(
-            f"{type(estimator).__name__}(shared_binning=True) is deprecated "
-            "and has no effect; the parameter will be removed in a future "
-            "release",
-            DeprecationWarning,
-            stacklevel=3,
-        )

@@ -10,7 +10,7 @@ Hypothesis draws a table and an ensemble config:
 * one of ``spe``, ``forest``, ``bagging``, ``under_bagging`` or
   ``easy_ensemble`` with 1–4 members and a seed.
 
-The reference fits and predicts inside :func:`fastpath_disabled` (the
+The reference fits and predicts inside ``per_tree_reference()`` (the
 per-tree loops end to end). The default-path model in memory, its artifact
 loaded on the heap and mmap'd, and a :class:`ModelServer` on the artifact
 must each return ``predict_proba`` bit-equal to it. One fixed example also
@@ -28,11 +28,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fastpath import fastpath_disabled
 from repro.persistence import load_model, save_model
 from repro.registry import get_classifier
 from repro.serving import ModelServer, WorkerPool
 from repro.utils.validation import check_random_state
+
+from per_tree import per_tree_reference
 
 MAX_MAJORITY = 400
 MAX_FEATURES = 6
@@ -105,7 +106,7 @@ def _build(name: str, n_estimators: int, seed: int):
 
 
 def _reference(name, n_estimators, seed, X, y) -> bytes:
-    with fastpath_disabled():
+    with per_tree_reference():
         return _build(name, n_estimators, seed).fit(X, y).predict_proba(X).tobytes()
 
 

@@ -8,12 +8,7 @@ import pytest
 from repro.core import SelfPacedEnsembleClassifier
 from repro.datasets import make_checkerboard
 from repro.ensemble import BaggingClassifier, RandomForestClassifier
-from repro.fastpath import (
-    PackedForest,
-    ScoringMatrix,
-    cached_packed_ensemble,
-    fastpath_disabled,
-)
+from repro.fastpath import PackedForest, ScoringMatrix, cached_packed_ensemble
 from repro.imbalance_ensemble import (
     BalanceCascadeClassifier,
     EasyEnsembleClassifier,
@@ -22,6 +17,8 @@ from repro.imbalance_ensemble import (
 from repro.parallel import ensemble_predict_proba
 from repro.streaming import ArraySource, StreamingSelfPacedEnsembleClassifier
 from repro.tree import DecisionTreeClassifier
+
+from per_tree import per_tree_reference
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +38,8 @@ def _assert_packed_matches_legacy(model, X):
         model.estimators_, X, model.classes_, packed="never"
     )
     assert np.array_equal(proba_fast, proba_legacy)
-    # and through the public API with the kernels globally disabled
-    with fastpath_disabled():
+    # and through the public API with packing declined
+    with per_tree_reference():
         assert np.array_equal(model.predict_proba(X), proba_legacy)
 
 
@@ -52,17 +49,6 @@ class TestPackedEqualsPerTree:
     def test_self_paced_ensemble(self, data, test_rows):
         X, y = data
         model = SelfPacedEnsembleClassifier(n_estimators=6, random_state=0).fit(X, y)
-        _assert_packed_matches_legacy(model, test_rows)
-
-    def test_self_paced_ensemble_shared_binning(self, data, test_rows):
-        """The deprecated flag fits the default path, so the packed kernel
-        still serves it bit-identically."""
-        X, y = data
-        model = SelfPacedEnsembleClassifier(
-            n_estimators=6, shared_binning=True, random_state=0
-        )
-        with pytest.warns(DeprecationWarning, match="shared_binning"):
-            model.fit(X, y)
         _assert_packed_matches_legacy(model, test_rows)
 
     def test_random_forest(self, data, test_rows):
@@ -164,17 +150,17 @@ class TestScoringFastpath:
         self, data, test_rows, fused_lanes, monkeypatch
     ):
         """Both routing regimes of the fit loop's scoring — the large-batch
-        partition kernel and the fused one — against the legacy scorer."""
+        partition kernel and the fused one — against the per-tree scorer."""
         import repro.fastpath.packed as packed_mod
 
         X, y = data
         monkeypatch.setattr(packed_mod, "_FUSED_LANES", fused_lanes)
         fast = SelfPacedEnsembleClassifier(n_estimators=6, random_state=0).fit(X, y)
-        with fastpath_disabled():
+        with per_tree_reference():
             legacy = SelfPacedEnsembleClassifier(
                 n_estimators=6, random_state=0
             ).fit(X, y)
-            # evaluate both through the same (legacy) path to isolate fit
+            # evaluate both through the same (per-tree) path to isolate fit
             p_fast = fast.predict_proba(test_rows)
             p_legacy = legacy.predict_proba(test_rows)
         assert np.array_equal(p_fast, p_legacy)
@@ -193,117 +179,6 @@ class TestScoringFastpath:
         assert np.array_equal(
             scoring.score(forest), forest.predict_proba(test_rows)
         )
-
-
-#: The six ensembles that keep ``shared_binning`` as a deprecated no-op,
-#: each with a small config that fits fast.
-DEPRECATED_FLAG_BUILDERS = {
-    "spe": lambda **kw: SelfPacedEnsembleClassifier(n_estimators=4, **kw),
-    "streaming_spe": lambda **kw: StreamingSelfPacedEnsembleClassifier(
-        n_estimators=4, **kw
-    ),
-    "forest": lambda **kw: RandomForestClassifier(n_estimators=4, **kw),
-    "bagging": lambda **kw: BaggingClassifier(n_estimators=4, **kw),
-    "under_bagging": lambda **kw: UnderBaggingClassifier(n_estimators=4, **kw),
-    "easy_ensemble": lambda **kw: EasyEnsembleClassifier(
-        n_estimators=3, n_boost_rounds=3, **kw
-    ),
-}
-
-
-def _member_tree_bytes(model):
-    """Bytes of every fitted tree, recursing into boosted bags."""
-    out = []
-    for member in model.estimators_:
-        if hasattr(member, "tree_"):
-            tree = member.tree_
-            out.append(b"".join(
-                getattr(tree, name).tobytes()
-                for name in ("feature", "threshold", "children_left",
-                             "children_right", "value")
-            ))
-        else:
-            out.extend(_member_tree_bytes(member))
-    return out
-
-
-class TestSharedBinningBehaviour:
-    """``shared_binning`` is a deprecated no-op: ``True`` warns once, at
-    ``fit``, and fits exactly the model of ``shared_binning=False``."""
-
-    @pytest.mark.parametrize("name", sorted(DEPRECATED_FLAG_BUILDERS))
-    def test_flag_warns_once_at_fit_and_fits_default(
-        self, data, test_rows, tmp_path, name
-    ):
-        import warnings
-
-        from repro.persistence import load_model, save_model
-
-        X, y = data
-        build = DEPRECATED_FLAG_BUILDERS[name]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            flagged = build(shared_binning=True, random_state=0)
-            assert not caught, "constructing with the flag must not warn"
-            flagged.fit(X, y)
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
-            assert "shared_binning" in str(deprecations[0].message)
-            # the warning points at the caller of fit, not at the library
-            assert deprecations[0].filename == __file__
-            path = save_model(flagged, tmp_path / f"{name}.npz")
-            caught.clear()
-            loaded = load_model(path)
-            assert not caught, "loading a flagged artifact must not warn"
-        assert loaded.shared_binning is True
-        default = build(random_state=0).fit(X, y)
-        assert _member_tree_bytes(flagged) == _member_tree_bytes(default)
-        assert flagged.predict_proba(test_rows).tobytes() == (
-            default.predict_proba(test_rows).tobytes()
-        )
-
-    def test_deterministic_and_backend_equivalent(self, data, test_rows):
-        X, y = data
-        ref = None
-        for backend in ("serial", "thread", "process"):
-            model = UnderBaggingClassifier(
-                n_estimators=5, shared_binning=True, backend=backend,
-                n_jobs=2, random_state=0,
-            )
-            with pytest.warns(DeprecationWarning, match="shared_binning"):
-                model.fit(X, y)
-            proba = model.predict_proba(test_rows)
-            if ref is None:
-                ref = proba
-            assert np.array_equal(proba, ref)
-
-    def test_spe_draws_same_rows_either_mode(self, data):
-        """RNG consumption does not depend on the flag: both settings train
-        on the same subsets."""
-        X, y = data
-        a = SelfPacedEnsembleClassifier(n_estimators=6, random_state=0).fit(X, y)
-        b = SelfPacedEnsembleClassifier(
-            n_estimators=6, shared_binning=True, random_state=0
-        )
-        with pytest.warns(DeprecationWarning, match="shared_binning"):
-            b.fit(X, y)
-        assert a.n_training_samples_ == b.n_training_samples_
-        assert [e.tree_.n_node_samples[0] for e in a.estimators_] == [
-            e.tree_.n_node_samples[0] for e in b.estimators_
-        ]
-
-    def test_forest_and_bagging_shared_fit_predicts_sanely(self, data, test_rows):
-        X, y = data
-        for cls in (RandomForestClassifier, BaggingClassifier, EasyEnsembleClassifier):
-            model = cls(n_estimators=4, shared_binning=True, random_state=0)
-            with pytest.warns(DeprecationWarning, match="shared_binning"):
-                model.fit(X, y)
-            proba = model.predict_proba(test_rows)
-            assert proba.shape == (len(test_rows), 2)
-            assert np.allclose(proba.sum(axis=1), 1.0)
-            _assert_packed_matches_legacy(model, test_rows)
 
 
 class TestPackCache:

@@ -10,18 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.binning import cut_hardness_bins, allocate_bin_samples, self_paced_bin_weights
 from repro.core.self_paced import self_paced_under_sample
-from repro.fastpath import (
-    PackedForest,
-    ScoringMatrix,
-    fastpath_disabled,
-    fastpath_enabled,
-    set_fastpath,
-)
+from repro.fastpath import PackedForest, ScoringMatrix
 from repro.parallel import ensemble_predict_proba
 from repro.parallel.executor import parallel_map
 from repro.parallel.inference import _SHARED_PAYLOADS
 from repro.tree import DecisionTreeClassifier, FeatureBinner
 from repro.tree._tree import _LEAF, Tree, _grow_depth_first, build_tree
+
+from per_tree import per_tree_reference
 
 
 # --------------------------------------------------------------------- #
@@ -567,7 +563,7 @@ class TestMajorityScoring:
             forest = PackedForest.from_estimators([member], np.array([0, 1]))
             columns = np.ascontiguousarray(X[maj_idx].T)
             want = forest.proba_from_leaves(forest.apply_columns(columns))[:, 1]
-        with fastpath_disabled():
+        with per_tree_reference():
             legacy = majority.score(member)
         assert got.shape == (len(maj_idx),)
         assert np.array_equal(got, want)
@@ -664,19 +660,42 @@ class TestInferencePayloads:
 
 
 # --------------------------------------------------------------------- #
-class TestConfigSwitch:
-    def test_env_and_override(self, monkeypatch):
-        assert fastpath_enabled()
-        with fastpath_disabled():
-            assert not fastpath_enabled()
-        assert fastpath_enabled()
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        assert not fastpath_enabled()
-        set_fastpath(True)
-        try:
-            assert fastpath_enabled()
-        finally:
-            set_fastpath(None)
+class TestPerTreeReference:
+    """``per_tree_reference`` is the oracle of the differential, fastpath
+    and persistence suites. If it stopped declining packing, they would
+    compare the packed path with itself and still pass."""
+
+    def test_reference_runs_per_tree_and_default_packs(self, rng, monkeypatch):
+        from repro.core import SelfPacedEnsembleClassifier
+        from repro.fastpath import warm_serving_pack
+        from repro.parallel import inference
+
+        calls = {"packed": 0, "chunked": 0}
+        route, partial = PackedForest._route, inference._partial_proba
+
+        def counting_route(self, *args, **kwargs):
+            calls["packed"] += 1
+            return route(self, *args, **kwargs)
+
+        def counting_partial(task):
+            calls["chunked"] += 1
+            return partial(task)
+
+        monkeypatch.setattr(PackedForest, "_route", counting_route)
+        monkeypatch.setattr(inference, "_partial_proba", counting_partial)
+        X = rng.randn(600, 3)
+        y = (X[:, 0] + 0.5 * rng.randn(600) > 1.5).astype(int)
+        with per_tree_reference():
+            model = SelfPacedEnsembleClassifier(n_estimators=4, random_state=0)
+            reference = model.fit(X, y).predict_proba(X)
+            assert not warm_serving_pack(model)
+        # the 3 majority re-scorings of the fit (one per member after the
+        # cold start) and the predict each ran one chunked cell
+        assert calls == {"packed": 0, "chunked": 4}
+        calls.update(packed=0, chunked=0)
+        assert warm_serving_pack(model)
+        assert model.predict_proba(X).tobytes() == reference.tobytes()
+        assert calls == {"packed": 1, "chunked": 0}
 
 
 # --------------------------------------------------------------------- #

@@ -3,7 +3,7 @@
 The acceptance criteria of the persistence issue:
 
 * ``load_model(save_model(clf))`` predicts **bit-identically** to ``clf``
-  for every ensemble class, with the fastpath on and off and across
+  for every ensemble class, on the packed and the per-tree path and across
   execution backends;
 * corrupted artifacts and unknown schema versions are rejected with clear
   :class:`~repro.exceptions.PersistenceError`\\ s, never silently misread;
@@ -24,12 +24,13 @@ from repro.datasets import make_checkerboard
 from repro.ensemble.bagging import BaggingClassifier
 from repro.ensemble.forest import RandomForestClassifier
 from repro.exceptions import NotFittedError, PersistenceError
-from repro.fastpath import fastpath_disabled
 from repro.imbalance_ensemble import EasyEnsembleClassifier, UnderBaggingClassifier
 from repro.persistence import SCHEMA_VERSION, load_model, save_model
 from repro.persistence.format import MAGIC
 from repro.streaming import StreamingSelfPacedEnsembleClassifier
 from repro.tree import DecisionTreeClassifier
+
+from per_tree import per_tree_reference
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +43,6 @@ def data():
 def _builders():
     return {
         "spe": lambda: SelfPacedEnsembleClassifier(n_estimators=4, random_state=0),
-        "spe_shared": lambda: SelfPacedEnsembleClassifier(
-            n_estimators=4, shared_binning=True, random_state=0
-        ),
         "streaming_spe": lambda: StreamingSelfPacedEnsembleClassifier(
             n_estimators=4, random_state=0
         ),
@@ -62,18 +60,12 @@ class TestRoundTripBitIdentity:
     @pytest.mark.parametrize("fastpath", [True, False], ids=["fastpath", "legacy"])
     def test_predict_proba_bit_identical(self, data, tmp_path, name, fastpath):
         X, y, X_test = data
-        clf = _builders()[name]()
-        if clf.get_params().get("shared_binning"):
-            # the deprecated no-op flag still round-trips in the params
-            with pytest.warns(DeprecationWarning, match="shared_binning"):
-                clf.fit(X, y)
-        else:
-            clf.fit(X, y)
+        clf = _builders()[name]().fit(X, y)
         loaded = load_model(save_model(clf, tmp_path / f"{name}.npz"))
         if fastpath:
             ref, got = clf.predict_proba(X_test), loaded.predict_proba(X_test)
         else:
-            with fastpath_disabled():
+            with per_tree_reference():
                 ref, got = clf.predict_proba(X_test), loaded.predict_proba(X_test)
         assert np.array_equal(ref, got)
         assert np.array_equal(clf.predict(X_test), loaded.predict(X_test))
@@ -89,7 +81,7 @@ class TestRoundTripBitIdentity:
         loaded.backend = backend
         loaded.n_jobs = 2
         loaded.chunk_size = 64
-        with fastpath_disabled():  # force the chunked backend path
+        with per_tree_reference():  # force the chunked backend path
             ref = clf.predict_proba(X_test)
             got = loaded.predict_proba(X_test)
         assert np.array_equal(ref, got)
@@ -98,10 +90,11 @@ class TestRoundTripBitIdentity:
         """An artifact written while shared binning existed still loads.
 
         Its root holds a ``SharedBinContext`` child (with a ``binner``)
-        that the loader skips; the members' raw-float thresholds carry the
-        whole model. Loaded on the heap and mmap'd, and served through
-        ``ModelServer``, it must reproduce the probabilities recorded when
-        it was written, bit for bit. The two files in ``tests/data`` were
+        that the loader skips, and a ``shared_binning`` parameter it drops;
+        the members' raw-float thresholds carry the whole model. Loaded on
+        the heap and mmap'd, and served through ``ModelServer``, it must
+        reproduce the probabilities recorded when it was written, bit for
+        bit. The two files in ``tests/data`` were
         written at commit ``9021e82`` with::
 
             import numpy as np
@@ -131,7 +124,7 @@ class TestRoundTripBitIdentity:
             heap = load_model(path)
             mapped = load_model(path, mmap_mode="r")
         for model in (heap, mapped):
-            assert model.shared_binning is True
+            assert "shared_binning" not in model.get_params()
             assert len(model.estimators_) == 3
             assert model.predict_proba(X).tobytes() == recorded.tobytes()
         for mmap in (False, True):

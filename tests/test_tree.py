@@ -1,6 +1,8 @@
 """Tests for the decision-tree substrate (binning, CART, C4.5, export)."""
 
+import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -58,10 +60,15 @@ class TestFeatureBinner:
 
 
 def _reference_edges(col, max_bins):
-    """Per-column ``np.unique`` + ``np.quantile`` cut points."""
+    """Per-column ``np.unique`` + ``np.quantile`` cut points; a midpoint
+    whose sum overflows (a Python float goes to inf without a warning) is
+    taken as the sum of the halves."""
     unique = np.unique(col)
     if unique.size <= max_bins:
-        return (unique[:-1] + unique[1:]) / 2.0
+        return np.array([
+            (a + b) / 2.0 if math.isfinite(a + b) else a / 2.0 + b / 2.0
+            for a, b in zip(unique[:-1].tolist(), unique[1:].tolist())
+        ], dtype=np.float64)
     quantiles = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
     return np.unique(np.quantile(col, quantiles))
 
@@ -71,8 +78,8 @@ def _binner_cases(draw):
     """Matrices up to member-fit size (2,000+ rows, 32+ columns) whose
     columns are continuous, heavily duplicated with a distinct count right
     around ``max_bins``, constant, rich in -0.0 and +0.0, holding -0.0 but
-    never +0.0, or so large that a midpoint overflows to an infinite cut
-    above every value; the bulk values come from a drawn seed."""
+    never +0.0, or so large that the sum of two neighbours overflows; the
+    bulk values come from a drawn seed."""
     rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
     n_rows = draw(st.one_of(st.integers(1, 300), st.integers(2_000, 2_200)))
     max_bins = draw(st.integers(2, 255))
@@ -110,8 +117,7 @@ class TestFeatureBinnerAgainstReference:
         block boundaries."""
         X, max_bins = case
         budget = _binning._BLOCK_VALUES if block_columns is None else X.shape[0] * block_columns
-        # Huge columns overflow a midpoint to inf, on every path alike.
-        with mock.patch.object(_binning, "_BLOCK_VALUES", budget), np.errstate(over="ignore"):
+        with mock.patch.object(_binning, "_BLOCK_VALUES", budget):
             fused = FeatureBinner(max_bins=max_bins)
             codes = fused.fit_transform(X)
             fitted = FeatureBinner(max_bins=max_bins).fit(X)
@@ -124,6 +130,20 @@ class TestFeatureBinnerAgainstReference:
             for got, ref in zip(binner.edges_, want):
                 assert got.dtype == ref.dtype
                 assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("method", ["fit", "fit_transform"])
+    def test_overflowing_midpoint_stays_finite(self, method):
+        """``1e308 + 1.5e308`` overflows: the cut between them is the sum of
+        their halves, so a split can still separate them."""
+        X = np.array([[1e308], [1.5e308], [-1.0]])
+        binner = FeatureBinner(max_bins=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = getattr(binner, method)(X)
+        if method == "fit":
+            codes = binner.transform(X)
+        assert binner.edges_[0].tolist() == [5e307, 1.25e308]
+        assert codes.ravel().tolist() == [1, 2, 0]
 
     @settings(max_examples=25, deadline=None)
     @given(case=_binner_cases(), data=st.data())

@@ -23,8 +23,7 @@ END = "<!-- BENCH_FASTPATH_TABLE_END -->"
 
 def render_table(report: dict) -> str:
     ds = report["dataset"]
-    r = report["results"]
-    packed = r["predict_packed"]
+    packed = report["results"]["predict_packed"]
     lines = [
         f"Checkerboard |P|={ds['n_minority']}, |N|={ds['n_majority']} "
         f"(IR {ds['imbalance_ratio']}), {report['config']['n_estimators']} "
@@ -32,9 +31,6 @@ def render_table(report: dict) -> str:
         "",
         "| Path | Legacy | Fastpath | Speedup |",
         "|---|---|---|---|",
-        "| SPE end-to-end fit "
-        f"| {r['fit']['legacy_seconds']:.3f}s | {r['fit']['fastpath_seconds']:.3f}s "
-        f"| **{r['fit']['speedup']:.2f}×** |",
         "| `predict_proba`, bulk, packed kernel "
         f"| {packed['bulk_legacy_seconds']:.3f}s | {packed['bulk_fastpath_seconds']:.3f}s "
         f"| **{packed['bulk_speedup']:.2f}×** |",
