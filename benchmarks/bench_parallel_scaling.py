@@ -27,7 +27,6 @@ from repro.utils.timing import timed_call
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 ARTIFACT = REPO_ROOT / "BENCH_parallel.json"
 N_JOBS_GRID = (1, 2, 4)
-BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "thread")
 
 
 def _build_model(name: str, n_jobs: int):
@@ -37,14 +36,12 @@ def _build_model(name: str, n_jobs: int):
             estimator=base,
             n_estimators=10,
             n_jobs=n_jobs,
-            backend=BACKEND,
             random_state=0,
         )
     return BaggingClassifier(
         estimator=base,
         n_estimators=10,
         n_jobs=n_jobs,
-        backend=BACKEND,
         random_state=0,
     )
 
@@ -67,7 +64,6 @@ def run_scaling(scale: float) -> dict:
             results.append(
                 {
                     "model": model_name,
-                    "backend": BACKEND,
                     "n_jobs": n_jobs,
                     "fit_seconds": round(fit_seconds, 4),
                     "predict_seconds": round(predict_seconds, 4),
@@ -97,7 +93,7 @@ def _render(report: dict) -> str:
     lines = [
         "Parallel scaling: fit/predict seconds vs n_jobs "
         f"(checkerboard |P|={ds['n_minority']}, |N|={ds['n_majority']}, "
-        f"backend={BACKEND}, cpus={report['cpu_count']})",
+        f"cpus={report['cpu_count']})",
         f"{'model':<30} {'n_jobs':>6} {'fit_s':>10} {'predict_s':>10}",
     ]
     for row in report["results"]:

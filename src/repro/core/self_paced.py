@@ -252,19 +252,13 @@ class SelfPacedEnsembleClassifier(
         Keep per-iteration :class:`HardnessBins` and α in ``bin_history_``
         (used by the Fig 3 reproduction).
     n_jobs : int, optional
-        Workers for the chunked fallback scoring path; ``None``/1 serial,
+        Threads for the chunked fallback scoring path; ``None``/1 serial,
         ``-1`` all CPUs. That path runs only for non-tree members: tree
         ensembles are scored (majority re-scoring in ``fit``, ``eval_set``
         and ``predict_proba``) by the single-threaded packed kernel, which
-        ignores ``n_jobs``, ``backend`` and ``chunk_size``. Training stays
-        iteration-sequential (Algorithm 1 is a cascade), so results are
-        identical for every ``n_jobs``.
-    backend : {"serial", "thread", "process"}, default "thread"
-        Executor of the chunked fallback path (see :mod:`repro.parallel`).
-    chunk_size : int, optional
-        Rows per task on the chunked fallback path; default
-        :data:`repro.parallel.DEFAULT_CHUNK_SIZE`. Any value yields the
-        same probabilities.
+        ignores ``n_jobs``. Training stays iteration-sequential
+        (Algorithm 1 is a cascade), so results are identical for every
+        ``n_jobs``.
     random_state : int / RandomState, optional
 
     Notes
@@ -309,8 +303,6 @@ class SelfPacedEnsembleClassifier(
         include_cold_start: bool = True,
         record_bins: bool = False,
         n_jobs: Optional[int] = None,
-        backend: str = "thread",
-        chunk_size: Optional[int] = None,
         random_state=None,
     ):
         self.estimator = estimator
@@ -321,8 +313,6 @@ class SelfPacedEnsembleClassifier(
         self.include_cold_start = include_cold_start
         self.record_bins = record_bins
         self.n_jobs = n_jobs
-        self.backend = backend
-        self.chunk_size = chunk_size
         self.random_state = random_state
 
     # ------------------------------------------------------------------ #
@@ -352,8 +342,6 @@ class SelfPacedEnsembleClassifier(
             X,
             np.array([0, 1]),  # the internal encoding, not classes_
             n_jobs=self.n_jobs,
-            backend=self.backend,
-            chunk_size=self.chunk_size,
         )[:, 1]
 
     # ------------------------------------------------------------------ #
@@ -487,8 +475,6 @@ class SelfPacedEnsembleClassifier(
             X,
             np.array([0, 1]),  # members are fitted on the internal encoding
             n_jobs=self.n_jobs,
-            backend=self.backend,
-            chunk_size=self.chunk_size,
         )
         return self._decode_proba(internal)
 

@@ -31,14 +31,14 @@ def average_ensemble_proba(estimators, X, classes: np.ndarray) -> np.ndarray:
     Kept as the historical name; the chunked engine behind it aligns each
     estimator's classes into the full class space before averaging.
     """
-    return ensemble_predict_proba(estimators, X, classes, backend="serial")
+    return ensemble_predict_proba(estimators, X, classes)
 
 
 def make_member_model(rng: np.random.RandomState, estimator=None):
     """Default ensemble-member factory shared across the ensemble layers:
     resolve ``estimator`` (``None`` → fresh tree, a registry name → a new
     instance, an instance → a clone) and seed it from the member's private
-    RNG. Strings keep process-backend fits cheap to pickle and let any
+    RNG. Strings keep member factories cheap to pickle and let any
     ensemble take ``estimator="logistic"`` etc. directly."""
     if estimator is None:
         model = DecisionTreeClassifier()
@@ -80,9 +80,9 @@ def _bootstrap_sample(
 class BaggingClassifier(BaseEstimator, ClassifierMixin):
     """Train ``n_estimators`` clones on bootstrap resamples and average.
 
-    ``n_jobs`` / ``backend`` drive both the per-member fits and the chunked
+    ``n_jobs`` drives both the per-member fits and the chunked
     ``predict_proba`` through :mod:`repro.parallel`; results are identical
-    for every backend and worker count at a fixed ``random_state``.
+    for every worker count at a fixed ``random_state``.
     """
 
     def __init__(
@@ -92,7 +92,6 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
         max_samples: float = 1.0,
         bootstrap: bool = True,
         n_jobs: Optional[int] = None,
-        backend: str = "thread",
         random_state=None,
     ):
         self.estimator = estimator
@@ -100,7 +99,6 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
         self.max_samples = max_samples
         self.bootstrap = bootstrap
         self.n_jobs = n_jobs
-        self.backend = backend
         self.random_state = random_state
 
     def fit(self, X, y) -> "BaggingClassifier":
@@ -125,7 +123,6 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
             ),
             make_model=partial(make_member_model, estimator=self.estimator),
             random_state=rng,
-            backend=self.backend,
             n_jobs=self.n_jobs,
         )
         self.n_features_in_ = X.shape[1]
@@ -140,7 +137,6 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
             X,
             self.classes_,
             n_jobs=self.n_jobs,
-            backend=self.backend,
         )
 
     def predict(self, X) -> np.ndarray:

@@ -49,7 +49,7 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     """Breiman-style random forest over the library's histogram CART trees.
 
     Tree fits and chunked ``predict_proba`` run through the
-    :mod:`repro.parallel` engine; ``n_jobs`` / ``backend`` never change the
+    :mod:`repro.parallel` engine; ``n_jobs`` never changes the
     forest grown under a fixed ``random_state``.
     """
 
@@ -64,7 +64,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         bootstrap: bool = True,
         max_bins: int = 64,
         n_jobs: Optional[int] = None,
-        backend: str = "thread",
         random_state=None,
     ):
         self.n_estimators = n_estimators
@@ -76,7 +75,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         self.bootstrap = bootstrap
         self.max_bins = max_bins
         self.n_jobs = n_jobs
-        self.backend = backend
         self.random_state = random_state
 
     def fit(self, X, y) -> "RandomForestClassifier":
@@ -105,7 +103,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             ),
             make_model=partial(_make_forest_tree, params=tree_params),
             random_state=rng,
-            backend=self.backend,
             n_jobs=self.n_jobs,
         )
         self.n_features_in_ = X.shape[1]
@@ -120,7 +117,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             X,
             self.classes_,
             n_jobs=self.n_jobs,
-            backend=self.backend,
         )
 
     def predict(self, X) -> np.ndarray:

@@ -10,7 +10,7 @@ samples — often outliers — remain in the pool) the paper's Fig 5 and Fig 6
 demonstrate, and which SPE's self-paced "skeleton" of easy samples fixes.
 
 The cascade is inherently sequential (each round's pool depends on the
-ensemble so far), so ``n_jobs`` / ``backend`` parallelise the scoring —
+ensemble so far), so ``n_jobs`` parallelises the scoring —
 the per-round pool re-ranking and ``predict_proba`` — not the fits.
 """
 
@@ -43,13 +43,11 @@ class BalanceCascadeClassifier(BaseImbalanceEnsemble):
         estimator=None,
         n_estimators: int = 10,
         n_jobs: Optional[int] = None,
-        backend: str = "thread",
         random_state=None,
     ):
         self.estimator = estimator
         self.n_estimators = n_estimators
         self.n_jobs = n_jobs
-        self.backend = backend
         self.random_state = random_state
 
     def _ensemble_pos_proba(self, X) -> np.ndarray:
@@ -60,7 +58,6 @@ class BalanceCascadeClassifier(BaseImbalanceEnsemble):
             X,
             np.array([0, 1]),
             n_jobs=self.n_jobs,
-            backend=self.backend,
         )[:, 1]
 
     def fit(self, X, y, eval_set: Optional[tuple] = None) -> "BalanceCascadeClassifier":

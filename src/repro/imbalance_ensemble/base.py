@@ -13,7 +13,7 @@ every subclass lives in one place now: :func:`fit_resampled_ensemble`, a
 thin specialisation of :func:`repro.parallel.fit_ensemble_parallel` that
 fills in the library's default model factory. Subclasses supply only their
 ``sample_fn`` (how member *i* builds its training set) and inherit the
-``n_jobs`` / ``backend`` knobs.
+``n_jobs`` knob.
 """
 
 from __future__ import annotations
@@ -92,16 +92,13 @@ def fit_resampled_ensemble(
     estimator=None,
     make_model: Optional[Callable] = None,
     random_state=None,
-    backend: str = "serial",
     n_jobs: Optional[int] = None,
 ) -> Tuple[List, int]:
     """Fit an ensemble of independently resampled members.
 
     ``sample_fn(i, rng, X, y)`` builds member *i*'s training set;
     ``make_model(rng)`` (default: clone ``estimator``) its unfitted model.
-    Returns ``(estimators, total_training_samples)``. With ``backend`` =
-    ``"process"`` both callables must be picklable (module-level functions
-    or ``functools.partial`` of them).
+    Returns ``(estimators, total_training_samples)``.
     """
     if make_model is None:
         make_model = partial(make_member_model, estimator=estimator)
@@ -112,7 +109,6 @@ def fit_resampled_ensemble(
         sample_fn=sample_fn,
         make_model=make_model,
         random_state=random_state,
-        backend=backend,
         n_jobs=n_jobs,
     )
 
@@ -124,9 +120,8 @@ class BaseImbalanceEnsemble(BaseEstimator, ClassifierMixin, BinaryLabelEncoderMi
     estimator = None
     n_estimators = 10
     random_state = None
-    #: parallel knobs; subclasses expose them as __init__ params
+    #: parallel knob; subclasses expose it as an __init__ param
     n_jobs: Optional[int] = None
-    backend: str = "thread"
 
     def _make_base(self, rng: np.random.RandomState):
         return make_member_model(rng, self.estimator)
@@ -204,7 +199,6 @@ class BaseImbalanceEnsemble(BaseEstimator, ClassifierMixin, BinaryLabelEncoderMi
             X,
             np.array([0, 1]),  # members are fitted on the internal encoding
             n_jobs=self.n_jobs,
-            backend=self.backend,
         )
         return self._decode_proba(internal)
 
@@ -250,14 +244,12 @@ class ResampleEnsembleClassifier(BaseImbalanceEnsemble):
         estimator=None,
         n_estimators: int = 10,
         n_jobs: Optional[int] = None,
-        backend: str = "thread",
         random_state=None,
     ):
         self.sampler = sampler
         self.estimator = estimator
         self.n_estimators = n_estimators
         self.n_jobs = n_jobs
-        self.backend = backend
         self.random_state = random_state
 
     def fit(self, X, y) -> "ResampleEnsembleClassifier":
@@ -272,7 +264,6 @@ class ResampleEnsembleClassifier(BaseImbalanceEnsemble):
             sample_fn=partial(_sampler_resample, sampler=self.sampler),
             estimator=self.estimator,
             random_state=rng,
-            backend=self.backend,
             n_jobs=self.n_jobs,
         )
         return self

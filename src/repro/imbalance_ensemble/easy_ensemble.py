@@ -49,7 +49,6 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
         n_boost_rounds: int = 10,
         boost_incapable: str = "resample",
         n_jobs: Optional[int] = None,
-        backend: str = "thread",
         random_state=None,
     ):
         self.estimator = estimator
@@ -57,7 +56,6 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
         self.n_boost_rounds = n_boost_rounds
         self.boost_incapable = boost_incapable
         self.n_jobs = n_jobs
-        self.backend = backend
         self.random_state = random_state
 
     def _member_factory(self):
@@ -92,7 +90,6 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
             sample_fn=balanced_subset_sample,
             make_model=make_model,
             random_state=rng,
-            backend=self.backend,
             n_jobs=self.n_jobs,
         )
         return self
@@ -112,7 +109,6 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
                 n_estimators=self.n_estimators,
                 make_model=make_model,
                 random_state=rng,
-                backend=self.backend,
                 n_jobs=self.n_jobs,
                 scan=scan,
             )

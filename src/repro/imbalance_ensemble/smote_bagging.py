@@ -59,14 +59,12 @@ class SMOTEBaggingClassifier(BaseImbalanceEnsemble):
         n_estimators: int = 10,
         k_neighbors: int = 5,
         n_jobs: Optional[int] = None,
-        backend: str = "thread",
         random_state=None,
     ):
         self.estimator = estimator
         self.n_estimators = n_estimators
         self.k_neighbors = k_neighbors
         self.n_jobs = n_jobs
-        self.backend = backend
         self.random_state = random_state
 
     def fit(self, X, y) -> "SMOTEBaggingClassifier":
@@ -79,7 +77,6 @@ class SMOTEBaggingClassifier(BaseImbalanceEnsemble):
             sample_fn=partial(_smote_bag_sample, k_neighbors=self.k_neighbors),
             estimator=self.estimator,
             random_state=rng,
-            backend=self.backend,
             n_jobs=self.n_jobs,
         )
         return self

@@ -27,13 +27,11 @@ class UnderBaggingClassifier(BaseImbalanceEnsemble):
         estimator=None,
         n_estimators: int = 10,
         n_jobs: Optional[int] = None,
-        backend: str = "thread",
         random_state=None,
     ):
         self.estimator = estimator
         self.n_estimators = n_estimators
         self.n_jobs = n_jobs
-        self.backend = backend
         self.random_state = random_state
 
     def fit(self, X, y) -> "UnderBaggingClassifier":
@@ -46,7 +44,6 @@ class UnderBaggingClassifier(BaseImbalanceEnsemble):
             sample_fn=balanced_subset_sample,
             estimator=self.estimator,
             random_state=rng,
-            backend=self.backend,
             n_jobs=self.n_jobs,
         )
         return self
@@ -64,7 +61,6 @@ class UnderBaggingClassifier(BaseImbalanceEnsemble):
                 n_estimators=self.n_estimators,
                 estimator=self.estimator,
                 random_state=rng,
-                backend=self.backend,
                 n_jobs=self.n_jobs,
                 scan=scan,
             )

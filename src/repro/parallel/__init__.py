@@ -1,23 +1,25 @@
-"""Parallel execution engine: backends, seeding, fitting, and inference.
+"""Parallel execution engine: executors, seeding, fitting, and inference.
 
 The subsystem has four small layers:
 
-* :mod:`repro.parallel.executor` — ``serial`` / ``thread`` / ``process``
-  backends behind one ordered :func:`parallel_map` primitive;
+* :mod:`repro.parallel.executor` — one ordered :func:`parallel_map`
+  primitive (serial loop, process pool or thread pool) and the keyed
+  registry that ships shared data to each worker once;
 * :mod:`repro.parallel.seeding` — per-task seed derivation so results are
-  bit-identical across backends and worker counts;
+  bit-identical across worker counts;
 * :mod:`repro.parallel.engine` — the generic "resample → build → fit"
   member loop every bagging-style ensemble shares;
 * :mod:`repro.parallel.inference` — chunked, batched
   :func:`ensemble_predict_proba` for streaming large scoring jobs.
 
-All ensemble classes expose the same three knobs on top of it: ``n_jobs``
-(worker count, ``-1`` = all CPUs), ``backend`` (executor choice), and —
-where scoring matters — ``chunk_size`` (rows per inference task).
+All ensemble classes expose one knob on top of it, ``n_jobs`` (worker
+count, ``-1`` = all CPUs); the job fixes the executor: member fits run on
+a process pool, chunked scoring on a thread pool, and ``n_jobs`` ≤ 1 runs
+the serial loop.
 """
 
 from .engine import fit_ensemble_member, fit_ensemble_parallel
-from .executor import BACKENDS, parallel_map, resolve_n_jobs
+from .executor import parallel_map, resolve_n_jobs
 from .inference import (
     DEFAULT_CHUNK_SIZE,
     ESTIMATOR_BLOCK,
@@ -26,7 +28,6 @@ from .inference import (
 from .seeding import MAX_SEED, spawn_seeds, task_rng
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_CHUNK_SIZE",
     "ESTIMATOR_BLOCK",
     "MAX_SEED",

@@ -12,16 +12,13 @@ it. The engine captures that shape once —
 — derives one seed per member up front (:func:`repro.parallel.seeding`),
 and dispatches the members through :func:`repro.parallel.parallel_map`.
 Results come back in member order, so ``estimators_`` is stable across
-backends and worker counts.
+worker counts.
 
-For the ``"process"`` backend, ``sample_fn`` and ``make_model`` must be
-picklable: module-level functions, or :func:`functools.partial` binding
-extra arguments onto one (the pattern every caller in this library uses).
-Each task tuple carries ``(X, y)``, so the process backend pickles the
-training data once per member — cheap for this library's paper-scale
-workloads, but prefer ``"thread"`` (shared memory) when ``X`` is hundreds
-of megabytes; shipping the arrays once per worker via a pool initializer
-is the known upgrade path if that ever dominates.
+With ``n_jobs`` > 1 the members fit on a process pool (tree building is
+python-heavy and serialises on the GIL under threads). Tasks carry only
+``(key, seed, index)``: ``(X, y, sample_fn, make_model)`` reach each worker
+once through the pool initializer, which a forked worker inherits without
+a pickle. The fitted members are pickled back, so models must pickle.
 Sequential methods (cascades, boosting) reuse :func:`fit_ensemble_member`
 for single fits so the per-member plumbing is defined exactly once.
 """
@@ -32,7 +29,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .executor import parallel_map
+from .executor import _SHARED_PAYLOADS, install_payload, parallel_map, payload_key
 from .seeding import spawn_seeds, task_rng
 
 __all__ = ["fit_ensemble_member", "fit_ensemble_parallel"]
@@ -60,7 +57,8 @@ def fit_ensemble_member(
 
 
 def _member_task(task) -> Tuple[object, int]:
-    seed, index, X, y, sample_fn, make_model = task
+    key, seed, index = task
+    X, y, sample_fn, make_model = _SHARED_PAYLOADS[key]
     return fit_ensemble_member(index, task_rng(seed), X, y, sample_fn, make_model)
 
 
@@ -72,23 +70,27 @@ def fit_ensemble_parallel(
     sample_fn: Callable,
     make_model: Callable,
     random_state=None,
-    backend: str = "serial",
     n_jobs: Optional[int] = None,
 ) -> Tuple[List, int]:
     """Fit ``n_estimators`` independent members, possibly in parallel.
 
     Returns ``(estimators, total_training_samples)`` with estimators in
     member order. Given the same ``random_state`` the output is identical
-    for every ``backend`` / ``n_jobs`` combination because each member's
+    for every ``n_jobs`` because each member's
     randomness comes from a seed drawn sequentially before dispatch.
     """
     if n_estimators < 1:
         raise ValueError("n_estimators must be >= 1")
     seeds = spawn_seeds(random_state, n_estimators)
-    tasks = [
-        (seeds[i], i, X, y, sample_fn, make_model) for i in range(n_estimators)
-    ]
-    results = parallel_map(_member_task, tasks, backend=backend, n_jobs=n_jobs)
+    with payload_key() as key:
+        results = parallel_map(
+            _member_task,
+            [(key, seed, i) for i, seed in enumerate(seeds)],
+            n_jobs=n_jobs,
+            processes=True,
+            initializer=install_payload,
+            initargs=(key, (X, y, sample_fn, make_model)),
+        )
     estimators = [model for model, _ in results]
     n_samples = int(sum(n for _, n in results))
     return estimators, n_samples

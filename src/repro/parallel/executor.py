@@ -1,36 +1,47 @@
-"""Execution backends for the ensemble engine.
+"""Executors for the ensemble engine.
 
 Everything in :mod:`repro.parallel` is built on one primitive —
 :func:`parallel_map` — which applies a function over a list of task
-payloads and returns the results *in task order* regardless of backend:
+payloads and returns the results *in task order*. ``n_jobs`` is the only
+knob; the executor is fixed by the job:
 
-* ``"serial"``   — a plain loop in the calling thread (zero overhead, the
-  reference semantics every other backend must reproduce bit-for-bit);
-* ``"thread"``   — a :class:`~concurrent.futures.ThreadPoolExecutor`; tasks
-  share memory, so no data is copied (numpy releases the GIL inside most
-  heavy kernels);
-* ``"process"``  — a :class:`~concurrent.futures.ProcessPoolExecutor`; task
-  payloads and results cross process boundaries via pickle, so the mapped
-  function and every payload must be picklable (module-level functions and
-  :func:`functools.partial` of them qualify; closures do not).
+* ``n_jobs`` ≤ 1 (or a single task) — a plain loop in the calling thread,
+  the reference semantics every pool must reproduce bit-for-bit;
+* ``processes=True`` — a :class:`~concurrent.futures.ProcessPoolExecutor`,
+  used for member fits (python-heavy tree building that threads serialise
+  on the GIL); results cross back via pickle;
+* ``processes=False`` — a :class:`~concurrent.futures.ThreadPoolExecutor`,
+  used for chunked scoring (numpy kernels release the GIL, and threads
+  share the estimators and rows without a copy).
+
+Data that every task needs travels **once per worker**, not once per task:
+the caller registers it under a fresh key (:func:`payload_key`) and passes
+:func:`install_payload` as the pool initializer, so tasks carry only the
+key. A forked worker inherits the initializer arguments without a pickle;
+thread and serial workers share the caller's registry.
 
 Determinism contract: callers must make each task self-contained — any
 randomness a task needs is derived from a per-task seed drawn *before*
 dispatch (:mod:`repro.parallel.seeding`), and reductions over task results
-always run in task order. Under that contract every backend and every
+always run in task order. Under that contract every executor and every
 ``n_jobs`` produces identical output.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["BACKENDS", "resolve_n_jobs", "parallel_map"]
+__all__ = ["install_payload", "parallel_map", "payload_key", "resolve_n_jobs"]
 
-#: Recognised backend names, in increasing isolation order.
-BACKENDS = ("serial", "thread", "process")
+#: Per-process registry of payloads shared by every task of one call. The
+#: caller's key is removed when its :func:`payload_key` block exits;
+#: worker-process copies die with the pool.
+_SHARED_PAYLOADS: Dict[Tuple[int, int], tuple] = {}
+_payload_counter = itertools.count()
 
 
 def resolve_n_jobs(n_jobs: Optional[int] = None) -> int:
@@ -50,44 +61,48 @@ def resolve_n_jobs(n_jobs: Optional[int] = None) -> int:
     return n_jobs
 
 
-def _check_backend(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"Unknown backend {backend!r}; expected one of {list(BACKENDS)}"
-        )
-    return backend
+@contextmanager
+def payload_key() -> Iterator[Tuple[int, int]]:
+    """A fresh registry key, dropped from this process's registry on exit."""
+    key = (os.getpid(), next(_payload_counter))
+    try:
+        yield key
+    finally:
+        _SHARED_PAYLOADS.pop(key, None)
+
+
+def install_payload(key, payload) -> None:
+    """Pool initializer: register ``payload`` under ``key`` in this worker."""
+    _SHARED_PAYLOADS[key] = payload
 
 
 def parallel_map(
     fn: Callable,
     tasks: Sequence,
     *,
-    backend: str = "serial",
     n_jobs: Optional[int] = None,
+    processes: bool = False,
     initializer: Optional[Callable] = None,
     initargs: Sequence = (),
 ) -> List:
     """Apply ``fn`` to every payload in ``tasks``; results in task order.
 
-    Falls back to the serial loop whenever parallelism cannot pay off
-    (one worker, one task, or the serial backend) so callers can pass
-    ``n_jobs`` straight through without special-casing.
+    Falls back to the serial loop whenever parallelism cannot pay off (one
+    worker or one task), so callers pass ``n_jobs`` straight through.
+    ``processes`` picks the pool: processes when true, threads otherwise.
 
     ``initializer(*initargs)`` runs once per worker before any task (and
-    once in the calling thread on the serial path). This is how a caller
-    ships shared state — e.g. a block of estimators — to ``"process"``
-    workers *once per worker* instead of re-pickling it into every task
-    payload; thread/serial workers share the caller's memory, so the same
-    registration is effectively free there.
+    once in the calling thread on the serial path). With processes, ``fn``
+    and every task must be picklable (module-level functions and
+    :func:`functools.partial` of them qualify; closures do not).
     """
-    _check_backend(backend)
     tasks = list(tasks)
     workers = min(resolve_n_jobs(n_jobs), max(len(tasks), 1))
-    if backend == "serial" or workers <= 1 or len(tasks) <= 1:
+    if workers <= 1:
         if initializer is not None:
             initializer(*initargs)
         return [fn(task) for task in tasks]
-    pool_cls = ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
+    pool_cls = ProcessPoolExecutor if processes else ThreadPoolExecutor
     with pool_cls(
         max_workers=workers, initializer=initializer, initargs=tuple(initargs)
     ) as pool:

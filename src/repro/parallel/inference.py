@@ -18,26 +18,21 @@
   estimators into fixed-size blocks, each (chunk, block) cell computes a
   partial probability sum, and cells are reduced in grid order. The grid
   and the reduction order depend only on the inputs and ``chunk_size`` —
-  never on ``n_jobs`` or the backend — so the result is bit-identical
-  whether the cells run serially, on a thread pool, or across processes.
-  Estimator blocks are shipped to workers **once per worker** via a keyed
-  registry installed by the pool initializer; task payloads carry only
-  ``(key, block id, row chunk)``, so the ``"process"`` backend no longer
-  re-pickles the same estimators for every row chunk while a worker still
-  never holds more than one chunk of the matrix.
+  never on ``n_jobs`` — so the result is bit-identical whether the cells
+  run serially or on a thread pool. The estimator blocks sit in the
+  executor's keyed payload registry (:mod:`repro.parallel.executor`), so
+  task payloads carry only ``(key, block id, row chunk)``.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import telemetry
 from ..fastpath.packed import ESTIMATOR_BLOCK, cached_packed_ensemble
-from .executor import parallel_map
+from .executor import _SHARED_PAYLOADS, install_payload, parallel_map, payload_key
 
 #: ``repro_fastpath_predict_seconds{path=...}`` children, cached — the
 #: inference engine is the serving hot loop; one dict hit, not a
@@ -63,17 +58,6 @@ __all__ = ["DEFAULT_CHUNK_SIZE", "ESTIMATOR_BLOCK", "ensemble_predict_proba"]
 #: per-call python overhead of ``predict_proba``, small enough that a chunk
 #: of float64 features stays cache-resident.
 DEFAULT_CHUNK_SIZE = 8192
-
-#: Per-process registry of shared scoring payloads, keyed per call. The
-#: caller installs a payload through the pool initializer (one pickle per
-#: worker process; a no-op share for thread/serial workers) and removes its
-#: own key afterwards; worker-process copies die with the pool.
-_SHARED_PAYLOADS: Dict[Tuple[int, int], tuple] = {}
-_payload_counter = itertools.count()
-
-
-def _install_payload(key, payload) -> None:
-    _SHARED_PAYLOADS[key] = payload
 
 
 def _row_spans(n_rows: int, chunk_size: int) -> List[Tuple[int, int]]:
@@ -122,7 +106,6 @@ def ensemble_predict_proba(
     classes: np.ndarray,
     *,
     n_jobs: Optional[int] = None,
-    backend: str = "thread",
     chunk_size: Optional[int] = None,
     packed: str = "auto",
 ) -> np.ndarray:
@@ -137,11 +120,8 @@ def ensemble_predict_proba(
     estimators : fitted classifiers exposing ``predict_proba`` / ``classes_``.
     X : array of shape (n_samples, n_features)
     classes : the ensemble's full class vector; output columns follow it.
-    n_jobs : worker count (``None``/1 serial, ``-1`` all CPUs).
-    backend : ``"serial"`` / ``"thread"`` / ``"process"``; with ``"process"``
-        each estimator block is shipped to every worker once (via the pool
-        initializer) instead of being re-pickled per row chunk; rows still
-        travel one chunk per task.
+    n_jobs : worker count (``None``/1 serial, ``-1`` all CPUs); the
+        chunked path runs its cells on a thread pool.
     chunk_size : rows per task on the chunked path (default
         :data:`DEFAULT_CHUNK_SIZE`). The result is independent of the value.
     packed : ``"auto"`` (packed kernel for packable ensembles, chunked
@@ -178,24 +158,18 @@ def ensemble_predict_proba(
     est_blocks = tuple(estimators[blk] for blk in block_slices)
     map_blocks = tuple(column_maps[blk] for blk in block_slices)
     spans = _row_spans(X.shape[0], chunk_size)
-    key = (os.getpid(), next(_payload_counter))
-    payload = (est_blocks, map_blocks, len(classes))
-    tasks = [
-        (key, block_id, X[lo:hi])
-        for lo, hi in spans
-        for block_id in range(len(block_slices))
-    ]
-    try:
+    with payload_key() as key:
         partials = parallel_map(
             _partial_proba,
-            tasks,
-            backend=backend,
+            [
+                (key, block_id, X[lo:hi])
+                for lo, hi in spans
+                for block_id in range(len(block_slices))
+            ],
             n_jobs=n_jobs,
-            initializer=_install_payload,
-            initargs=(key, payload),
+            initializer=install_payload,
+            initargs=(key, (est_blocks, map_blocks, len(classes))),
         )
-    finally:
-        _SHARED_PAYLOADS.pop(key, None)
 
     proba = np.empty((X.shape[0], len(classes)))
     n_blocks = len(block_slices)

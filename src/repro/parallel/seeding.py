@@ -5,9 +5,9 @@ race for draws from one shared random stream. The engine avoids this by
 splitting the stream *before* dispatch: the parent RNG emits one integer
 seed per task in a single sequential draw, and each task builds its own
 private :class:`~numpy.random.RandomState` from its seed. The schedule of
-draws is then a function of ``random_state`` alone — not of the backend,
-the worker count, or task completion order — which is what makes
-``serial``/``thread``/``process`` results bit-identical.
+draws is then a function of ``random_state`` alone — not of the executor,
+the worker count, or task completion order — which is what makes results
+bit-identical for every ``n_jobs``.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 :func:`save_model` / :func:`load_model` round-trip every fitted ensemble in
 the library — SelfPacedEnsemble, RandomForest, Bagging, UnderBagging,
 EasyEnsemble, and the streaming SPE — **bit-identically** on
-``predict_proba``, across all execution backends, on the packed and the
+``predict_proba``, for every ``n_jobs``, on the packed and the
 per-tree path. Artifacts carry a schema-version header and per-array SHA-256
 checksums; corrupted or newer-schema files are rejected with a clear
 :class:`~repro.exceptions.PersistenceError`.

@@ -34,7 +34,7 @@ corrupting the page cache.
 Round-trip guarantee (gated by ``tests/test_persistence.py``): for every
 supported ensemble, ``load_model(save_model(clf, path))`` predicts
 **bit-identically** to ``clf`` — the arrays are byte-preserved and every
-inference path (chunked or packed forest; any backend) is deterministic in
+inference path (chunked or packed forest; any ``n_jobs``) is deterministic in
 them.
 """
 
@@ -84,7 +84,7 @@ _RETIRED = frozenset({"SharedBinContext"})
 
 #: Hyper-parameters that older artifacts store and no constructor takes
 #: any more; they are dropped on load.
-_RETIRED_PARAMS = frozenset({"shared_binning"})
+_RETIRED_PARAMS = frozenset({"backend", "chunk_size", "shared_binning"})
 
 
 def _persistable_names():

@@ -9,8 +9,7 @@ RNG in exactly the order of the in-memory
 :func:`~repro.imbalance_ensemble.base.balanced_subset_sample` — which makes
 ``fit_source`` on :class:`~repro.imbalance_ensemble.UnderBaggingClassifier`
 and :class:`~repro.imbalance_ensemble.EasyEnsembleClassifier` bit-identical
-to ``fit`` on the same data. Sources and scans pickle, so every backend
-(serial / thread / process) works.
+to ``fit`` on the same data for every ``n_jobs``.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ def fit_balanced_source_ensemble(
     estimator=None,
     make_model: Optional[Callable] = None,
     random_state=None,
-    backend: str = "serial",
     n_jobs: Optional[int] = None,
     scan: Optional[ClassIndexScan] = None,
 ) -> Tuple[List, int, ClassIndexScan]:
@@ -75,7 +73,6 @@ def fit_balanced_source_ensemble(
         estimator=estimator,
         make_model=make_model,
         random_state=random_state,
-        backend=backend,
         n_jobs=n_jobs,
     )
     return estimators, n_samples, scan

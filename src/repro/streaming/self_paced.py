@@ -131,8 +131,6 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
         include_cold_start: bool = True,
         record_bins: bool = False,
         n_jobs: Optional[int] = None,
-        backend: str = "thread",
-        chunk_size: Optional[int] = None,
         random_state=None,
         mode: str = "exact",
         hardness_range: Tuple[float, float] = (0.0, 1.0),
@@ -146,8 +144,6 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
             include_cold_start=include_cold_start,
             record_bins=record_bins,
             n_jobs=n_jobs,
-            backend=backend,
-            chunk_size=chunk_size,
             random_state=random_state,
         )
         self.mode = mode
@@ -272,8 +268,6 @@ class StreamingSelfPacedEnsembleClassifier(SelfPacedEnsembleClassifier):
                     X_maj,
                     np.array([0, 1]),
                     n_jobs=self.n_jobs,
-                    backend=self.backend,
-                    chunk_size=self.chunk_size,
                 )[:, 1]
                 yield hardness_fn(np.zeros(len(X_maj)), proba), X_maj
 

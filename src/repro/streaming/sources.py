@@ -183,7 +183,7 @@ class NPYSource(DataSource):
 
     Each ``iter_blocks`` / ``take`` call opens a fresh read-only memmap, so
     the object itself holds no file handles and pickles as two paths —
-    process-backend workers each map the file independently, sharing pages
+    process-pool workers each map the file independently, sharing pages
     through the OS cache.
     """
 

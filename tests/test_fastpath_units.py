@@ -12,8 +12,7 @@ from repro.core.binning import cut_hardness_bins, allocate_bin_samples, self_pac
 from repro.core.self_paced import self_paced_under_sample
 from repro.fastpath import PackedForest, ScoringMatrix
 from repro.parallel import ensemble_predict_proba
-from repro.parallel.executor import parallel_map
-from repro.parallel.inference import _SHARED_PAYLOADS
+from repro.parallel.executor import _SHARED_PAYLOADS, parallel_map
 from repro.tree import DecisionTreeClassifier, FeatureBinner
 from repro.tree._tree import _LEAF, Tree, _grow_depth_first, build_tree
 
@@ -581,12 +580,12 @@ class TestInferencePayloads:
         y = (X[:, 0] > 0).astype(int)
         trees = [DecisionTreeClassifier(max_depth=2, random_state=s).fit(X, y)
                  for s in range(3)]
-        for backend in ("serial", "thread", "process"):
+        for n_jobs in (1, 2):
             ensemble_predict_proba(
                 trees, X, np.array([0, 1]), packed="never",
-                backend=backend, n_jobs=2, chunk_size=64,
+                n_jobs=n_jobs, chunk_size=64,
             )
-            assert not _SHARED_PAYLOADS, backend
+            assert not _SHARED_PAYLOADS, n_jobs
 
     def test_process_backend_tasks_carry_no_estimators(self, rng):
         """Task payloads carry only (key, block id, row chunk) — estimators
@@ -624,7 +623,7 @@ class TestInferencePayloads:
     def test_executor_initializer_runs_on_serial_path(self):
         state = {}
         parallel_map(
-            lambda t: state["k"] + t, [1, 2], backend="serial",
+            lambda t: state["k"] + t, [1, 2],
             initializer=lambda v: state.__setitem__("k", v), initargs=(10,),
         )
 

@@ -6,20 +6,38 @@ import numpy as np
 import pytest
 
 from repro.ensemble import BaggingClassifier, average_ensemble_proba
+from repro.imbalance_ensemble import UnderBaggingClassifier
 from repro.parallel import (
-    BACKENDS,
     ensemble_predict_proba,
+    fit_ensemble_member,
     fit_ensemble_parallel,
     parallel_map,
     resolve_n_jobs,
     spawn_seeds,
     task_rng,
 )
+from repro.parallel import engine
+from repro.parallel.executor import _SHARED_PAYLOADS
 from repro.tree import DecisionTreeClassifier
 
+#: The three executors behind ``parallel_map``, as keyword arguments.
+EXECUTORS = {
+    "serial": dict(n_jobs=1),
+    "thread": dict(n_jobs=2, processes=False),
+    "process": dict(n_jobs=2, processes=True),
+}
 
-def _square(x):  # module-level so the process backend can pickle it
+
+def _square(x):  # module-level so a process pool can pickle it
     return x * x
+
+
+def _holds_array(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return True
+    if isinstance(value, (tuple, list)):
+        return any(_holds_array(v) for v in value)
+    return False
 
 
 def _balanced_pair_sample(index, rng, X, y):
@@ -53,19 +71,24 @@ class TestResolveNJobs:
 
 
 class TestParallelMap:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", list(EXECUTORS))
     def test_ordered_results_all_backends(self, backend):
         items = list(range(20))
-        assert parallel_map(_square, items, backend=backend, n_jobs=2) == [
+        assert parallel_map(_square, items, **EXECUTORS[backend]) == [
             i * i for i in items
         ]
 
     def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            parallel_map(_square, [1], backend="fiber")
+        """``n_jobs`` is the only knob: the retired ``backend`` is rejected
+        by the executor and by every ensemble constructor."""
+        with pytest.raises(TypeError, match="backend"):
+            parallel_map(_square, [1], backend="thread")
+        for cls in (BaggingClassifier, UnderBaggingClassifier):
+            with pytest.raises(TypeError, match="backend"):
+                cls(backend="thread")
 
     def test_empty_tasks(self):
-        assert parallel_map(_square, [], backend="thread", n_jobs=2) == []
+        assert parallel_map(_square, [], n_jobs=2) == []
 
 
 class TestSeeding:
@@ -112,8 +135,10 @@ class TestEnsemblePredictProba:
             )
             assert np.array_equal(out, reference)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_backend_never_changes_result(self, binary_blobs, backend):
+        """The chunked path, serial or on the thread pool, reproduces the
+        packed kernel bit for bit."""
         X, y = binary_blobs
         trees = [
             DecisionTreeClassifier(max_depth=3, random_state=s).fit(X, y)
@@ -121,7 +146,12 @@ class TestEnsemblePredictProba:
         ]
         reference = ensemble_predict_proba(trees, X, np.array([0, 1]))
         out = ensemble_predict_proba(
-            trees, X, np.array([0, 1]), backend=backend, n_jobs=2, chunk_size=50
+            trees,
+            X,
+            np.array([0, 1]),
+            n_jobs=EXECUTORS[backend]["n_jobs"],
+            chunk_size=50,
+            packed="never",
         )
         assert np.array_equal(out, reference)
 
@@ -156,18 +186,17 @@ class TestEnsemblePredictProba:
 
 
 class TestFitEnsembleParallel:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backend_equivalent_members(self, binary_blobs, backend):
+        """Serial loop and process pool both reproduce the members fitted
+        one by one from their derived seeds."""
         X, y = binary_blobs
-        reference, n_ref = fit_ensemble_parallel(
-            X,
-            y,
-            n_estimators=4,
-            sample_fn=_balanced_pair_sample,
-            make_model=_make_tree,
-            random_state=5,
-            backend="serial",
-        )
+        expected = [
+            fit_ensemble_member(
+                i, task_rng(seed), X, y, _balanced_pair_sample, _make_tree
+            )
+            for i, seed in enumerate(spawn_seeds(5, 4))
+        ]
         members, n_samples = fit_ensemble_parallel(
             X,
             y,
@@ -175,12 +204,29 @@ class TestFitEnsembleParallel:
             sample_fn=_balanced_pair_sample,
             make_model=_make_tree,
             random_state=5,
-            backend=backend,
-            n_jobs=2,
+            n_jobs=EXECUTORS[backend]["n_jobs"],
         )
-        assert n_samples == n_ref
-        for ref, got in zip(reference, members):
+        assert n_samples == sum(n for _, n in expected)
+        for (ref, _), got in zip(expected, members):
             assert np.array_equal(ref.predict_proba(X), got.predict_proba(X))
+
+    @pytest.mark.parametrize("cls", [BaggingClassifier, UnderBaggingClassifier])
+    def test_member_tasks_carry_no_arrays(self, binary_blobs, cls, monkeypatch):
+        """Process-pool member fits ship ``(X, y)`` once per worker through
+        the initializer; each task is only ``(key, seed, index)``."""
+        X, y = binary_blobs
+        seen = []
+        original = engine.parallel_map
+
+        def spy(fn, tasks, **kwargs):
+            seen.append(list(tasks))
+            return original(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(engine, "parallel_map", spy)
+        cls(n_estimators=4, n_jobs=2, random_state=0).fit(X, y)
+        assert [len(tasks) for tasks in seen] == [4]
+        assert not any(_holds_array(task) for task in seen[0])
+        assert not _SHARED_PAYLOADS
 
     def test_rejects_zero_estimators(self, binary_blobs):
         X, y = binary_blobs

@@ -1,9 +1,15 @@
-"""Backend equivalence: parallelism must never change model output.
+"""n_jobs equivalence: parallelism must never change model output.
 
-Every ensemble that exposes ``n_jobs`` / ``backend`` must produce
-bit-identical ``predict_proba`` for the serial, thread, and process
-backends (and any worker count) under a fixed ``random_state``.
+Every ensemble must produce bit-identical ``predict_proba`` for every
+``n_jobs`` under a fixed ``random_state``. With ``n_jobs`` > 1 member fits
+run on a process pool and chunked scoring on a thread pool; both are
+checked with this process pinned to one CPU and to all of its CPUs
+(``os.sched_setaffinity`` on the test's own process, which new threads
+and forked workers inherit).
 """
+
+import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,18 +24,32 @@ from repro.imbalance_ensemble import (
     UnderBaggingClassifier,
 )
 from repro.sampling import RandomUnderSampler
+from repro.streaming import ArraySource
 from repro.tree import DecisionTreeClassifier
-
-BACKENDS = ("serial", "thread", "process")
 
 
 def _base():
     return DecisionTreeClassifier(max_depth=4, random_state=0)
 
 
-def _fit_proba(factory, X, y, backend, n_jobs):
-    model = factory(backend=backend, n_jobs=n_jobs).fit(X, y)
+def _fit_proba(name, X, y, n_jobs):
+    model = FACTORIES[name](n_jobs=n_jobs)
+    if name == "under_bagging_fit_source":
+        model.fit_source(ArraySource(X, y, block_size=128))
+    else:
+        model.fit(X, y)
     return model.predict_proba(X)
+
+
+@contextmanager
+def _pinned(cpus):
+    """Restrict this process to ``cpus`` for the block, then restore."""
+    original = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, cpus)
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, original)
 
 
 FACTORIES = {
@@ -61,36 +81,23 @@ FACTORIES = {
     "balance_cascade": lambda **kw: BalanceCascadeClassifier(
         _base(), n_estimators=4, random_state=7, **kw
     ),
+    "under_bagging_fit_source": lambda **kw: UnderBaggingClassifier(
+        _base(), n_estimators=5, random_state=7, **kw
+    ),
 }
 
 
-@pytest.mark.parametrize("name", ["spe", "bagging"])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backends_bit_identical_core(name, backend, imbalanced_data):
-    """The issue's headline guarantee, on SPE and Bagging for every backend."""
-    X, y = imbalanced_data
-    reference = _fit_proba(FACTORIES[name], X, y, "serial", 1)
-    proba = _fit_proba(FACTORIES[name], X, y, backend, 2)
-    assert np.array_equal(reference, proba)
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "forest",
-        "under_bagging",
-        "smote_bagging",
-        "easy_ensemble",
-        "resample_ensemble",
-        "balance_cascade",
-    ],
-)
+@pytest.mark.parametrize("name", list(FACTORIES))
 def test_backends_bit_identical_family(name, imbalanced_data):
-    """Thread-vs-serial equivalence across the rest of the ensemble family."""
+    """``n_jobs`` 2 and 4 reproduce ``n_jobs=1`` on one CPU and on all."""
     X, y = imbalanced_data
-    reference = _fit_proba(FACTORIES[name], X, y, "serial", 1)
-    proba = _fit_proba(FACTORIES[name], X, y, "thread", 4)
-    assert np.array_equal(reference, proba)
+    reference = _fit_proba(name, X, y, 1)
+    all_cpus = os.sched_getaffinity(0)
+    for cpus in ({min(all_cpus)}, all_cpus):
+        with _pinned(cpus):
+            for n_jobs in (2, 4):
+                proba = _fit_proba(name, X, y, n_jobs)
+                assert np.array_equal(reference, proba), (len(cpus), n_jobs)
 
 
 def test_spe_n_jobs_four_matches_one(imbalanced_data):
@@ -106,18 +113,4 @@ def test_spe_n_jobs_four_matches_one(imbalanced_data):
         .fit(X, y)
         .predict_proba(X)
     )
-    assert np.allclose(p1, p4)
-
-
-def test_chunk_size_invariance_spe(imbalanced_data):
-    X, y = imbalanced_data
-    probas = [
-        SelfPacedEnsembleClassifier(
-            _base(), n_estimators=4, chunk_size=chunk, random_state=2
-        )
-        .fit(X, y)
-        .predict_proba(X)
-        for chunk in (None, 16, 100_000)
-    ]
-    assert np.array_equal(probas[0], probas[1])
-    assert np.array_equal(probas[0], probas[2])
+    assert np.array_equal(p1, p4)

@@ -67,6 +67,7 @@ class TestStructuralContract:
     def test_set_params_round_trip(self, name):
         clf = smoke_instance(name)
         params = clf.get_params()
+        assert "backend" not in params  # n_jobs is the only parallel knob
         assert clf.set_params(**params) is clf
         assert clf.get_params() == params
 

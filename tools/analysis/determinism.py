@@ -2,7 +2,7 @@
 monotonic.
 
 The paper's self-paced sampling is deterministic given a seed, and the
-repo's bit-identity guarantees (across backends, across save/load,
+repo's bit-identity guarantees (across worker counts, across save/load,
 across the serving fleet) only hold because no code path touches global
 RNG state. Statically that means:
 

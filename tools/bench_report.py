@@ -103,7 +103,7 @@ def flatten_numeric(value: Any, prefix: str = "") -> List[Tuple[str, Any]]:
             if isinstance(child, dict):
                 tags = [
                     str(child[k])
-                    for k in ("model", "mode", "backend", "n_jobs", "rows",
+                    for k in ("model", "mode", "n_jobs", "rows",
                               "workers", "tenant")
                     if k in child
                 ]

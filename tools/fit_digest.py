@@ -24,7 +24,10 @@ at one numpy CPU-dispatch level. numpy picks SIMD kernels per CPU, and
 ``make_credit_fraud``'s Amount column goes through ``log1p``, whose last
 bit differs between dispatch levels (setting ``NPY_DISABLE_CPU_FEATURES``
 is enough to change it), so the table, and with it every digest, is only
-reproducible within one dispatch level.
+reproducible within one dispatch level. The BLAS thread count is part of
+the same condition: members that go through BLAS can change the last
+digits of their probabilities with ``OPENBLAS_NUM_THREADS`` (logistic
+regression does), so compare checkouts under one setting.
 """
 
 from __future__ import annotations
