@@ -87,6 +87,24 @@ FACTORIES = {
 }
 
 
+# ``n_jobs`` for (fit, predict_proba) that puts each executor to work alone:
+# the default serial loop, thread-pool chunked scoring of an ``n_jobs=1``
+# fit, and process-pool member fits scored serially.
+EXECUTOR_N_JOBS = {"serial": (None, None), "thread": (1, 2), "process": (2, 1)}
+
+
+@pytest.mark.parametrize("name", ["spe", "bagging"])
+@pytest.mark.parametrize("backend", list(EXECUTOR_N_JOBS))
+def test_backends_bit_identical_core(name, backend, imbalanced_data):
+    """On SPE and Bagging, each executor alone reproduces ``n_jobs=1``."""
+    X, y = imbalanced_data
+    reference = _fit_proba(name, X, y, 1)
+    fit_jobs, predict_jobs = EXECUTOR_N_JOBS[backend]
+    model = FACTORIES[name](n_jobs=fit_jobs).fit(X, y)
+    model.set_params(n_jobs=predict_jobs)
+    assert np.array_equal(reference, model.predict_proba(X))
+
+
 @pytest.mark.parametrize("name", list(FACTORIES))
 def test_backends_bit_identical_family(name, imbalanced_data):
     """``n_jobs`` 2 and 4 reproduce ``n_jobs=1`` on one CPU and on all."""
