@@ -267,7 +267,7 @@ def _fleet_overflow(path, X_serve):
                 assert future.result().shape == (OVERFLOW_ROWS, 2)
             except ServerOverloadedError as exc:  # admitted, then rejected
                 failed.append(repr(exc))
-        rejected = pool.n_overflows_
+        rejected = pool.stats()["n_overflows"]
     assert not failed, (
         f"{len(failed)} of {len(futures)} admitted requests failed: {failed[:3]}"
     )

@@ -162,37 +162,25 @@ class LifecycleController:
         self._init_metrics()
 
     def _init_metrics(self) -> None:
-        """Register this controller's metric children (labeled per
-        instance)."""
-        registry = telemetry.get_registry()
-        self.telemetry_label_ = telemetry.instance_label("controller")
-        label = ("controller",)
-        self._m_events_family = registry.counter(
+        """Declare this controller's metrics on its own scope."""
+        m = telemetry.MetricScope("controller")
+        self.telemetry_label_ = m.label
+        self._m_events = m.counter(
             "repro_lifecycle_events_total",
-            "Lifecycle decisions taken, by policy action.",
-            labels=("controller", "action"),
-        )
-        self._m_promotions = registry.counter(
+            "Lifecycle decisions taken, by policy action.", labels=("action",))
+        self._m_promotions = m.counter(
             "repro_lifecycle_promotions_total",
-            "Challengers promoted to champion (registered + swapped).",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._m_swap_retries = registry.counter(
+            "Challengers promoted to champion (registered + swapped).")
+        self._m_swap_retries = m.counter(
             "repro_lifecycle_swap_retries_total",
-            "Fleet swaps retried after a transient failure.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._h_promotion_lag = registry.histogram(
+            "Fleet swaps retried after a transient failure.")
+        self._h_promotion_lag = m.histogram(
             "repro_lifecycle_promotion_lag_seconds",
-            "Decision-to-swap lag: retrain + shadow + register + swap.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._h_swap = registry.histogram(
+            "Decision-to-swap lag: retrain + shadow + register + swap.")
+        self._h_swap = m.histogram(
             "repro_lifecycle_swap_seconds",
             "Server/fleet swap duration as seen by the controller "
-            "(including the wait-healthy retry path).",
-            labels=label,
-        ).labels(self.telemetry_label_)
+            "(including the wait-healthy retry path).")
 
     # ------------------------------------------------------------------ #
     def process(self, X_batch, y_true=None) -> LifecycleEvent:
@@ -223,9 +211,7 @@ class LifecycleController:
 
     def _record_event(self, event: LifecycleEvent) -> LifecycleEvent:
         """Append the event and mirror it into the telemetry registry."""
-        self._m_events_family.labels(
-            self.telemetry_label_, event.action.name
-        ).inc()
+        self._m_events.labels(event.action.name).inc()
         if event.promoted:
             self._m_promotions.inc()
         if event.swap_retried:

@@ -134,30 +134,20 @@ class DriftMonitor:
         self._init_metrics()
 
     def _init_metrics(self) -> None:
-        """Register this monitor's metric children (labeled per instance)."""
-        registry = telemetry.get_registry()
-        self.telemetry_label_ = telemetry.instance_label("monitor")
-        label = ("monitor",)
-        self._m_rows = registry.counter(
-            "repro_monitor_rows_total",
-            "Scored rows observed by the drift monitor.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._m_checks = registry.counter(
+        """Declare this monitor's metrics on its own scope."""
+        m = telemetry.MetricScope("monitor")
+        self.telemetry_label_ = m.label
+        self._m_rows = m.counter("repro_monitor_rows_total",
+                                 "Scored rows observed by the drift monitor.")
+        self._m_checks = m.counter(
             "repro_monitor_checks_total",
-            "Detector sweeps run over the labeled window.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._h_check = registry.histogram(
-            "repro_monitor_check_seconds",
-            "Duration of one full detector sweep.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._g_level_family = registry.gauge(
+            "Detector sweeps run over the labeled window.")
+        self._h_check = m.histogram("repro_monitor_check_seconds",
+                                    "Duration of one full detector sweep.")
+        self._g_level = m.gauge(
             "repro_monitor_drift_level",
             "Latest drift level per detector: 0 OK, 1 WARN, 2 ALARM.",
-            labels=("monitor", "detector"),
-        )
+            labels=("detector",))
 
     def _set_prevalence_detector(self, prevalence: float) -> None:
         self.prevalence_detector = (
@@ -267,9 +257,7 @@ class DriftMonitor:
         with telemetry.timer(self._h_check):
             reports = self._run_detectors()
         for report in reports:
-            self._g_level_family.labels(
-                self.telemetry_label_, report.detector
-            ).set(int(report.level))
+            self._g_level.labels(report.detector).set(int(report.level))
         return reports
 
     def _run_detectors(self) -> List[DriftReport]:

@@ -162,97 +162,69 @@ class AsyncGateway:
     # telemetry
     # ------------------------------------------------------------------ #
     def _init_metrics(self) -> None:
-        """Register this gateway's metric children (labeled per instance);
-        per-tenant traffic counters are labeled children of one family."""
-        registry = telemetry.get_registry()
-        self.telemetry_label_ = telemetry.instance_label("gateway")
-        label = ("gateway",)
-        tenant_label = ("gateway", "tenant")
-        self._f_submitted = registry.counter(
+        """Declare this gateway's metrics on its own scope; per-tenant
+        traffic counters are families labeled by tenant."""
+        m = self._metrics = telemetry.MetricScope("gateway")
+        self.telemetry_label_ = m.label
+        tenant = ("tenant",)
+        self._f_submitted = m.counter(
             "repro_gateway_submitted_total",
             "Requests admitted past the gateway door, per tenant.",
-            labels=tenant_label,
-        )
-        self._f_served = registry.counter(
+            labels=tenant, stat="submitted")
+        self._f_served = m.counter(
             "repro_gateway_served_total",
             "Requests answered by the backend, per tenant.",
-            labels=tenant_label,
-        )
-        self._f_rejected = registry.counter(
+            labels=tenant, stat="served")
+        self._f_rejected = m.counter(
             "repro_gateway_rejected_total",
             "Requests rejected at the door (tenant queue full), per tenant.",
-            labels=tenant_label,
-        )
-        self._f_queued = registry.gauge(
+            labels=tenant, stat="rejected")
+        self._f_queued = m.gauge(
             "repro_gateway_queue_depth",
             "Requests waiting in the gateway queue, per tenant.",
-            labels=tenant_label,
-        )
-        self._m_backpressure = registry.counter(
+            labels=tenant)
+        self._m_backpressure = m.counter(
             "repro_gateway_backpressure_waits_total",
             "Backend push-backs absorbed as backpressure pauses.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._m_deadline = registry.counter(
+            stat="n_backpressure_waits")
+        self._m_deadline = m.counter(
             "repro_gateway_deadline_expired_total",
             "Requests failed because their deadline passed at the gateway.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._m_shed = registry.counter(
-            "repro_gateway_shed_total",
-            "Requests shed while the circuit breaker was open.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._m_breaker_opens = registry.counter(
+            stat="n_deadline_expired")
+        self._m_breaker_opens = m.counter(
             "repro_gateway_breaker_opens_total",
             "Circuit-breaker trips (closed/half-open to open).",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._g_breaker_state = registry.gauge(
+            stat="breaker.n_opens")
+        self._m_shed = m.counter(
+            "repro_gateway_shed_total",
+            "Requests shed while the circuit breaker was open.",
+            stat="breaker.n_shed")
+        self._g_breaker_state = m.gauge(
             "repro_gateway_breaker_state",
-            "Circuit-breaker state: 0 closed, 1 open, 2 half-open.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._g_inflight = registry.gauge(
+            "Circuit-breaker state: 0 closed, 1 open, 2 half-open.")
+        self._g_inflight = m.gauge(
             "repro_gateway_inflight_requests",
-            "Requests forwarded to the backend and awaiting its answer.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._h_queue_wait = registry.histogram(
+            "Requests forwarded to the backend and awaiting its answer.")
+        self._h_queue_wait = m.histogram(
             "repro_gateway_queue_wait_seconds",
-            "Admission-to-forward wait in the gateway queue.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._h_request = registry.histogram(
+            "Admission-to-forward wait in the gateway queue.")
+        self._h_request = m.histogram(
             "repro_gateway_request_seconds",
-            "End-to-end request latency through the gateway.",
-            labels=label,
-        ).labels(self.telemetry_label_)
+            "End-to-end request latency through the gateway.")
 
-    def _tenant(self, family, tenant: str):
-        """The (gateway, tenant)-labeled child of ``family``."""
-        return family.labels(self.telemetry_label_, tenant)
-
-    # -- gateway counters (views over the telemetry registry) ----------- #
+    # Read by perfbench/servephase.py; goes with the benchmark change
+    # that moves perfbench onto the registry.
     @property
     def n_backpressure_waits_(self) -> int:
         """Backpressure pauses taken (registry view)."""
         return int(self._m_backpressure.value)
 
+    # Read by perfbench/servephase.py; goes with the benchmark change
+    # that moves perfbench onto the registry.
     @property
     def n_deadline_expired_(self) -> int:
         """Deadline failures (registry view)."""
         return int(self._m_deadline.value)
-
-    @property
-    def n_shed_(self) -> int:
-        """Breaker-shed requests (registry view)."""
-        return int(self._m_shed.value)
-
-    @property
-    def n_breaker_opens_(self) -> int:
-        """Breaker trips (registry view)."""
-        return int(self._m_breaker_opens.value)
 
     # ------------------------------------------------------------------ #
     async def submit(
@@ -293,7 +265,7 @@ class AsyncGateway:
             self._queues[tenant] = tenant_q
             self._order.append(tenant)
         if len(tenant_q) >= self.max_pending_per_tenant:
-            self._tenant(self._f_rejected, tenant).inc()
+            self._f_rejected.labels(tenant).inc()
             raise ServerOverloadedError(
                 f"gateway queue for tenant {tenant!r} is full "
                 f"({self.max_pending_per_tenant} pending); back off and retry"
@@ -305,8 +277,8 @@ class AsyncGateway:
             self._probe_inflight = True
             done.add_done_callback(self._probe_settled)
         tenant_q.append((rows, done, expires_at, sw, ctx))
-        self._tenant(self._f_submitted, tenant).inc()
-        self._tenant(self._f_queued, tenant).set(len(tenant_q))
+        self._f_submitted.labels(tenant).inc()
+        self._f_queued.labels(tenant).set(len(tenant_q))
         self._wake.set()
         return await done
 
@@ -401,7 +373,7 @@ class AsyncGateway:
                     await self._wake.wait()
                     continue
             tenant, (rows, done, expires_at, sw, ctx) = item
-            self._tenant(self._f_queued, tenant).set(
+            self._f_queued.labels(tenant).set(
                 len(self._queues[tenant])
             )
             if done.done():  # caller gave up (cancelled/timed out)
@@ -486,7 +458,7 @@ class AsyncGateway:
                 done.set_exception(exc)
         else:
             self._on_backend_success()
-            self._tenant(self._f_served, tenant).inc()
+            self._f_served.labels(tenant).inc()
             if not done.done():
                 done.set_result(result)
         total_s = sw.observe(self._h_request)
@@ -506,30 +478,25 @@ class AsyncGateway:
         counters, queue depths, backpressure waits, deadline expiries,
         and the circuit breaker's state and shed counts.
 
-        Every counter is a view over the telemetry registry — the same
-        values ``repro.telemetry.snapshot()`` exposes.
+        Every counter is read from the gateway's telemetry scope — the
+        same values ``repro.telemetry.snapshot()`` exposes.
         """
         tenants = {}
         for tenant in self._order:
             queued = len(self._queues[tenant])
-            self._tenant(self._f_queued, tenant).set(queued)
-            tenants[tenant] = {
-                "submitted": int(self._tenant(self._f_submitted, tenant).value),
-                "served": int(self._tenant(self._f_served, tenant).value),
-                "rejected": int(self._tenant(self._f_rejected, tenant).value),
-                "queued": queued,
-            }
+            self._f_queued.labels(tenant).set(queued)
+            tenants[tenant] = {**self._metrics.counts(tenant), "queued": queued}
         self._g_inflight.set(len(self._inflight))
+        counts = self._metrics.counts()
+        breaker = counts.pop("breaker")
         return {
             "tenants": tenants,
-            "n_backpressure_waits": self.n_backpressure_waits_,
-            "n_deadline_expired": self.n_deadline_expired_,
+            **counts,
             "inflight": len(self._inflight),
             "breaker": {
                 "state": self._breaker_state,
                 "failure_streak": self._failure_streak,
-                "n_opens": self.n_breaker_opens_,
-                "n_shed": self.n_shed_,
+                **breaker,
             },
         }
 

@@ -90,7 +90,7 @@ from ..exceptions import (
 from .server import (
     ScoredBatch,
     _Batcher,
-    _decode,
+    _Endpoint,
     _expires_at,
     _load_active,
     _record_from_model,
@@ -263,7 +263,9 @@ def _worker_main(
             thread.start()
         elif msg[0] == "stats":
             payload = batcher.stats()
-            payload["n_overflows"] = 0  # admission is the pool's fork queue
+            # Admission is the pool's fork queue; the key stays for
+            # perfbench, which sums it (see WorkerPool.worker_stats).
+            payload["n_overflows"] = 0
             payload["private_kb"] = process_private_kb()
             payload["baseline_private_kb"] = baseline_kb
             payload["generation"] = generation
@@ -275,7 +277,7 @@ def _worker_main(
             return
 
 
-class WorkerPool:
+class WorkerPool(_Endpoint):
     """Serve one model from N supervised forked workers behind one door.
 
     Parameters
@@ -427,109 +429,50 @@ class WorkerPool:
     # telemetry (parent-side; each worker's inner server has its own)
     # ------------------------------------------------------------------ #
     def _init_metrics(self) -> None:
-        """Register this pool's metric children (labeled per instance)."""
-        registry = telemetry.get_registry()
-        self.telemetry_label_ = telemetry.instance_label("pool")
-        label = ("pool",)
-        self._m_requests = registry.counter(
-            "repro_pool_requests_total",
-            "Requests answered by the worker fleet.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._m_overflows = registry.counter(
+        """Declare this pool's metrics on its own scope."""
+        m = self._metrics = telemetry.MetricScope("pool")
+        self.telemetry_label_ = m.label
+        self._m_requests = m.counter("repro_pool_requests_total",
+                                     "Requests answered by the worker fleet.",
+                                     stat="n_requests")
+        self._m_overflows = m.counter(
             "repro_pool_overflows_total",
             "Requests rejected because a worker queue was full.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._m_swaps = registry.counter(
-            "repro_pool_swaps_total",
-            "Fleet-wide model swaps broadcast.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._m_crashes = registry.counter(
+            stat="n_overflows")
+        self._m_swaps = m.counter("repro_pool_swaps_total",
+                                  "Fleet-wide model swaps broadcast.",
+                                  stat="n_swaps")
+        self._m_crashes = m.counter(
             "repro_pool_crashes_total",
             "Worker processes that died without a clean stop ack.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._m_respawns = registry.counter(
+            stat="n_crashes")
+        self._m_respawns = m.counter(
             "repro_pool_respawns_total",
-            "Replacement workers started after crashes.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._m_deadline = registry.counter(
+            "Replacement workers started after crashes.", stat="n_respawns")
+        self._m_deadline = m.counter(
             "repro_pool_deadline_expired_total",
             "Requests failed parent-side because their deadline passed.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._m_late = registry.counter(
+            stat="n_deadline_expired")
+        self._m_late = m.counter(
             "repro_pool_late_replies_total",
-            "Worker replies that arrived after their request had "
-            "already failed (deadline or crash).",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._m_smaps_unavailable = registry.counter(
+            "Worker replies that arrived after their request had already "
+            "failed (deadline or crash).", stat="n_late_replies")
+        self._m_smaps_unavailable = m.counter(
             "repro_pool_smaps_unavailable_total",
-            "worker_stats() rounds where /proc smaps_rollup could not "
-            "be read (footprint gauges degrade to NaN).",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._g_pending = registry.gauge(
-            "repro_pool_pending_requests",
-            "In-flight requests awaiting a worker reply.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._h_roundtrip = registry.histogram(
+            "worker_stats() rounds where /proc smaps_rollup could not be "
+            "read (footprint gauges degrade to NaN).")
+        self._g_pending = m.gauge("repro_pool_pending_requests",
+                                  "In-flight requests awaiting a worker reply.")
+        self._h_roundtrip = m.histogram(
             "repro_pool_roundtrip_seconds",
-            "Submit-to-reply latency through the fork queues.",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._h_swap = registry.histogram(
+            "Submit-to-reply latency through the fork queues.")
+        self._h_swap = m.histogram(
             "repro_pool_swap_seconds",
-            "Fleet swap duration (broadcast to full convergence).",
-            labels=label,
-        ).labels(self.telemetry_label_)
-        self._worker_kb_family = registry.gauge(
+            "Fleet swap duration (broadcast to full convergence).")
+        self._g_worker_kb = m.gauge(
             "repro_pool_worker_private_kb",
             "Private (unshared) resident memory per worker, KiB "
-            "(NaN when smaps_rollup is unavailable).",
-            labels=("pool", "worker"),
-        )
-
-    # -- fleet counters (views over the telemetry registry) ------------- #
-    @property
-    def n_requests_(self) -> int:
-        """Requests answered (registry view)."""
-        return int(self._m_requests.value)
-
-    @property
-    def n_overflows_(self) -> int:
-        """Overflow rejections (registry view)."""
-        return int(self._m_overflows.value)
-
-    @property
-    def n_swaps_(self) -> int:
-        """Fleet swaps broadcast (registry view)."""
-        return int(self._m_swaps.value)
-
-    @property
-    def n_crashes_(self) -> int:
-        """Worker crashes detected (registry view)."""
-        return int(self._m_crashes.value)
-
-    @property
-    def n_respawns_(self) -> int:
-        """Workers respawned (registry view)."""
-        return int(self._m_respawns.value)
-
-    @property
-    def n_deadline_expired_(self) -> int:
-        """Deadline failures (registry view)."""
-        return int(self._m_deadline.value)
-
-    @property
-    def n_late_replies_(self) -> int:
-        """Late worker replies dropped (registry view)."""
-        return int(self._m_late.value)
+            "(NaN when smaps_rollup is unavailable).", labels=("worker",))
 
     def _stitch_reply(self, sw, ctx, worker: int, spans) -> None:
         """Record a reply's round-trip and re-record its worker spans.
@@ -773,25 +716,9 @@ class WorkerPool:
         proc.start()
 
     # ------------------------------------------------------------------ #
-    def submit(self, rows, *, deadline: Optional[float] = None) -> Future:
-        """Queue rows on the next live worker (round-robin); the future
-        resolves to their ``predict_proba`` matrix.
-
-        ``deadline`` is this request's scoring budget in seconds,
-        enforced end-to-end (parent supervisor, worker queue, worker
-        serving loop): an expired request fails with
-        :class:`~repro.exceptions.DeadlineExceededError`, never scored
-        late. A request on a worker that dies fails with
-        :class:`~repro.exceptions.WorkerCrashedError` — no future ever
-        hangs."""
-        return self._enqueue(rows, want_version=False, deadline=deadline)
-
-    def submit_scored(self, rows, *, deadline: Optional[float] = None) -> Future:
-        """Like :meth:`submit`, resolving to a :class:`ScoredBatch` stamped
-        with the version of the one worker-side model that scored it."""
-        return self._enqueue(rows, want_version=True, deadline=deadline)
-
     def _enqueue(self, rows, want_version: bool, deadline=None) -> Future:
+        """Admit rows to the next live worker (round-robin); the deadline
+        is enforced end to end: supervisor, worker queue, serving loop."""
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         ctx = telemetry.current_context()
         sw = telemetry.stopwatch()
@@ -829,23 +756,6 @@ class WorkerPool:
                     "retry"
                 ) from None
         return future
-
-    def predict_proba(self, rows) -> np.ndarray:
-        """Synchronous scoring through the worker fleet."""
-        return self.submit(rows).result()
-
-    def score(self, rows) -> ScoredBatch:
-        """Synchronous scoring with the serving version stamp."""
-        return self.submit_scored(rows).result()
-
-    def predict(self, rows) -> np.ndarray:
-        """Thresholded classification, decoded with the classes of the
-        version that actually scored the rows (a mid-swap fleet can answer
-        from either side of the flip; the stamp disambiguates)."""
-        scored = self.score(rows)
-        with self._lock:
-            record = self._version_records[scored.model_version]
-        return _decode(record, scored.proba, self.threshold)
 
     # ------------------------------------------------------------------ #
     #: Fleet swaps ship artifact *paths*, not live objects — the
@@ -912,7 +822,7 @@ class WorkerPool:
                 raise ServerClosedError("WorkerPool is closed")
             self._m_swaps.inc()
             if version is None:
-                version = f"swap-{self.n_swaps_}"
+                version = f"swap-{int(self._m_swaps.value)}"
             version = str(version)
             self._version_records[version] = record
             # Repoint the respawn source first: any worker that crashes
@@ -965,7 +875,7 @@ class WorkerPool:
     def stats(self) -> Dict:
         """Pool-level health snapshot (cheap: no worker round-trip).
 
-        Every counter is a view over the telemetry registry — the same
+        Every counter is read from the pool's telemetry scope — the same
         values ``repro.telemetry.snapshot()`` exposes.
         """
         with self._lock:
@@ -973,13 +883,7 @@ class WorkerPool:
             return {
                 "n_workers": self.n_workers,
                 "threshold": self.threshold,
-                "n_requests": self.n_requests_,
-                "n_overflows": self.n_overflows_,
-                "n_swaps": self.n_swaps_,
-                "n_crashes": self.n_crashes_,
-                "n_respawns": self.n_respawns_,
-                "n_deadline_expired": self.n_deadline_expired_,
-                "n_late_replies": self.n_late_replies_,
+                **self._metrics.counts(),
                 "n_pending": len(self._futures),
                 "model_versions": dict(self._worker_versions),
                 "worker_states": dict(self._worker_state),
@@ -1010,10 +914,13 @@ class WorkerPool:
 
         Healthy means: every worker slot is alive (all due respawns
         done), and a :meth:`worker_stats` round-trip to the whole fleet
-        answers. Raises ``TimeoutError`` otherwise — the recovery-time
-        SLO check used by tests and ``benchmarks/bench_chaos.py``.
+        answers. Raises :class:`~repro.exceptions.FleetTimeoutError`
+        otherwise — the recovery-time SLO check used by tests and
+        ``benchmarks/bench_chaos.py`` — naming the slots (generation,
+        pid) that did not answer the last round-trip.
         """
         limit = time.monotonic() + float(timeout)
+        last_round = ""
         while True:
             with self._lock:
                 if self._closed:
@@ -1032,25 +939,33 @@ class WorkerPool:
                     )
                     if len(replies) == self.n_workers:
                         return
-                except TimeoutError:
-                    pass
+                    last_round = ""
+                except TimeoutError as exc:
+                    last_round = f"; last round: {exc}"
             if time.monotonic() > limit:
                 raise FleetTimeoutError(
                     f"fleet not healthy within {timeout}s: "
-                    f"{self.stats()['worker_states']}"
+                    f"{self.stats()['worker_states']}{last_round}"
                 )
             time.sleep(self.poll_interval / 2)
 
     def worker_stats(self, timeout: float = 30.0) -> Dict[int, Dict]:
         """Every live worker's batcher counters (``n_requests``,
-        ``n_batches``, ``n_rows``, ...; ``n_overflows`` is always 0, as
-        admission happens at the pool's queue) plus its private-memory
+        ``n_batches``, ``n_rows``, ...) plus its private-memory
         footprint (``private_kb`` now, ``baseline_private_kb`` at worker
         start) — the numbers the zero-copy claim is verified against.
         Each worker answers in FIFO order, after every request queued
         before the stats message. Workers that crash during the
         round-trip are dropped from the expectation instead of hanging
-        the call."""
+        the call; a round that times out raises
+        :class:`~repro.exceptions.FleetTimeoutError` naming the slots
+        that did not answer.
+
+        ``n_overflows`` is always 0: admission happens at the pool's fork
+        queue, so a worker has no overflow counter, but the key stays in
+        the payload because ``perfbench/loop.py`` sums it over workers
+        for its ``serving.overflows`` metric. The pool's own count is
+        ``stats()["n_overflows"]``."""
         with self._lock:
             if self._closed:
                 raise ServerClosedError("WorkerPool is closed")
@@ -1072,9 +987,17 @@ class WorkerPool:
             req_q.put(("stats", token))
         try:
             if not waiter["event"].wait(timeout):
+                with self._lock:
+                    missing = waiter["expected"] - set(waiter["replies"])
+                    silent = ", ".join(
+                        f"slot {i} (generation {self._worker_generation[i]}, "
+                        f"pid {self._procs[i].pid})"
+                        for i in sorted(missing)
+                    )
                 raise FleetTimeoutError(
-                    f"worker stats incomplete after {timeout}s: "
-                    f"{len(waiter['replies'])}/{len(live)} replied"
+                    f"worker stats incomplete after {timeout:.3g}s: "
+                    f"{len(waiter['replies'])}/{len(live)} replied; "
+                    f"no answer from {silent}"
                 )
         finally:
             with self._lock:
@@ -1085,9 +1008,7 @@ class WorkerPool:
             # without smaps_rollup reports None → NaN gauge + a counter
             # the dashboards can alert on.
             kb = payload.get("private_kb")
-            gauge = self._worker_kb_family.labels(
-                self.telemetry_label_, str(worker_id)
-            )
+            gauge = self._g_worker_kb.labels(str(worker_id))
             if kb is None:
                 gauge.set(float("nan"))
                 self._m_smaps_unavailable.inc()
@@ -1156,9 +1077,3 @@ class WorkerPool:
         # feeder (poisoned shared write lock) block interpreter exit on it.
         self._res_q.cancel_join_thread()
         self._res_q.close()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -35,15 +35,14 @@ endpoint:
   ``model_version``), in-flight requests never block on a re-pack, and
   the queue never drops a request across a swap. Swapped-out models are
   released: only their decode identity (:class:`_VersionRecord`) is kept.
-* **Observability** — :meth:`stats` reports served-traffic counters
-  (requests, batches, rows, batch-size distribution, overflow rejections,
-  per-version request counts, swap count, current version) so monitoring
-  loops and benchmarks read server health without instrumenting
-  internals. The counters live in the process-wide
-  :mod:`repro.telemetry` registry (``repro_server_*``, one labeled
-  child per server instance) — ``stats()`` is a thin view over them —
-  and requests submitted under an active :func:`repro.telemetry.trace`
-  leave ``server.queue_wait`` / ``server.kernel_eval`` spans behind.
+* **Observability** — every counter lives in the process-wide
+  :mod:`repro.telemetry` registry (``repro_server_*``, one labeled child
+  per server instance), declared once on the server's
+  :class:`~repro.telemetry.MetricScope`. :meth:`stats` reads them back
+  under their legacy keys, beside the batch-size distribution, the
+  per-version request counts and the current version, and requests
+  submitted under an active :func:`repro.telemetry.trace` leave
+  ``server.queue_wait`` / ``server.kernel_eval`` spans behind.
 
 The batching core, :class:`_Batcher`, is shared with every
 :class:`~repro.serving.WorkerPool` worker, which runs it on its fork queue.
@@ -197,10 +196,11 @@ class _Batcher:
     """The micro-batching core under :class:`ModelServer`'s thread and
     every pool worker's loop.
 
-    It holds the active record and the served-traffic ledger (this
-    process's ``repro_server_*`` registry children); the caller owns the
-    queue and its admission check, and says how a request is answered:
-    ``ok(req, proba, version)`` or ``fail(req, exc)``.
+    It holds the active record and the served-traffic ledger: the
+    ``repro_server_*`` metrics of this process's :attr:`metrics` scope.
+    The caller owns the queue and its admission check, and says how a
+    request is answered: ``ok(req, proba, version)`` or
+    ``fail(req, exc)``.
     """
 
     def __init__(
@@ -217,31 +217,29 @@ class _Batcher:
         self._chaos = chaos
         self._batch_rows: Counter = Counter()
         self._requests_by_version: Counter = Counter()
-        registry = telemetry.get_registry()
-        self.label = telemetry.instance_label("server")
-
-        def child(kind: str, name: str, help: str):
-            family = getattr(registry, kind)(name, help, labels=("server",))
-            return family.labels(self.label)
-
-        self.requests = child("counter", "repro_server_requests_total",
-                              "Requests served by ModelServer.")
-        self.batches = child("counter", "repro_server_batches_total",
-                             "Micro-batches drained (kernel calls).")
-        self.rows = child("counter", "repro_server_rows_total",
-                          "Rows scored by ModelServer.")
-        self.deadline = child("counter", "repro_server_deadline_expired_total",
-                              "Requests failed on an expired deadline.")
-        self.swaps = child("counter", "repro_server_swaps_total",
-                           "Hot model swaps installed.")
-        self.queue_wait = child(
-            "histogram", "repro_server_queue_wait_seconds",
+        self.metrics = m = telemetry.MetricScope("server")
+        self.requests = m.counter("repro_server_requests_total",
+                                  "Requests served by ModelServer.",
+                                  stat="n_requests")
+        self.batches = m.counter("repro_server_batches_total",
+                                 "Micro-batches drained (kernel calls).",
+                                 stat="n_batches")
+        self.rows = m.counter("repro_server_rows_total",
+                              "Rows scored by ModelServer.", stat="n_rows")
+        self.deadline = m.counter("repro_server_deadline_expired_total",
+                                  "Requests failed on an expired deadline.",
+                                  stat="n_deadline_expired")
+        self.swaps = m.counter("repro_server_swaps_total",
+                               "Hot model swaps installed.", stat="n_swaps")
+        self.queue_wait = m.histogram(
+            "repro_server_queue_wait_seconds",
             "Time a request waits in the ModelServer queue before its "
             "batch is drained.")
-        self.kernel = child("histogram", "repro_server_kernel_eval_seconds",
-                            "predict_proba kernel duration per drained batch.")
-        self.swap_seconds = child(
-            "histogram", "repro_server_swap_seconds",
+        self.kernel = m.histogram("repro_server_kernel_eval_seconds",
+                                  "predict_proba kernel duration per drained "
+                                  "batch.")
+        self.swap_seconds = m.histogram(
+            "repro_server_swap_seconds",
             "Hot-swap duration (challenger validation + kernel build + flip).")
 
     def install(self, active: _ActiveModel) -> None:
@@ -303,7 +301,7 @@ class _Batcher:
                     "server.queue_wait",
                     req.waited.observe(self.queue_wait),
                     req.ctx,
-                    server=self.label,
+                    server=self.metrics.label,
                     rows=len(req.rows),
                 )
             # One read of the active record per drained batch: every
@@ -330,7 +328,7 @@ class _Batcher:
                 "server.kernel_eval",
                 kernel_s,
                 req.ctx,
-                server=self.label,
+                server=self.metrics.label,
                 version=active.version,
                 batch_rows=total,
             )
@@ -338,7 +336,8 @@ class _Batcher:
             offset += len(req.rows)
 
     def stats(self) -> Dict:
-        """Served-traffic snapshot: the active version and every counter."""
+        """Served-traffic snapshot: the active version and every counter
+        declared with a ``stats()`` key on :attr:`metrics`."""
         active = self.active
         # dict(counter) copies at C level under the GIL — an atomic
         # snapshot; iterating the live Counter while the batcher inserts a
@@ -348,11 +347,7 @@ class _Batcher:
         return {
             "model_version": active.version,
             "packed": active.packed,
-            "n_requests": int(self.requests.value),
-            "n_batches": int(self.batches.value),
-            "n_rows": int(self.rows.value),
-            "n_deadline_expired": int(self.deadline.value),
-            "n_swaps": int(self.swaps.value),
+            **self.metrics.counts(),
             "batch_size_distribution": {
                 int(k): int(v) for k, v in sorted(batch_rows.items())
             },
@@ -362,7 +357,60 @@ class _Batcher:
         }
 
 
-class ModelServer:
+class _Endpoint:
+    """The request surface :class:`ModelServer` and
+    :class:`~repro.serving.WorkerPool` share. Each supplies ``_enqueue``
+    (admission), ``_version_records`` (version → decode identity),
+    ``threshold`` and ``close``."""
+
+    def submit(self, rows, *, deadline: Optional[float] = None) -> Future:
+        """Queue rows for scoring; the future resolves to their
+        ``predict_proba`` matrix (columns follow ``model.classes_``).
+
+        ``deadline`` is this request's scoring budget in seconds. A
+        request not scored when its deadline expires fails with
+        :class:`~repro.exceptions.DeadlineExceededError` instead of
+        being scored late (an already-expired deadline raises at
+        submission); ``None`` waits indefinitely. A pool request whose
+        worker dies fails with :class:`~repro.exceptions.WorkerCrashedError`:
+        no future ever hangs."""
+        return self._enqueue(rows, want_version=False, deadline=deadline)
+
+    def submit_scored(self, rows, *, deadline: Optional[float] = None) -> Future:
+        """Like :meth:`submit`, but the future resolves to a
+        :class:`ScoredBatch` carrying the serving ``model_version``."""
+        return self._enqueue(rows, want_version=True, deadline=deadline)
+
+    def predict_proba(self, rows) -> np.ndarray:
+        """Synchronous scoring."""
+        return self.submit(rows).result()
+
+    def score(self, rows) -> ScoredBatch:
+        """Synchronous scoring with the serving version stamp."""
+        return self.submit_scored(rows).result()
+
+    def predict(self, rows) -> np.ndarray:
+        """Thresholded classification (not the estimators' argmax).
+
+        Binary models emit :attr:`positive_class` where its probability is
+        ``>= threshold``; multi-class models fall back to argmax. The
+        probabilities are decoded with the classes/positive-index of the
+        *version that scored them* (looked up by the ``ScoredBatch``
+        stamp), so a swap landing between submission and scoring can
+        never mis-map the columns.
+        """
+        scored = self.score(rows)
+        record = self._version_records[scored.model_version]
+        return _decode(record, scored.proba, self.threshold)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+class ModelServer(_Endpoint):
     """Serve a fitted ensemble (or a persisted artifact) over micro-batches.
 
     Parameters
@@ -395,8 +443,8 @@ class ModelServer:
     Attributes
     ----------
     packed_ : bool — the active model is served by a warm ``PackedForest``.
-    n_requests_ / n_batches_ : served-traffic counters (micro-batching
-        efficiency = requests per batch); see :meth:`stats` for the rest.
+    telemetry_label_ : str — this server's ``server`` label value in the
+        telemetry registry.
 
     Examples
     --------
@@ -440,60 +488,25 @@ class ModelServer:
             fail=lambda req, exc: req.reply.set_exception(exc),
             chaos=chaos,
         )
-        self.telemetry_label_ = self._batcher.label
+        metrics = self._batcher.metrics
+        self.telemetry_label_ = metrics.label
         # Admission is this server's: the batcher never sees a rejection.
-        registry = telemetry.get_registry()
-        self._overflows = registry.counter(
+        self._overflows = metrics.counter(
             "repro_server_overflows_total",
-            "Submissions rejected on a full queue.",
-            labels=("server",),
-        ).labels(self.telemetry_label_)
-        self._queue_depth = registry.gauge(
+            "Submissions rejected on a full queue.", stat="n_overflows")
+        self._queue_depth = metrics.gauge(
             "repro_server_queue_depth",
-            "Requests waiting in the ModelServer queue.",
-            labels=("server",),
-        ).labels(self.telemetry_label_)
+            "Requests waiting in the ModelServer queue.")
         # version → decode identity, for results stamped with a version
         # other than the current one (predict across a swap).
         self._version_records: Dict[str, _VersionRecord] = {
             active.version: active.record
         }
 
-    # -- served-traffic counters (views over the telemetry registry) ---- #
     @property
     def max_batch(self) -> int:
         """Maximum rows coalesced into one kernel call."""
         return self._batcher.max_batch
-
-    @property
-    def n_requests_(self) -> int:
-        """Requests served (registry view)."""
-        return int(self._batcher.requests.value)
-
-    @property
-    def n_batches_(self) -> int:
-        """Micro-batches drained (registry view)."""
-        return int(self._batcher.batches.value)
-
-    @property
-    def n_rows_(self) -> int:
-        """Rows scored (registry view)."""
-        return int(self._batcher.rows.value)
-
-    @property
-    def n_overflows_(self) -> int:
-        """Overflow rejections (registry view)."""
-        return int(self._overflows.value)
-
-    @property
-    def n_deadline_expired_(self) -> int:
-        """Deadline failures (registry view)."""
-        return int(self._batcher.deadline.value)
-
-    @property
-    def n_swaps_(self) -> int:
-        """Hot swaps installed (registry view)."""
-        return int(self._batcher.swaps.value)
 
     # -- serving identity (all views of the one _ActiveModel record) ---- #
     @property
@@ -569,28 +582,12 @@ class ModelServer:
             if version is None:
                 # auto-version under the lock: concurrent unnamed swaps
                 # must never install the same stamp
-                active = replace(active, version=f"swap-{self.n_swaps_ + 1}")
+                swaps = int(self._batcher.swaps.value)
+                active = replace(active, version=f"swap-{swaps + 1}")
             self._version_records[active.version] = active.record
             self._batcher.install(active)  # atomic pointer flip
         swap_watch.observe(self._batcher.swap_seconds)
         return active.version
-
-    # ------------------------------------------------------------------ #
-    def submit(self, rows, *, deadline: Optional[float] = None) -> Future:
-        """Queue rows for scoring; the future resolves to their
-        ``predict_proba`` matrix (columns follow ``model.classes_``).
-
-        ``deadline`` is this request's scoring budget in seconds. A
-        request still queued when its deadline expires fails with
-        :class:`~repro.exceptions.DeadlineExceededError` instead of
-        being scored late (an already-expired deadline raises at
-        submission); ``None`` waits indefinitely."""
-        return self._enqueue(rows, want_version=False, deadline=deadline)
-
-    def submit_scored(self, rows, *, deadline: Optional[float] = None) -> Future:
-        """Like :meth:`submit`, but the future resolves to a
-        :class:`ScoredBatch` carrying the serving ``model_version``."""
-        return self._enqueue(rows, want_version=True, deadline=deadline)
 
     def _enqueue(
         self, rows, want_version: bool, deadline: Optional[float] = None
@@ -634,29 +631,6 @@ class ModelServer:
             self._queue_depth.set(self._queue.qsize())
 
     # ------------------------------------------------------------------ #
-    def predict_proba(self, rows) -> np.ndarray:
-        """Synchronous scoring through the batching queue."""
-        return self.submit(rows).result()
-
-    def score(self, rows) -> ScoredBatch:
-        """Synchronous scoring with the serving version stamp."""
-        return self.submit_scored(rows).result()
-
-    def predict(self, rows) -> np.ndarray:
-        """Thresholded classification (not the estimators' argmax).
-
-        Binary models emit :attr:`positive_class` where its probability is
-        ``>= threshold``; multi-class models fall back to argmax. The
-        probabilities are decoded with the classes/positive-index of the
-        *version that scored them* (looked up by the ``ScoredBatch``
-        stamp), so a swap landing between submission and scoring can
-        never mis-map the columns.
-        """
-        scored = self.score(rows)
-        record = self._version_records[scored.model_version]
-        return _decode(record, scored.proba, self._threshold)
-
-    # ------------------------------------------------------------------ #
     def stats(self) -> Dict:
         """Server-health snapshot for monitoring loops and benchmarks.
 
@@ -668,7 +642,6 @@ class ModelServer:
         self._queue_depth.set(depth)
         return {
             **self._batcher.stats(),
-            "n_overflows": self.n_overflows_,
             "threshold": self._threshold,
             "queue_depth": depth,
         }
@@ -688,9 +661,3 @@ class ModelServer:
                 self._queue.put(_STOP)  # repro-lint: disable=lock-blocking-call
         if worker is not None:
             worker.join()
-
-    def __enter__(self) -> "ModelServer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

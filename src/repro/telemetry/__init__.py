@@ -7,9 +7,10 @@ machine-readable health surface:
   :class:`Counter`/:class:`Gauge`/:class:`Histogram` primitives with
   log-scaled latency buckets, grouped into a process-wide named
   :class:`MetricsRegistry` (:func:`get_registry`); every serving,
-  monitoring, and lifecycle component registers its counters there under
-  the ``repro_<component>_<what>[_<unit>]`` naming convention, and their
-  legacy ``stats()`` dicts are thin views over the same values.
+  monitoring, and lifecycle component declares its metrics there once,
+  through its own :class:`MetricScope`, under the
+  ``repro_<component>_<what>[_<unit>]`` naming convention; the counter
+  keys of their legacy ``stats()`` dicts are read back from that scope.
 * **Tracing** (:mod:`~repro.telemetry.trace`) — :func:`trace` opens a
   per-request span; the serving queues carry the
   ``(trace_id, span_id)`` context, pool workers serialize their spans
@@ -50,6 +51,7 @@ from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Gauge,
     Histogram,
+    MetricScope,
     MetricsRegistry,
     get_registry,
     instance_label,
@@ -78,6 +80,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
     "Histogram",
+    "MetricScope",
     "MetricsRegistry",
     "Span",
     "Stopwatch",

@@ -17,6 +17,10 @@ operational surface renders straight to the v0 text format, see
   kind and label names returns the existing family) and thread-safe;
   a mismatched re-registration raises ``ValueError`` instead of silently
   aliasing two meanings onto one name.
+* :class:`MetricScope` — one component instance's slice of a registry:
+  it takes the instance label, declares every metric the component
+  keeps (each once, with its ``stats()`` key if it has one) and reads
+  that instance's counters back.
 
 Every mutation (``inc``/``set``/``observe``) takes a per-metric lock:
 ``x += 1`` is *not* atomic across threads (the read and the write are
@@ -40,6 +44,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
     "Histogram",
+    "MetricScope",
     "MetricsRegistry",
     "get_registry",
     "instance_label",
@@ -371,8 +376,9 @@ def instance_label(prefix: str) -> str:
     """Next process-unique label value for one component kind.
 
     Every ``ModelServer``/``WorkerPool``/``AsyncGateway``/... instance
-    takes a label like ``server="2"`` so concurrent instances never fold
-    their counters together in the shared registry.
+    takes a label like ``server="2"`` (through its :class:`MetricScope`)
+    so concurrent instances never fold their counters together in the
+    shared registry.
     """
     with _INSTANCE_LOCK:
         counter = _INSTANCE_COUNTERS.get(prefix)
@@ -380,3 +386,70 @@ def instance_label(prefix: str) -> str:
             counter = itertools.count()
             _INSTANCE_COUNTERS[prefix] = counter
         return str(next(counter))
+
+
+class _InstanceFamily:
+    """A labeled family with its first label bound to one instance."""
+
+    def __init__(self, family: MetricFamily, label: str):
+        self._family, self._label = family, label
+
+    def labels(self, *values) -> object:
+        """This instance's child for ``values`` of the remaining labels."""
+        return self._family.labels(self._label, *values)
+
+
+class MetricScope:
+    """Every metric of one component instance, each declared once.
+
+    ``MetricScope("server")`` takes the next ``server`` label value
+    (:attr:`label`) and registers each family in the process registry with
+    ``server`` as its first label name. A metric without extra ``labels``
+    comes back as this instance's child; one with extra labels (``tenant``,
+    ``worker``, ...) as a family whose ``.labels(...)`` takes just those.
+    A counter's ``stat`` names its key in the component's ``stats()``,
+    which :meth:`counts` reads back.
+    """
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.label = instance_label(kind)
+        #: (stats key, child or instance family, number of extra labels)
+        self._stats: List[Tuple[str, object, int]] = []
+
+    def _declare(self, kind: str, name: str, help: str, labels: Sequence[str]):
+        family = getattr(get_registry(), kind)(
+            name, help, labels=(self.kind, *labels)
+        )
+        if labels:
+            return _InstanceFamily(family, self.label)
+        return family.labels(self.label)
+
+    def counter(self, name: str, help: str, *, labels: Sequence[str] = (),
+                stat: Optional[str] = None):
+        """Declare a counter; ``stat`` is its ``stats()`` key, if any."""
+        metric = self._declare("counter", name, help, labels)
+        if stat is not None:
+            self._stats.append((stat, metric, len(labels)))
+        return metric
+
+    def gauge(self, name: str, help: str, *, labels: Sequence[str] = ()):
+        """Declare a gauge."""
+        return self._declare("gauge", name, help, labels)
+
+    def histogram(self, name: str, help: str, *, labels: Sequence[str] = ()):
+        """Declare a histogram with the default latency buckets."""
+        return self._declare("histogram", name, help, labels)
+
+    def counts(self, *values) -> Dict[str, object]:
+        """This instance's counters by ``stats()`` key: those without extra
+        labels or, given ``values``, those read at these extra-label values
+        (one tenant's, say). A dotted key (``"breaker.n_opens"``) nests."""
+        out: Dict[str, object] = {}
+        for key, metric, n_extra in self._stats:
+            if n_extra == len(values):
+                group, _, leaf = key.rpartition(".")
+                node = out.setdefault(group, {}) if group else out
+                child = metric.labels(*values) if values else metric
+                node[leaf] = int(child.value)
+        return out

@@ -8,9 +8,6 @@ checked with this process pinned to one CPU and to all of its CPUs
 and forked workers inherit).
 """
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
@@ -27,6 +24,8 @@ from repro.sampling import RandomUnderSampler
 from repro.streaming import ArraySource
 from repro.tree import DecisionTreeClassifier
 
+from affinity import cpu_sets, pinned
+
 
 def _base():
     return DecisionTreeClassifier(max_depth=4, random_state=0)
@@ -39,17 +38,6 @@ def _fit_proba(name, X, y, n_jobs):
     else:
         model.fit(X, y)
     return model.predict_proba(X)
-
-
-@contextmanager
-def _pinned(cpus):
-    """Restrict this process to ``cpus`` for the block, then restore."""
-    original = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, cpus)
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, original)
 
 
 FACTORIES = {
@@ -110,9 +98,8 @@ def test_backends_bit_identical_family(name, imbalanced_data):
     """``n_jobs`` 2 and 4 reproduce ``n_jobs=1`` on one CPU and on all."""
     X, y = imbalanced_data
     reference = _fit_proba(name, X, y, 1)
-    all_cpus = os.sched_getaffinity(0)
-    for cpus in ({min(all_cpus)}, all_cpus):
-        with _pinned(cpus):
+    for cpus in cpu_sets():
+        with pinned(cpus):
             for n_jobs in (2, 4):
                 proba = _fit_proba(name, X, y, n_jobs)
                 assert np.array_equal(reference, proba), (len(cpus), n_jobs)

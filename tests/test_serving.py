@@ -75,9 +75,10 @@ class TestMicroBatching:
             futures = [server.submit(X[i : i + 1]) for i in range(100)]
             got = np.vstack([f.result(timeout=30) for f in futures])
             assert np.array_equal(got, server.model.predict_proba(X[:100]))
-            assert server.n_requests_ == 100
+            stats = server.stats()
+            assert stats["n_requests"] == 100
             # queued singletons must have coalesced into far fewer kernel calls
-            assert server.n_batches_ <= server.n_requests_
+            assert stats["n_batches"] <= stats["n_requests"]
 
     def test_mixed_sizes_split_back_correctly(self, artifact, data):
         X, _ = data

@@ -22,6 +22,7 @@ from repro.chaos import FaultPlan, KillOnSwap, KillWorker, StallWorker
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceededError,
+    FleetTimeoutError,
     PersistenceError,
     ServerOverloadedError,
     WorkerCrashedError,
@@ -179,6 +180,25 @@ class TestSupervision:
             assert time.monotonic() - t0 < 1.0
         finally:
             pool.close()
+
+    def test_wait_healthy_timeout_names_the_silent_slot(self, artifacts, toy):
+        """Every slot reads alive while one is stuck: the timeout names
+        the slot that did not answer the last stats round, with its
+        generation and pid, and not the slot that did."""
+        X, _ = toy
+        plan = FaultPlan([StallWorker(worker=0, after_requests=1, seconds=2.0)])
+        with WorkerPool(
+            artifacts[0], n_workers=2, chaos=plan, **FAST
+        ) as pool:
+            stalled = pool.submit(X[:4])  # round-robin: slot 0
+            pid = pool.worker_pids()[0]
+            with pytest.raises(FleetTimeoutError) as info:
+                pool.wait_healthy(timeout=0.5)
+            message = str(info.value)
+            assert "{0: 'alive', 1: 'alive'}" in message
+            assert f"no answer from slot 0 (generation 0, pid {pid})" in message
+            assert "slot 1" not in message
+            assert stalled.result(timeout=30).shape == (4, 2)
 
     def test_repeat_crashes_track_generations_and_counters(
         self, artifacts, toy

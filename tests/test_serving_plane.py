@@ -31,6 +31,8 @@ from repro.serving import (
     WorkerPool,
 )
 
+from affinity import cpu_sets, pinned
+
 
 @pytest.fixture(scope="module")
 def toy():
@@ -205,8 +207,17 @@ class TestWorkerPool:
         """Admission is checked once per worker, at the pool's queue: a
         saturated 2-worker fleet pushes back at submission, and every
         request it admitted is scored exactly or fails typed with a
-        crash/deadline — never with an overload."""
+        crash/deadline — never with an overload. Holds with the test
+        process (and so the fleet it forks) pinned to one CPU and to all."""
         X, _ = toy
+        for cpus in cpu_sets():
+            with pinned(cpus):
+                self._overflow_round(
+                    artifacts, champion, X, max_pending, max_batch, rows
+                )
+
+    @staticmethod
+    def _overflow_round(artifacts, champion, X, max_pending, max_batch, rows):
         pool = WorkerPool(
             artifacts[0], n_workers=2, max_pending=max_pending, max_batch=max_batch
         )
@@ -219,7 +230,7 @@ class TestWorkerPool:
                 except ServerOverloadedError:
                     n_overflows += 1
             assert n_overflows > 0, "the bounded fork queues never pushed back"
-            assert pool.n_overflows_ == n_overflows
+            assert pool.stats()["n_overflows"] == n_overflows
             for batch, future in admitted:
                 try:
                     proba = future.result(timeout=60)

@@ -329,6 +329,32 @@ class TestTelemetryRules:
         '''
         assert fired(snippet, "raw-latency-timing", path=self.IN_SCOPE) == []
 
+    INSTANCE_LABEL = '''
+    from repro import telemetry
+    from repro.telemetry import instance_label
+
+    def register():
+        """Doc."""
+        own = instance_label("server")
+        return own, telemetry.instance_label("pool")
+    '''
+
+    def test_instance_label_fires_in_components(self):
+        for path in (self.IN_SCOPE, "src/repro/_snippet.py"):
+            assert fired(
+                self.INSTANCE_LABEL, "instance-label-outside-scope", path=path
+            ) == [7, 8], path
+
+    def test_instance_label_is_legal_in_telemetry_and_outside_src(self):
+        for path in (
+            "src/repro/telemetry/_snippet.py",
+            "tests/_snippet.py",
+            "benchmarks/_snippet.py",
+        ):
+            assert fired(
+                self.INSTANCE_LABEL, "instance-label-outside-scope", path=path
+            ) == [], path
+
 
 # --------------------------------------------------------------------- #
 # exception contracts
@@ -725,6 +751,7 @@ class TestTreeIsClean:
             "unjoined-thread", "unreaped-process", "all-undefined-name",
             "missing-reexport", "missing-docstring", "registry-drift",
             "syntax-error", "bad-pragma", "raw-latency-timing",
+            "instance-label-outside-scope",
         ):
             assert rule in rules, rule
 

@@ -22,6 +22,11 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.exceptions import (
+    CircuitOpenError,
+    DeadlineExceededError,
+    ServerOverloadedError,
+)
 from repro.monitoring import DriftMonitor, ReferenceSketch
 from repro.registry import get_classifier, toy_imbalanced_split
 from repro.persistence import save_model
@@ -166,6 +171,39 @@ class TestRegistry:
     def test_instance_labels_are_unique(self):
         labels = {telemetry.instance_label("test-kind") for _ in range(10)}
         assert len(labels) == 10
+
+    def test_metric_scope_binds_instance_and_reads_stat_keys(self):
+        a, b = (telemetry.MetricScope("scopetest") for _ in range(2))
+        assert a.label != b.label
+
+        def declare(scope):
+            return (
+                scope.counter("test_scope_requests_total", "R.",
+                              stat="n_requests"),
+                scope.counter("test_scope_opens_total", "O.",
+                              stat="breaker.n_opens"),
+                scope.counter("test_scope_served_total", "S.",
+                              labels=("tenant",), stat="served"),
+                scope.gauge("test_scope_depth", "D."),
+            )
+
+        requests, opens, served, depth = declare(a)
+        declare(b)
+        requests.inc(3)
+        opens.inc()
+        served.labels("acme").inc(2)
+        depth.set(5)
+        assert a.counts() == {"n_requests": 3, "breaker": {"n_opens": 1}}
+        assert a.counts("acme") == {"served": 2}
+        assert b.counts() == {"n_requests": 0, "breaker": {"n_opens": 0}}
+        own = {"scopetest": a.label}
+        assert metric_value("test_scope_requests_total", own) == 3.0
+        assert metric_value("test_scope_depth", own) == 5.0
+        assert metric_value(
+            "test_scope_served_total", {**own, "tenant": "acme"}
+        ) == 2.0
+        family = telemetry.get_registry().get("test_scope_served_total")
+        assert family.label_names == ("scopetest", "tenant")
 
     def test_facade_reexported_from_repro(self):
         import repro
@@ -383,6 +421,19 @@ class _FakeBackend:
         return future
 
 
+class _PushBackOnce(_FakeBackend):
+    """Pushes back on the first submit, then answers like its parent."""
+
+    def __init__(self):
+        self.pushed = False
+
+    def submit(self, rows):
+        if not self.pushed:
+            self.pushed = True
+            raise ServerOverloadedError("backend queue full")
+        return super().submit(rows)
+
+
 class TestStatsCompat:
     SERVER_KEYS = {
         "model_version", "packed", "threshold",
@@ -406,17 +457,24 @@ class TestStatsCompat:
         with ModelServer(champion) as server:
             for _ in range(4):
                 server.predict_proba(X[:8])
+            with pytest.raises(DeadlineExceededError):
+                server.submit(X[:8], deadline=0)
+            server.swap_model(champion, version="v1")
             stats = server.stats()
             label = {"server": server.telemetry_label_}
             assert set(stats) == self.SERVER_KEYS
             assert stats["n_requests"] == 4
-            for key, metric in (
-                ("n_requests", "repro_server_requests_total"),
-                ("n_batches", "repro_server_batches_total"),
-                ("n_rows", "repro_server_rows_total"),
-                ("n_overflows", "repro_server_overflows_total"),
-                ("n_swaps", "repro_server_swaps_total"),
-            ):
+            assert stats["n_deadline_expired"] == stats["n_swaps"] == 1
+            counters = {
+                "n_requests": "repro_server_requests_total",
+                "n_batches": "repro_server_batches_total",
+                "n_rows": "repro_server_rows_total",
+                "n_overflows": "repro_server_overflows_total",
+                "n_deadline_expired": "repro_server_deadline_expired_total",
+                "n_swaps": "repro_server_swaps_total",
+            }
+            assert {k for k in stats if k.startswith("n_")} == set(counters)
+            for key, metric in counters.items():
                 assert stats[key] == int(metric_value(metric, label)), key
 
     def test_pool_stats_keys_and_registry_agreement(self, artifact, toy):
@@ -424,25 +482,56 @@ class TestStatsCompat:
         with WorkerPool(artifact, n_workers=1) as pool:
             for _ in range(3):
                 pool.predict_proba(X[:8])
+            with pytest.raises(DeadlineExceededError):
+                pool.submit(X[:8], deadline=0)
             stats = pool.stats()
             label = {"pool": pool.telemetry_label_}
             assert set(stats) == self.POOL_KEYS
             assert stats["n_requests"] == 3
-            for key, metric in (
-                ("n_requests", "repro_pool_requests_total"),
-                ("n_crashes", "repro_pool_crashes_total"),
-                ("n_respawns", "repro_pool_respawns_total"),
-                ("n_swaps", "repro_pool_swaps_total"),
-                ("n_deadline_expired", "repro_pool_deadline_expired_total"),
-            ):
+            assert stats["n_deadline_expired"] == 1
+            counters = {
+                "n_requests": "repro_pool_requests_total",
+                "n_overflows": "repro_pool_overflows_total",
+                "n_swaps": "repro_pool_swaps_total",
+                "n_crashes": "repro_pool_crashes_total",
+                "n_respawns": "repro_pool_respawns_total",
+                "n_deadline_expired": "repro_pool_deadline_expired_total",
+                "n_late_replies": "repro_pool_late_replies_total",
+            }
+            not_counters = {"n_workers", "n_pending"}
+            assert {k for k in stats if k.startswith("n_")} == (
+                set(counters) | not_counters
+            )
+            for key, metric in counters.items():
                 assert stats[key] == int(metric_value(metric, label)), key
             roundtrip = metric_value("repro_pool_roundtrip_seconds", label)
             assert roundtrip["count"] == 3
 
     def test_gateway_stats_keys_and_registry_agreement(self):
+        rows = np.zeros((2, 3))
+
         async def run():
-            async with AsyncGateway(_FakeBackend()) as gateway:
-                await gateway.submit(np.zeros((2, 3)), tenant="acme")
+            async with AsyncGateway(
+                _PushBackOnce(),
+                breaker_threshold=1,
+                retry_interval=0.05,
+                max_retry_interval=0.05,
+            ) as gateway:
+                # The first forward is pushed back (one backpressure
+                # wait) and trips the breaker; a submission while it is
+                # open is shed; the retry is served and closes it.
+                first = asyncio.ensure_future(
+                    gateway.submit(rows, tenant="acme")
+                )
+                for _ in range(1000):
+                    if gateway.stats()["breaker"]["state"] == "open":
+                        break
+                    await asyncio.sleep(0.001)
+                with pytest.raises(CircuitOpenError):
+                    await gateway.submit(rows, tenant="acme")
+                with pytest.raises(DeadlineExceededError):
+                    await gateway.submit(rows, tenant="acme", deadline=0)
+                await first
                 return gateway, gateway.stats()
 
         gateway, stats = asyncio.run(run())
@@ -455,13 +544,156 @@ class TestStatsCompat:
         }
         assert stats["tenants"]["acme"]["submitted"] == 1
         assert stats["tenants"]["acme"]["served"] == 1
+        assert stats["breaker"]["state"] == "closed"
         label = {"gateway": gateway.telemetry_label_, "tenant": "acme"}
-        assert metric_value("repro_gateway_submitted_total", label) == 1.0
+        for key in ("submitted", "served", "rejected"):
+            metric = f"repro_gateway_{key}_total"
+            assert stats["tenants"]["acme"][key] == int(
+                metric_value(metric, label)
+            ), key
+        own = {"gateway": gateway.telemetry_label_}
+        for section, counters in (
+            (stats, {
+                "n_backpressure_waits": "repro_gateway_backpressure_waits_total",
+                "n_deadline_expired": "repro_gateway_deadline_expired_total",
+            }),
+            (stats["breaker"], {
+                "n_opens": "repro_gateway_breaker_opens_total",
+                "n_shed": "repro_gateway_shed_total",
+            }),
+        ):
+            assert {k for k in section if k.startswith("n_")} == set(counters)
+            for key, metric in counters.items():
+                assert section[key] == 1, key
+                assert section[key] == int(metric_value(metric, own)), key
         request = metric_value(
             "repro_gateway_request_seconds",
             {"gateway": gateway.telemetry_label_},
         )
         assert request["count"] == 1
+
+
+# --------------------------------------------------------------------- #
+# every component's registry footprint is pinned
+# --------------------------------------------------------------------- #
+def _footprint(kind, label):
+    """``(family name, kind, label names)`` of every snapshot family with
+    a sample labeled ``kind=label`` — what one instance registered."""
+    return {
+        (name, family["kind"], tuple(sample["labels"]))
+        for name, family in snapshot()["metrics"].items()
+        for sample in family["samples"]
+        if sample["labels"].get(kind) == label
+    }
+
+
+class TestRegisteredFamilies:
+    """No metric family, kind or label name is lost (or gained) when a
+    component's instrumentation is rewritten: each of the five
+    instrumented components is exercised until every child it can
+    create exists, and its snapshot footprint is pinned."""
+
+    SERVER = {
+        ("repro_server_requests_total", "counter", ("server",)),
+        ("repro_server_batches_total", "counter", ("server",)),
+        ("repro_server_rows_total", "counter", ("server",)),
+        ("repro_server_deadline_expired_total", "counter", ("server",)),
+        ("repro_server_swaps_total", "counter", ("server",)),
+        ("repro_server_overflows_total", "counter", ("server",)),
+        ("repro_server_queue_depth", "gauge", ("server",)),
+        ("repro_server_queue_wait_seconds", "histogram", ("server",)),
+        ("repro_server_kernel_eval_seconds", "histogram", ("server",)),
+        ("repro_server_swap_seconds", "histogram", ("server",)),
+    }
+    POOL = {
+        ("repro_pool_requests_total", "counter", ("pool",)),
+        ("repro_pool_overflows_total", "counter", ("pool",)),
+        ("repro_pool_swaps_total", "counter", ("pool",)),
+        ("repro_pool_crashes_total", "counter", ("pool",)),
+        ("repro_pool_respawns_total", "counter", ("pool",)),
+        ("repro_pool_deadline_expired_total", "counter", ("pool",)),
+        ("repro_pool_late_replies_total", "counter", ("pool",)),
+        ("repro_pool_smaps_unavailable_total", "counter", ("pool",)),
+        ("repro_pool_pending_requests", "gauge", ("pool",)),
+        ("repro_pool_roundtrip_seconds", "histogram", ("pool",)),
+        ("repro_pool_swap_seconds", "histogram", ("pool",)),
+        ("repro_pool_worker_private_kb", "gauge", ("pool", "worker")),
+    }
+    GATEWAY = {
+        ("repro_gateway_submitted_total", "counter", ("gateway", "tenant")),
+        ("repro_gateway_served_total", "counter", ("gateway", "tenant")),
+        ("repro_gateway_rejected_total", "counter", ("gateway", "tenant")),
+        ("repro_gateway_queue_depth", "gauge", ("gateway", "tenant")),
+        ("repro_gateway_backpressure_waits_total", "counter", ("gateway",)),
+        ("repro_gateway_deadline_expired_total", "counter", ("gateway",)),
+        ("repro_gateway_shed_total", "counter", ("gateway",)),
+        ("repro_gateway_breaker_opens_total", "counter", ("gateway",)),
+        ("repro_gateway_breaker_state", "gauge", ("gateway",)),
+        ("repro_gateway_inflight_requests", "gauge", ("gateway",)),
+        ("repro_gateway_queue_wait_seconds", "histogram", ("gateway",)),
+        ("repro_gateway_request_seconds", "histogram", ("gateway",)),
+    }
+    MONITOR = {
+        ("repro_monitor_rows_total", "counter", ("monitor",)),
+        ("repro_monitor_checks_total", "counter", ("monitor",)),
+        ("repro_monitor_check_seconds", "histogram", ("monitor",)),
+        ("repro_monitor_drift_level", "gauge", ("monitor", "detector")),
+    }
+    CONTROLLER = {
+        ("repro_lifecycle_events_total", "counter", ("controller", "action")),
+        ("repro_lifecycle_promotions_total", "counter", ("controller",)),
+        ("repro_lifecycle_swap_retries_total", "counter", ("controller",)),
+        ("repro_lifecycle_promotion_lag_seconds", "histogram", ("controller",)),
+        ("repro_lifecycle_swap_seconds", "histogram", ("controller",)),
+    }
+
+    def test_server_families(self, champion, toy):
+        X, _ = toy
+        with ModelServer(champion) as server:
+            server.predict_proba(X[:8])
+            server.stats()
+            assert _footprint("server", server.telemetry_label_) == self.SERVER
+
+    def test_pool_families(self, artifact, toy):
+        X, _ = toy
+        with WorkerPool(artifact, n_workers=1) as pool:
+            pool.predict_proba(X[:8])
+            pool.worker_stats(timeout=30)  # the per-worker footprint gauge
+            pool.stats()
+            assert _footprint("pool", pool.telemetry_label_) == self.POOL
+
+    def test_gateway_families(self):
+        async def run():
+            async with AsyncGateway(_FakeBackend()) as gateway:
+                await gateway.submit(np.zeros((2, 3)), tenant="acme")
+                gateway.stats()
+                return gateway
+
+        gateway = asyncio.run(run())
+        assert _footprint("gateway", gateway.telemetry_label_) == self.GATEWAY
+
+    def test_monitor_and_controller_families(self, champion, toy, tmp_path):
+        from repro.lifecycle import ArtifactRegistry, LifecycleController
+
+        X, y = toy
+        monitor = DriftMonitor(
+            ReferenceSketch(n_bins=8).fit(X, y),
+            window_size=1000,
+            min_window=500,
+        )
+        with ModelServer(champion) as server:
+            controller = LifecycleController(
+                server,
+                ArtifactRegistry(tmp_path / "reg"),
+                monitor,
+                train_fn=lambda source: champion,
+            )
+            controller.process(X[:50], y[:50])  # one check, one event
+        assert _footprint("monitor", monitor.telemetry_label_) == self.MONITOR
+        assert (
+            _footprint("controller", controller.telemetry_label_)
+            == self.CONTROLLER
+        )
 
 
 # --------------------------------------------------------------------- #

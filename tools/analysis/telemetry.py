@@ -14,6 +14,14 @@ scattered through instrumented modules would silently bypass all three.
     ``time.monotonic() + budget`` (computing an expiry) and
     ``expires_at - time.monotonic()`` (remaining budget, monotonic on
     the right) stay legal, as do plain comparisons against an expiry.
+
+``instance-label-outside-scope``
+    Outside ``src/repro/telemetry/``, no ``src/repro`` module calls
+    ``instance_label(...)``. A component declares its metrics on a
+    ``telemetry.MetricScope``, which takes the instance label and binds
+    every family to it; hand-rolled per-instance registration (label a
+    family, then ``.labels(label)`` each child) is what the scope
+    replaced.
 """
 
 from __future__ import annotations
@@ -52,8 +60,23 @@ def _is_clock_call(node: ast.AST, func_name: str) -> bool:
     )
 
 
+#: The only package that may allocate instance labels itself.
+_TELEMETRY = "src/repro/telemetry/"
+
+
+def _is_instance_label_call(node: ast.AST) -> bool:
+    """``instance_label(...)`` or ``<anything>.instance_label(...)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "instance_label") or (
+        isinstance(func, ast.Attribute) and func.attr == "instance_label"
+    )
+
+
 class TelemetryChecker(Checker):
-    """Raw latency math in modules the telemetry plane instruments."""
+    """Raw latency math in modules the telemetry plane instruments, and
+    instance labels allocated outside the telemetry package."""
 
     name = "telemetry"
     rules = {
@@ -62,10 +85,27 @@ class TelemetryChecker(Checker):
             "repro.telemetry (timer/stopwatch), not raw clock math — "
             "durations belong in histograms, under the sampling switch"
         ),
+        "instance-label-outside-scope": (
+            "components declare their metrics on a telemetry.MetricScope; "
+            "only src/repro/telemetry/ calls instance_label()"
+        ),
     }
-    scope = _INSTRUMENTED
+    scope = ("src/repro/",)
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
+        if not src.path.startswith(_TELEMETRY):
+            for node in ast.walk(src.tree):
+                if _is_instance_label_call(node):
+                    yield self.finding(
+                        src, "instance-label-outside-scope", node.lineno,
+                        "instance_label() outside repro.telemetry hand-rolls "
+                        "per-instance registration; declare the metrics on "
+                        "a telemetry.MetricScope instead",
+                    )
+        if src.path.startswith(_INSTRUMENTED):
+            yield from self._raw_latency(src)
+
+    def _raw_latency(self, src: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(src.tree):
             if _is_clock_call(node, "perf_counter"):
                 yield self.finding(
