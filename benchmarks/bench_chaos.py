@@ -163,7 +163,6 @@ def run_burst_phase(path_v1, path_v2, X_serve, scale: float) -> dict:
         n_workers=2,
         model_version="v1",
         max_pending=256,
-        poll_interval=0.02,
         respawn_backoff=RESPAWN_BACKOFF_S,
         chaos=plan,
     ) as pool:
@@ -253,7 +252,6 @@ def run_deadline_phase(path_v1, X_serve) -> dict:
         path_v1,
         n_workers=1,
         model_version="v1",
-        poll_interval=0.02,
         respawn_backoff=RESPAWN_BACKOFF_S,
         chaos=plan,
     ) as pool:
@@ -287,6 +285,8 @@ def run_chaos_bench(scale: float) -> dict:
     return {
         "benchmark": "chaos",
         "dataset": {"name": "payment_simulation", "request_batch": BATCH},
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
         "burst": burst,
         "deadlines": deadlines,
         "headline": {

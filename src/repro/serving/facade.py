@@ -52,9 +52,6 @@ class ServerConfig:
         :func:`serve`).
     model_version : str, default "v0"
         Version stamp for the initially served model.
-    poll_interval : float, default 0.05
-        Pool supervisor cadence (liveness checks, deadline expiry, due
-        respawns); ignored for a single in-process server.
     respawn_backoff : float, default 0.1
         Base delay before a crashed pool worker is respawned; doubles
         per consecutive crash of the same slot. Pool-only.
@@ -75,7 +72,6 @@ class ServerConfig:
     n_workers: int = 0
     mmap: Optional[bool] = None
     model_version: str = "v0"
-    poll_interval: float = 0.05
     respawn_backoff: float = 0.1
     respawn_backoff_cap: float = 5.0
     chaos: Optional[object] = None
@@ -140,7 +136,6 @@ def serve(model, config: Optional[ServerConfig] = None, **overrides):
         max_pending=config.max_pending,
         model_version=config.model_version,
         mmap=bool(config.mmap) if config.mmap is not None else True,
-        poll_interval=config.poll_interval,
         respawn_backoff=config.respawn_backoff,
         respawn_backoff_cap=config.respawn_backoff_cap,
         chaos=config.chaos,

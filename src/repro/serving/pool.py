@@ -10,7 +10,7 @@
   the ``fork`` method, so both the mapped artifact pages and the
   parent-built kernel arrays are inherited copy-on-write — and since
   serving never writes them, they are never copied. The marginal private
-  memory of an extra worker is queue buffers and interpreter churn, not
+  memory of an extra worker is pipe buffers and interpreter churn, not
   another resident model (measured per worker via
   :func:`process_private_kb` and asserted in ``benchmarks/bench_serving.py``).
 * **Each worker is a micro-batcher** — each worker owns a bounded
@@ -21,24 +21,24 @@
   a full worker queue raises :class:`~repro.exceptions.ServerOverloadedError`
   at submission. That is the only admission check per worker: an
   admitted request is scored or fails typed, never with an overload.
-* **Supervision** — the collector thread doubles as the fleet supervisor:
-  between result messages it polls every worker's liveness
-  (``Process.is_alive()``). A worker that died without sending its clean
-  ``stopped`` ack is a *crash*: every one of its in-flight futures fails
-  **immediately** with a typed
-  :class:`~repro.exceptions.WorkerCrashedError` (no future ever hangs on
-  a dead process), pending fleet swaps are acknowledged on its behalf,
-  and the worker is **respawned with capped exponential backoff**
-  (``respawn_backoff * 2**(crashes-1)``, capped at
+* **Supervision** — each worker generation replies down its own one-way
+  pipe (no lock is shared between workers), and one parent thread waits
+  on every reply pipe and worker sentinel at once. A worker that died
+  without its clean ``stopped`` ack is a *crash*: once the replies it
+  sent before dying resolve, its other in-flight futures fail at once
+  with a typed :class:`~repro.exceptions.WorkerCrashedError` (no future
+  ever hangs on a dead process), pending fleet swaps are acknowledged on
+  its behalf, and the worker is **respawned with capped exponential
+  backoff** (``respawn_backoff * 2**(crashes-1)``, capped at
   ``respawn_backoff_cap``), re-warmed from the pool's *current* model
   source — so a crash mid-swap respawns straight onto the new version.
   Crash/respawn counters and per-worker states surface in :meth:`stats`.
 * **Per-request deadlines** — ``submit(rows, deadline=...)`` carries an
   absolute expiry through the fork queues. Expired requests fail fast
   with :class:`~repro.exceptions.DeadlineExceededError` wherever they are
-  found first: at submission, by the supervisor (which also covers
-  requests stuck behind a stalled or dead worker), or when the worker
-  dequeues it — never scored late, never hung.
+  found first: at submission, by the parent's wait loop (which also
+  covers requests stuck behind a stalled or dead worker), or when the
+  worker dequeues it — never scored late, never hung.
 * **Fleet-wide hot swap** — :meth:`swap_model` publishes a new *artifact
   path* to every live worker. Each worker loads the challenger (mmap'd
   again — the fleet converges onto one shared copy of the *new* model),
@@ -64,14 +64,18 @@ starting heavy threads in the parent, as with any fork.
 from __future__ import annotations
 
 import builtins
+import contextlib
+import heapq
 import itertools
 import multiprocessing
 import os
 import queue as queue_mod
+import selectors
 import threading
 import time
 from collections import Counter
 from concurrent.futures import Future
+from multiprocessing.connection import Connection
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -150,6 +154,13 @@ def _rebuild_exception(name: str, text: str) -> BaseException:
     return RuntimeError(f"worker error ({name}): {text}")
 
 
+def _fail(futures, error, text: str) -> None:
+    """Fail each still-pending future with its own ``error(text)``."""
+    for future in futures:
+        if not future.done():
+            future.set_exception(error(text))
+
+
 def _worker_main(
     worker_id: int,
     generation: int,
@@ -158,7 +169,7 @@ def _worker_main(
     max_batch: int,
     mmap: bool,
     req_q,
-    res_q,
+    conn,
     chaos,
 ) -> None:
     """One worker process: the micro-batcher of its fork queue.
@@ -180,6 +191,8 @@ def _worker_main(
     stats and stop stay in FIFO order. The fork queue is the worker's only
     admission bound: nothing it delivers is ever rejected here.
 
+    Every message out goes down ``conn``, this generation's own reply
+    pipe, under one lock the serving loop and the swap threads share.
     ``ctx`` is the request's ``(trace_id, span_id)`` telemetry context (or
     ``None``); the batcher records ``server.queue_wait`` (dequeue to kernel
     call) and ``server.kernel_eval`` spans under it, and ``spans`` carries
@@ -188,7 +201,7 @@ def _worker_main(
     the cross-process timeline together.
 
     On start the worker announces ("ready", worker_id, generation) — the
-    supervisor's respawn-convergence signal. Swaps load and warm-pack the
+    wait loop's respawn-convergence signal. Swaps load and warm-pack the
     challenger on a side thread, so the queue keeps draining with the old
     model until the active record flips; a batch is served entirely by the
     version it read — zero drops.
@@ -199,6 +212,7 @@ def _worker_main(
     """
     baseline_kb = process_private_kb()
     swap_lock = threading.Lock()  # serialise overlapping fleet swaps
+    send_lock = threading.Lock()  # one message on the pipe at a time
     swap_threads: List[threading.Thread] = []
     requests_seen = itertools.count(1)
     swaps_seen = itertools.count(1)
@@ -218,13 +232,17 @@ def _worker_main(
         _, req_id, rows, expires_at, ctx = msg
         return _Request(rows, expires_at, ctx, req_id)
 
+    def send(msg) -> None:
+        with send_lock:
+            conn.send(msg)
+
     def reply(tag: str, req: _Request, *fields) -> None:
         spans: Tuple = ()
         if req.ctx is not None:
             # This worker's half of the trace rides home in the reply.
             spans = tuple(s.to_wire() for s in telemetry.drain_trace(req.ctx[0]))
         fire("worker.reply", replies_sent)
-        res_q.put((tag, req.reply, *fields, spans))
+        send((tag, req.reply, *fields, spans))
 
     batcher = _Batcher(
         _load_active(model, version, mmap),
@@ -232,7 +250,7 @@ def _worker_main(
         ok=lambda req, proba, version: reply("ok", req, proba, version),
         fail=lambda req, exc: reply("err", req, type(exc).__name__, str(exc)),
     )
-    res_q.put(("ready", worker_id, generation))
+    send(("ready", worker_id, generation))
 
     def do_swap(path: str, version: str) -> None:
         with swap_lock:
@@ -240,15 +258,12 @@ def _worker_main(
             try:
                 batcher.install(_load_active(path, version, mmap))
                 swap_watch.observe(batcher.swap_seconds)
-                # Acks are emitted under swap_lock on purpose: the parent
+                # Acks are sent under swap_lock on purpose: the parent
                 # records worker_versions in ack order, so overlapping
-                # swaps must ack in completion order. res_q is drained
-                # continuously by the parent collector, bounding the put.
-                res_q.put(("swapped", worker_id, version, None))  # repro-lint: disable=lock-blocking-call
+                # swaps must ack in completion order.
+                send(("swapped", worker_id, version, None))
             except BaseException as exc:
-                res_q.put(  # repro-lint: disable=lock-blocking-call
-                    ("swapped", worker_id, version, (type(exc).__name__, str(exc)))
-                )
+                send(("swapped", worker_id, version, (type(exc).__name__, str(exc))))
 
     carry = None  # dequeued message that ended the previous batch
     while True:
@@ -269,11 +284,11 @@ def _worker_main(
             payload["private_kb"] = process_private_kb()
             payload["baseline_private_kb"] = baseline_kb
             payload["generation"] = generation
-            res_q.put(("stats", worker_id, msg[1], payload))
+            send(("stats", worker_id, msg[1], payload))
         elif msg[0] == "stop":
             for thread in swap_threads:
                 thread.join()
-            res_q.put(("stopped", worker_id))
+            send(("stopped", worker_id))
             return
 
 
@@ -303,9 +318,6 @@ class WorkerPool(_Endpoint):
     mmap : bool, default True
         Memory-map artifact loads (parent *and* every worker-side swap
         load), so the fleet shares one page-cache copy per artifact.
-    poll_interval : float, default 0.05
-        Seconds between supervisor passes (liveness checks, parent-side
-        deadline expiry, due respawns).
     respawn_backoff : float, default 0.1
         Base respawn delay after a crash; doubles per consecutive crash
         of the same worker slot (``backoff * 2**(crashes-1)``).
@@ -336,7 +348,6 @@ class WorkerPool(_Endpoint):
         max_pending: int = 1024,
         mmap: bool = True,
         model_version: str = "v0",
-        poll_interval: float = 0.05,
         respawn_backoff: float = 0.1,
         respawn_backoff_cap: float = 5.0,
         chaos=None,
@@ -350,8 +361,6 @@ class WorkerPool(_Endpoint):
             )
         if max_batch < 1 or max_pending < 1:
             raise ValueError("max_batch and max_pending must be >= 1")
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
         if respawn_backoff <= 0 or respawn_backoff_cap < respawn_backoff:
             raise ValueError(
                 "need 0 < respawn_backoff <= respawn_backoff_cap"
@@ -361,7 +370,6 @@ class WorkerPool(_Endpoint):
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         self.mmap = bool(mmap)
-        self.poll_interval = float(poll_interval)
         self.respawn_backoff = float(respawn_backoff)
         self.respawn_backoff_cap = float(respawn_backoff_cap)
         self._chaos = chaos
@@ -387,32 +395,35 @@ class WorkerPool(_Endpoint):
             self._ctx.Queue(maxsize=self._max_pending)
             for _ in range(self.n_workers)
         ]
-        self._res_q = self._ctx.Queue()
-        self._procs: List[Optional[multiprocessing.process.BaseProcess]] = [
-            None
-        ] * self.n_workers
+        self._procs: List[multiprocessing.process.BaseProcess] = [None] * self.n_workers
+        #: Each slot's reply read end; None once its worker is reaped.
+        self._replies: List[Optional[Connection]] = [None] * self.n_workers
+        # The wait loop's wake-up pipe, written by close() and _enqueue.
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
+        # The wake pipe, plus each live worker's reply end and sentinel.
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
 
         self._lock = threading.Lock()
+        #: Notified on respawn, "ready" and close; wait_healthy blocks on it.
+        self._health = threading.Condition(self._lock)
         self._closed = False
-        self._stop_collecting = threading.Event()
-        #: req_id → (future, want_version, worker, expires_at, sw, ctx)
+        #: req_id → (future, want_version, worker, sw, ctx)
         self._futures: Dict[int, Tuple] = {}
+        #: (expires_at, req_id) min-heap; answered entries pop lazily.
+        self._deadlines: List[Tuple[float, int]] = []
+        #: When the wait loop next wakes on its own (None: never).
+        self._armed: Optional[float] = None
         self._next_id = itertools.count()
         self._rr = 0
         self._init_metrics()
         self._requests_by_version: Counter = Counter()
-        self._worker_versions: Dict[int, Optional[str]] = {
-            i: model_version for i in range(self.n_workers)
-        }
-        self._worker_state: Dict[int, str] = {
-            i: _ALIVE for i in range(self.n_workers)
-        }
-        self._worker_generation: Dict[int, int] = {
-            i: 0 for i in range(self.n_workers)
-        }
-        self._worker_crashes: Dict[int, int] = {
-            i: 0 for i in range(self.n_workers)
-        }
+        slots = range(self.n_workers)
+        self._worker_versions: Dict[int, Optional[str]] = dict.fromkeys(slots, model_version)
+        self._worker_state: Dict[int, str] = dict.fromkeys(slots, _ALIVE)
+        self._worker_generation: Dict[int, int] = dict.fromkeys(slots, 0)
+        self._worker_crashes: Dict[int, int] = dict.fromkeys(slots, 0)
         self._respawn_at: Dict[int, float] = {}
         self._swap_waits: Dict[str, Dict] = {}
         self._stats_waits: Dict[int, Dict] = {}
@@ -420,10 +431,10 @@ class WorkerPool(_Endpoint):
 
         for i in range(self.n_workers):
             self._start_worker(i, 0, active.model)
-        self._collector = threading.Thread(
-            target=self._collect, name="repro-pool-supervisor", daemon=True
+        self._loop = threading.Thread(
+            target=self._run, name="repro-pool-supervisor", daemon=True
         )
-        self._collector.start()
+        self._loop.start()
 
     # ------------------------------------------------------------------ #
     # telemetry (parent-side; each worker's inner server has its own)
@@ -499,31 +510,87 @@ class WorkerPool(_Endpoint):
         )
 
     # ------------------------------------------------------------------ #
-    # collector + supervisor (one parent thread)
+    # the wait loop (one parent thread)
     # ------------------------------------------------------------------ #
-    def _collect(self) -> None:
-        """Resolve worker responses; supervise the fleet between them."""
-        next_pass = time.monotonic() + self.poll_interval
-        while not self._stop_collecting.is_set():
-            timeout = max(0.001, next_pass - time.monotonic())
-            try:
-                msg = self._res_q.get(timeout=timeout)
-            except queue_mod.Empty:
-                msg = None
-            if msg is not None:
-                if msg[0] == "__close__":
-                    return
-                try:
-                    self._dispatch(msg)
-                except Exception:  # repro-lint: disable=swallowed-exception
-                    # A malformed message (e.g. a reply half-written by a
-                    # dying worker) must never kill the supervisor — the
-                    # affected request is recovered by crash detection or
-                    # deadline expiry.
-                    pass
-            if time.monotonic() >= next_pass:
-                self._supervise()
-                next_pass = time.monotonic() + self.poll_interval
+    def _run(self) -> None:
+        """Each pass expires due deadlines and starts due respawns, then
+        waits on every live reply end, every live worker's sentinel and
+        the wake pipe until the earliest deadline or respawn. A reply is
+        dispatched; a sentinel, or a reply end at EOF, reaps its worker.
+        Returns once the pool is closed and every reply end is retired."""
+        while True:
+            now = time.monotonic()
+            with self._lock:
+                expired = self._expire(now)
+                for i, due in list(self._respawn_at.items()):
+                    if now >= due:
+                        self._respawn(i)
+                dues = list(self._respawn_at.values())
+                if self._deadlines:
+                    dues.append(self._deadlines[0][0])
+                armed = self._armed = min(dues, default=None)
+                done = self._closed and self._replies == [None] * self.n_workers
+            _fail(expired, DeadlineExceededError,
+                  "request deadline expired before a worker answered")
+            if done:
+                return
+            timeout = None if armed is None else max(0.0, armed - time.monotonic())
+            for key, _ in self._selector.select(timeout):
+                if key.data is None:  # the wake pipe
+                    os.read(self._wake_r, 4096)
+                elif isinstance(key.fileobj, int) or not self._receive(key.fileobj):
+                    self._reap(key.data)
+
+    def _wake(self) -> None:
+        """Start the wait loop's next pass now."""
+        with contextlib.suppress(BlockingIOError):  # full: a wake is pending
+            os.write(self._wake_w, b"\0")
+
+    def _expire(self, now: float) -> List[Future]:
+        """Pop due and answered entries off the deadline heap (lock
+        held); return the futures whose deadline passed unanswered."""
+        expired = []
+        heap = self._deadlines
+        while heap and (heap[0][0] <= now or heap[0][1] not in self._futures):
+            entry = self._futures.pop(heapq.heappop(heap)[1], None)
+            if entry is not None:
+                self._m_deadline.inc()
+                expired.append(entry[0])
+        return expired
+
+    def _receive(self, conn: Connection) -> bool:
+        """Dispatch one message off a reply end; False once it reads EOF."""
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            return False
+        try:
+            self._dispatch(msg)
+        except Exception:  # repro-lint: disable=swallowed-exception
+            # A malformed message must never kill the wait loop: its
+            # request is recovered by crash detection or deadline expiry.
+            pass
+        return True
+
+    def _reap(self, worker: int) -> None:
+        """Retire a dead worker's reply end: resolve what it sent before
+        dying, then, if it never acked "stopped", record its crash."""
+        conn = self._replies[worker]
+        if conn is None:  # already reaped: sentinel and EOF in one wake
+            return
+        while conn.poll(0) and self._receive(conn):
+            pass
+        proc = self._procs[worker]
+        self._selector.unregister(conn)
+        self._selector.unregister(proc.sentinel)
+        conn.close()  # never reused: a respawn gets a fresh pipe
+        proc.join(timeout=5.0)  # it is exiting; this only collects exitcode
+        with self._lock:
+            self._replies[worker] = None
+            if self._worker_state[worker] != _ALIVE or self._closed:
+                return
+            failed, detail = self._mark_crashed(worker, proc.exitcode)
+        _fail(failed, WorkerCrashedError, detail)
 
     def _dispatch(self, msg) -> None:
         tag = msg[0]
@@ -534,7 +601,7 @@ class WorkerPool(_Endpoint):
                 if entry is None:  # already failed (deadline/crash)
                     self._m_late.inc()
                     return
-                future, want_version, worker, _, sw, ctx = entry
+                future, want_version, worker, sw, ctx = entry
                 self._m_requests.inc()
                 self._g_pending.set(len(self._futures))
                 self._requests_by_version[version] += 1
@@ -549,7 +616,7 @@ class WorkerPool(_Endpoint):
                 if entry is None:
                     self._m_late.inc()
                     return
-                future, _, worker, _, sw, ctx = entry
+                future, _, worker, sw, ctx = entry
                 self._g_pending.set(len(self._futures))
             self._stitch_reply(sw, ctx, worker, spans)
             future.set_exception(_rebuild_exception(name, text))
@@ -574,61 +641,16 @@ class WorkerPool(_Endpoint):
                     if set(wait["replies"]) >= wait["expected"]:
                         wait["event"].set()
         elif tag == "ready":
-            _, worker_id, generation = msg
-            with self._lock:
-                # Respawn convergence confirmation; state was already set
-                # optimistically at spawn time.
-                if self._worker_generation.get(worker_id) == generation:
-                    self._worker_state.setdefault(worker_id, _ALIVE)
+            # Respawn convergence: the slot went alive at spawn time.
+            with self._health:
+                self._health.notify_all()
         elif tag == "stopped":
             _, worker_id = msg
             with self._lock:
                 self._worker_state[worker_id] = _STOPPED
 
-    def _supervise(self) -> None:
-        """One supervision pass: expire deadlines, detect crashes, respawn."""
-        now = time.monotonic()
-        expired: List[Future] = []
-        crashed_futures: List[Tuple[Future, str]] = []
-        with self._lock:
-            if self._closed:
-                return
-            for req_id, (future, _, worker, expires_at, _, _) in list(
-                self._futures.items()
-            ):
-                if expires_at is not None and now > expires_at:
-                    del self._futures[req_id]
-                    self._m_deadline.inc()
-                    expired.append(future)
-            for i in range(self.n_workers):
-                proc = self._procs[i]
-                if (
-                    proc is None
-                    or self._worker_state[i] != _ALIVE
-                    or proc.is_alive()
-                ):
-                    continue
-                # A worker that never sent "stopped" and is no longer
-                # alive crashed (OOM-kill, SIGKILL, os._exit, segfault).
-                crashed_futures.extend(self._mark_crashed(i, proc.exitcode, now))
-            for i, due in list(self._respawn_at.items()):
-                if now >= due:
-                    self._respawn(i)
-        for future in expired:
-            if not future.done():
-                future.set_exception(
-                    DeadlineExceededError(
-                        "request deadline expired before a worker answered"
-                    )
-                )
-        for future, detail in crashed_futures:
-            if not future.done():
-                future.set_exception(WorkerCrashedError(detail))
-
-    def _mark_crashed(
-        self, worker: int, exitcode, now: float
-    ) -> List[Tuple[Future, str]]:
-        """Record a crash (lock held); return the futures to fail."""
+    def _mark_crashed(self, worker: int, exitcode) -> Tuple[List[Future], str]:
+        """Record a crash (lock held); return the futures to fail, and why."""
         self._m_crashes.inc()
         self._worker_crashes[worker] += 1
         self._worker_state[worker] = _CRASHED
@@ -638,10 +660,10 @@ class WorkerPool(_Endpoint):
             "answering; the request was not scored — safe to retry"
         )
         failed = []
-        for req_id, (future, _, owner, _, _, _) in list(self._futures.items()):
+        for req_id, (future, _, owner, _, _) in list(self._futures.items()):
             if owner == worker:
                 del self._futures[req_id]
-                failed.append((future, detail))
+                failed.append(future)
         # Pending fleet swaps: acknowledge on the dead worker's behalf.
         # The respawn source/version were updated before the broadcast,
         # so the respawned worker converges onto the swap target — a
@@ -664,8 +686,8 @@ class WorkerPool(_Endpoint):
             self.respawn_backoff_cap,
             self.respawn_backoff * (2 ** (self._worker_crashes[worker] - 1)),
         )
-        self._respawn_at[worker] = now + backoff
-        return failed
+        self._respawn_at[worker] = time.monotonic() + backoff
+        return failed, detail
 
     def _respawn(self, worker: int) -> None:
         """Start a fresh process in a crashed worker's slot (lock held).
@@ -684,6 +706,7 @@ class WorkerPool(_Endpoint):
         self._worker_state[worker] = _ALIVE
         self._worker_versions[worker] = self._current_version
         self._m_respawns.inc()
+        self._health.notify_all()
         # The dead incarnation's queue may still hold unread messages with
         # a feeder thread blocked on the (reader-less) pipe; never let
         # interpreter exit wait on that flush.
@@ -695,30 +718,30 @@ class WorkerPool(_Endpoint):
         return [i for i, state in self._worker_state.items() if state == _ALIVE]
 
     def _start_worker(self, worker: int, generation: int, source) -> None:
-        """Fork the process for slot ``worker`` onto its request queue."""
+        """Fork the process for slot ``worker`` onto its request queue
+        and a fresh reply pipe."""
+        reply_end, send_end = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(
-                worker,
-                generation,
-                source,
-                self._current_version,
-                self._max_batch,
-                self.mmap,
-                self._req_queues[worker],
-                self._res_q,
-                self._chaos,
-            ),
+            args=(worker, generation, source, self._current_version,
+                  self._max_batch, self.mmap, self._req_queues[worker],
+                  send_end, self._chaos),
             name=f"repro-pool-worker-{worker}-gen{generation}",
             daemon=True,
         )
         self._procs[worker] = proc
         proc.start()
+        # The worker's copy is then the only write end: its death reads
+        # as EOF here, and no later fork inherits this one.
+        send_end.close()
+        self._replies[worker] = reply_end
+        self._selector.register(reply_end, selectors.EVENT_READ, worker)
+        self._selector.register(proc.sentinel, selectors.EVENT_READ, worker)
 
     # ------------------------------------------------------------------ #
     def _enqueue(self, rows, want_version: bool, deadline=None) -> Future:
         """Admit rows to the next live worker (round-robin); the deadline
-        is enforced end to end: supervisor, worker queue, serving loop."""
+        is enforced end to end: wait loop, worker queue, serving loop."""
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         ctx = telemetry.current_context()
         sw = telemetry.stopwatch()
@@ -740,9 +763,7 @@ class WorkerPool(_Endpoint):
                 )
             self._rr = (worker + 1) % self.n_workers
             req_id = next(self._next_id)
-            self._futures[req_id] = (
-                future, want_version, worker, expires_at, sw, ctx
-            )
+            self._futures[req_id] = (future, want_version, worker, sw, ctx)
             self._g_pending.set(len(self._futures))
             try:
                 self._req_queues[worker].put_nowait(
@@ -755,6 +776,11 @@ class WorkerPool(_Endpoint):
                     f"worker {worker} request queue is full; back off and "
                     "retry"
                 ) from None
+            if expires_at is not None:
+                heapq.heappush(self._deadlines, (expires_at, req_id))
+                if self._armed is None or expires_at < self._armed:
+                    self._armed = expires_at
+                    self._wake()
         return future
 
     # ------------------------------------------------------------------ #
@@ -795,7 +821,7 @@ class WorkerPool(_Endpoint):
         acknowledged the swap (or crashed and was scheduled to respawn
         onto it) — the fleet has converged or is converging — and raises
         if any worker rejected the artifact. ``wait=False`` returns
-        immediately; track convergence through
+        immediately and registers no waiter; track convergence through
         ``stats()["model_versions"]``.
         """
         if not (isinstance(path, (str, bytes)) or hasattr(path, "__fspath__")):
@@ -830,15 +856,13 @@ class WorkerPool(_Endpoint):
             self._current_source = path
             self._current_version = version
             live = self._live_workers()
-            # Workers currently down converge via respawn — pre-ack them.
-            waiter = {
-                "event": threading.Event(),
-                "acked": set(range(self.n_workers)) - set(live),
-                "errors": [],
-            }
-            if len(waiter["acked"]) >= self.n_workers:
-                waiter["event"].set()
-            self._swap_waits[version] = waiter
+            if wait:
+                # Workers currently down converge via respawn — pre-ack them.
+                acked = set(range(self.n_workers)) - set(live)
+                waiter = {"event": threading.Event(), "acked": acked, "errors": []}
+                if len(waiter["acked"]) >= self.n_workers:
+                    waiter["event"].set()
+                self._swap_waits[version] = waiter
             queues = [self._req_queues[i] for i in live]
         for req_q in queues:
             req_q.put(("swap", path, version))
@@ -900,13 +924,8 @@ class WorkerPool(_Endpoint):
         — what a chaos harness hands to ``os.kill``."""
         with self._lock:
             return {
-                i: (
-                    self._procs[i].pid
-                    if self._procs[i] is not None
-                    and self._worker_state[i] == _ALIVE
-                    else None
-                )
-                for i in range(self.n_workers)
+                i: proc.pid if self._worker_state[i] == _ALIVE else None
+                for i, proc in enumerate(self._procs)
             }
 
     def wait_healthy(self, timeout: float = 30.0) -> None:
@@ -921,15 +940,18 @@ class WorkerPool(_Endpoint):
         """
         limit = time.monotonic() + float(timeout)
         last_round = ""
+
+        def full() -> bool:
+            return not self._respawn_at and len(self._live_workers()) == self.n_workers
+
         while True:
-            with self._lock:
+            with self._health:
+                while not (self._closed or full()) and time.monotonic() < limit:
+                    self._health.wait(limit - time.monotonic())
                 if self._closed:
                     raise ServerClosedError("WorkerPool is closed")
-                full = all(
-                    self._worker_state[i] == _ALIVE
-                    for i in range(self.n_workers)
-                ) and not self._respawn_at
-            if full:
+                healthy = full()
+            if healthy:
                 try:
                     # Short slices, not the whole remaining budget: a crash
                     # landing mid-round-trip costs one slice and a retry,
@@ -947,7 +969,6 @@ class WorkerPool(_Endpoint):
                     f"fleet not healthy within {timeout}s: "
                     f"{self.stats()['worker_states']}{last_round}"
                 )
-            time.sleep(self.poll_interval / 2)
 
     def worker_stats(self, timeout: float = 30.0) -> Dict[int, Dict]:
         """Every live worker's batcher counters (``n_requests``,
@@ -976,11 +997,7 @@ class WorkerPool(_Endpoint):
                 # caller's health check and this call): nothing will ever
                 # answer, so don't register a waiter that can't be woken.
                 return {}
-            waiter = {
-                "event": threading.Event(),
-                "replies": {},
-                "expected": set(live),
-            }
+            waiter = {"event": threading.Event(), "replies": {}, "expected": set(live)}
             self._stats_waits[token] = waiter
             queues = [self._req_queues[i] for i in live]
         for req_q in queues:
@@ -1027,31 +1044,24 @@ class WorkerPool(_Endpoint):
         respawn would have served) fail typed with
         :class:`~repro.exceptions.WorkerCrashedError` — resolved or
         failed, never hung. Idempotent; also safe mid-swap (pending
-        swap acknowledgements drain before the supervisor exits).
+        swap acknowledgements drain before the wait loop exits).
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             self._respawn_at.clear()  # no respawns after close
-            live = self._live_workers()
-            queues = [self._req_queues[i] for i in live]
+            self._health.notify_all()
+            queues = [self._req_queues[i] for i in self._live_workers()]
         for req_q in queues:
             req_q.put(("stop",))
-        for proc in self._procs:
-            if proc is None:
-                continue
-            proc.join(timeout=60.0)
-            if proc.is_alive():  # wedged (e.g. chaos-stalled): don't hang
-                proc.terminate()
-                proc.join()
-        # Belt and braces: the stop event bounds the supervisor's exit even
-        # if the sentinel can never be delivered (a SIGKILLed worker can die
-        # holding the result queue's shared write lock, wedging every later
-        # writer — including our own feeder thread).
-        self._stop_collecting.set()
-        self._res_q.put(("__close__",))
-        self._collector.join(timeout=max(10.0, 4 * self.poll_interval))
+        self._wake()
+        # The loop returns once every worker has exited and been reaped.
+        self._loop.join(timeout=60.0)
+        if self._loop.is_alive():  # a wedged (e.g. chaos-stalled) worker
+            for proc in self._procs:
+                proc.terminate()  # a no-op on the ones already gone
+            self._loop.join(timeout=10.0)
         # Unblock anyone still waiting on a fleet swap.
         with self._lock:
             for wait in self._swap_waits.values():
@@ -1060,20 +1070,14 @@ class WorkerPool(_Endpoint):
                 wait["event"].set()
             leftovers = [entry[0] for entry in self._futures.values()]
             self._futures.clear()
-        for future in leftovers:  # only reachable if a worker died
-            if not future.done():
-                future.set_exception(
-                    WorkerCrashedError(
-                        "WorkerPool closed before the request was served "
-                        "(its worker crashed); the request was not scored"
-                    )
-                )
+        _fail(leftovers, WorkerCrashedError,  # only if a worker died
+              "WorkerPool closed before the request was served (its "
+              "worker crashed); the request was not scored")
         for i, req_q in enumerate(self._req_queues):
             if self._worker_state.get(i) == _CRASHED:
                 # No reader for whatever is buffered; don't block exit on it.
                 req_q.cancel_join_thread()
             req_q.close()
-        # The only parent-side put is the close sentinel; never let a wedged
-        # feeder (poisoned shared write lock) block interpreter exit on it.
-        self._res_q.cancel_join_thread()
-        self._res_q.close()
+        self._selector.close()
+        os.close(self._wake_r)
+        os.close(self._wake_w)

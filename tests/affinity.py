@@ -3,10 +3,12 @@
 :func:`pinned` restricts the test's own process to a set of CPUs for a
 block (``os.sched_setaffinity``, which new threads and forked workers
 inherit); :func:`cpu_sets` gives the two sets such tests run under: one
-CPU, then every CPU the process may use.
+CPU, then every CPU the process may use. :func:`under_each_cpu_set`
+runs a whole test body once per set.
 """
 
 import contextlib
+import functools
 import os
 
 
@@ -25,3 +27,15 @@ def pinned(cpus):
         yield
     finally:
         os.sched_setaffinity(0, original)
+
+
+def under_each_cpu_set(test):
+    """Decorate a test to run its body pinned to each of :func:`cpu_sets`."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for cpus in cpu_sets():
+            with pinned(cpus):
+                test(*args, **kwargs)
+
+    return run

@@ -5,13 +5,15 @@ against corrupt challengers, and the pool's close() edge cases.
 
 Process-killing tests are marked ``chaos`` (select with ``-m chaos``);
 they use seeded :class:`repro.chaos.FaultPlan` kills or ``os.kill`` on
-pool worker pids, never anything the supervisor shouldn't survive.
+pool worker pids, never anything the supervisor shouldn't survive. Each
+kill test runs pinned to one CPU and then to all of them.
 """
 
 import asyncio
 import os
 import shutil
 import signal
+import threading
 import time
 from concurrent.futures import Future
 
@@ -32,8 +34,10 @@ from repro.registry import get_classifier, toy_imbalanced_split
 from repro.serving import AsyncGateway, ModelServer, WorkerPool
 from repro.serving.pool import _rebuild_exception
 
+from affinity import under_each_cpu_set
+
 #: Fast supervision knobs shared by every pool in this file.
-FAST = dict(poll_interval=0.02, respawn_backoff=0.05, respawn_backoff_cap=0.4)
+FAST = dict(respawn_backoff=0.05, respawn_backoff_cap=0.4)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +113,7 @@ class TestRebuildException:
 
 @pytest.mark.chaos
 class TestSupervision:
+    @under_each_cpu_set
     def test_chaos_kill_fails_inflight_typed_and_respawns(
         self, artifacts, toy
     ):
@@ -132,6 +137,7 @@ class TestSupervision:
             for _ in range(4):
                 assert pool.predict_proba(X[:4]).shape == (4, 2)
 
+    @under_each_cpu_set
     def test_external_sigkill_detected_and_respawned(self, artifacts, toy):
         X, _ = toy
         with WorkerPool(artifacts[0], n_workers=2, **FAST) as pool:
@@ -141,12 +147,12 @@ class TestSupervision:
             assert stats["n_crashes"] >= 1 and stats["n_respawns"] >= 1
             assert pool.predict_proba(X[:8]).shape == (8, 2)
 
+    @under_each_cpu_set
     def test_whole_fleet_down_raises_typed_at_submit(self, artifacts, toy):
         X, _ = toy
         pool = WorkerPool(
             artifacts[0],
             n_workers=1,
-            poll_interval=0.02,
             respawn_backoff=5.0,  # long: the fleet stays down for the check
             respawn_backoff_cap=5.0,
         )
@@ -158,6 +164,7 @@ class TestSupervision:
         finally:
             pool.close()
 
+    @under_each_cpu_set
     def test_worker_stats_with_whole_fleet_down_returns_immediately(
         self, artifacts
     ):
@@ -168,7 +175,6 @@ class TestSupervision:
         pool = WorkerPool(
             artifacts[0],
             n_workers=1,
-            poll_interval=0.02,
             respawn_backoff=5.0,
             respawn_backoff_cap=5.0,
         )
@@ -200,6 +206,7 @@ class TestSupervision:
             assert "slot 1" not in message
             assert stalled.result(timeout=30).shape == (4, 2)
 
+    @under_each_cpu_set
     def test_repeat_crashes_track_generations_and_counters(
         self, artifacts, toy
     ):
@@ -214,6 +221,7 @@ class TestSupervision:
             assert pool.stats()["n_respawns"] == 2
             assert pool.predict_proba(X[:4]).shape == (4, 2)
 
+    @under_each_cpu_set
     def test_midswap_crash_converges_onto_the_new_version(
         self, artifacts, challenger, toy
     ):
@@ -236,6 +244,37 @@ class TestSupervision:
             assert np.array_equal(
                 scored.proba, challenger.predict_proba(X[:8])
             )
+
+    @under_each_cpu_set
+    def test_kill_mid_reply_write_leaves_the_other_workers_answering(
+        self, artifacts, toy
+    ):
+        """SIGKILL worker 0 while it writes a multi-MB reply. A future
+        callback stalls the parent's reader after the first big reply, so
+        worker 0 fills its reply pipe and blocks mid-write on the second.
+        Whatever the kill interrupts, the doomed future resolves typed,
+        slot 1 still answers and the fleet heals: a dead writer poisons
+        only its own pipe."""
+        X, _ = toy
+        big = np.tile(X, (1500, 1))  # 202,500 rows: a 3.2 MB reply
+        for delay in (0.0, 0.05, 0.3):
+            release = threading.Event()
+            with WorkerPool(artifacts[0], n_workers=2, **FAST) as pool:
+                pid = pool.worker_pids()[0]
+                first = pool.submit(big)  # round-robin: slot 0
+                first.add_done_callback(lambda _: release.wait(10))
+                healthy = pool.submit(X[:4])  # slot 1
+                doomed = pool.submit(big)  # slot 0, behind `first`
+                time.sleep(delay)
+                os.kill(pid, signal.SIGKILL)
+                release.set()
+                try:
+                    assert doomed.result(timeout=30).shape == big.shape[:1] + (2,)
+                except WorkerCrashedError:
+                    pass
+                assert healthy.result(timeout=30).shape == (4, 2)
+                pool.wait_healthy(10)
+                assert pool.predict_proba(X[:8]).shape == (8, 2)
 
 
 class TestDeadlines:
@@ -512,6 +551,16 @@ class TestSwapAtomicity:
             assert pool.swap_model(corrupt, version="v2") == "v2"
             assert pool.stats()["model_versions"] == {0: "v2", 1: "v2"}
 
+    def test_fire_and_forget_swap_registers_no_waiter(self, artifacts):
+        """A ``wait=False`` swap converges through the acks alone and
+        leaves no waiter behind for the rest of the pool's life."""
+        with WorkerPool(artifacts[0], n_workers=2, model_version="v1") as pool:
+            pool.swap_model(artifacts[1], version="v2", wait=False)
+            _wait_for(
+                lambda: pool.stats()["model_versions"] == {0: "v2", 1: "v2"}
+            )
+            assert pool._swap_waits == {}
+
 
 class TestCloseEdgeCases:
     def test_close_with_inflight_requests_resolves_everything(
@@ -554,6 +603,7 @@ class TestCloseEdgeCases:
             assert scored.model_version in {"v1", "v2"}
 
     @pytest.mark.chaos
+    @under_each_cpu_set
     def test_close_with_a_crashed_worker_fails_leftovers_typed(
         self, artifacts, toy
     ):
@@ -565,7 +615,6 @@ class TestCloseEdgeCases:
             artifacts[0],
             n_workers=1,
             chaos=plan,
-            poll_interval=0.02,
             respawn_backoff=30.0,  # no respawn before close
             respawn_backoff_cap=30.0,
         )

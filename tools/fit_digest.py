@@ -64,6 +64,18 @@ def _trees(model):
             yield from _trees(member)
 
 
+def model_digest(model, X=None) -> str:
+    """SHA-256 over every fitted tree of ``model``, then over the bytes
+    of ``model.predict_proba(X)`` when ``X`` is given."""
+    digest = hashlib.sha256()
+    for tree, names in _trees(model):
+        for name in names:
+            _update(digest, name, getattr(tree, name))
+    if X is not None:
+        _update(digest, "predict_proba", model.predict_proba(X))
+    return digest.hexdigest()
+
+
 def fit_digest(rows: int, ir: float, seed: int, predict: bool = False,
                estimator: str = "spe") -> str:
     from repro.datasets import make_credit_fraud
@@ -74,13 +86,7 @@ def fit_digest(rows: int, ir: float, seed: int, predict: bool = False,
     if "n_estimators" in classifier_spec(estimator).cls._get_param_names():
         params["n_estimators"] = 10
     model = get_classifier(estimator, **params).fit(X, y)
-    digest = hashlib.sha256()
-    for tree, names in _trees(model):
-        for name in names:
-            _update(digest, name, getattr(tree, name))
-    if predict:
-        _update(digest, "predict_proba", model.predict_proba(X))
-    return digest.hexdigest()
+    return model_digest(model, X if predict else None)
 
 
 def main(argv=None) -> int:
