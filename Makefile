@@ -57,12 +57,14 @@ perfbench-smoke:
 # Byte-identity gate of a fit-path change: one SHA-256 per model over its
 # fitted trees and its predict_proba on its own table (tools/fit_digest.py),
 # for SPE at the serve_drift and fit_credit shapes and for the forest,
-# EasyEnsemble and GBDT, seeds 1-3. Run it in the parent's checkout and in
-# the change's on the same host: equal lines mean byte-identical models.
+# EasyEnsemble, GBDT, AdaBoost, RUSBoost and SMOTEBoost, seeds 1-3. Run it
+# in the parent's checkout and in the change's on the same host: equal
+# lines mean byte-identical models.
 fit-digest:
 	@for seed in 1 2 3; do \
 	  for args in "--rows 20000 --ir 20" "--rows 150000 --ir 200" \
-	              "--estimator forest" "--estimator easy_ensemble" "--estimator gbdt"; do \
+	              "--estimator forest" "--estimator easy_ensemble" "--estimator gbdt" \
+	              "--estimator adaboost" "--estimator rus_boost" "--estimator smote_boost"; do \
 	    echo "$$($(PYTHON) tools/fit_digest.py $$args --seed $$seed --predict)  $$args --seed $$seed"; \
 	  done; \
 	done

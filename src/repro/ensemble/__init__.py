@@ -1,15 +1,13 @@
 """Canonical ensemble learners: Bagging, Random Forest, AdaBoost, GBDT."""
 
-from .adaboost import AdaBoostClassifier, fit_supports_sample_weight
-from .bagging import BaggingClassifier, average_ensemble_proba
+from .adaboost import AdaBoostClassifier
+from .bagging import BaggingClassifier
 from .forest import RandomForestClassifier
 from .gbdt import GradientBoostingClassifier, GradientRegressionTree
 
 __all__ = [
     "AdaBoostClassifier",
-    "fit_supports_sample_weight",
     "BaggingClassifier",
-    "average_ensemble_proba",
     "RandomForestClassifier",
     "GradientBoostingClassifier",
     "GradientRegressionTree",

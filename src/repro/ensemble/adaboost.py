@@ -12,7 +12,7 @@ from typing import List
 
 import numpy as np
 
-from ..base import BaseEstimator, ClassifierMixin, clone, supports_sample_weight
+from ..base import BaseEstimator, ClassifierMixin, supports_sample_weight
 from ..tree import DecisionTreeClassifier
 from ..utils.validation import (
     check_array,
@@ -20,12 +20,60 @@ from ..utils.validation import (
     check_random_state,
     check_X_y,
 )
+from .bagging import make_member_model
 
-__all__ = ["AdaBoostClassifier", "fit_supports_sample_weight"]
+__all__ = ["AdaBoostClassifier", "samme_step", "samme_vote"]
 
-#: Historical name — the capability check now lives in the estimator
-#: contract (:func:`repro.base.supports_sample_weight`).
-fit_supports_sample_weight = supports_sample_weight
+
+def check_learning_rate(learning_rate) -> None:
+    """Reject a ``learning_rate`` that is not a finite number > 0."""
+    if not (np.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(
+            f"learning_rate must be a finite number > 0, got {learning_rate!r}"
+        )
+
+
+def samme_step(w, incorrect, learning_rate: float, n_classes: int, first: bool):
+    """One SAMME round on the boosting weights ``w`` (updated in place).
+
+    ``incorrect`` marks the rows the round's model got wrong. A perfect
+    learner gets a large but finite weight; one no better than chance is
+    kept only as the first model (the standard SAMME early-out); any other
+    round reweights ``w`` by ``exp(alpha * incorrect)`` and renormalises.
+    Returns ``(alpha, stop)``: ``alpha`` is the model's vote weight, or
+    ``None`` when it is dropped, and ``stop`` ends the boosting loop.
+    """
+    err = float(np.sum(w * incorrect))
+    log_k = np.log(max(n_classes - 1, 1))
+    if err <= 0:
+        return float(10.0 + log_k), True
+    if err >= 1.0 - 1.0 / n_classes:
+        return (1.0 if first else None), True
+    alpha = float(learning_rate * (np.log((1.0 - err) / err) + log_k))
+    w *= np.exp(alpha * incorrect)
+    total = w.sum()
+    if not np.isfinite(total) or total <= 0:
+        return alpha, True
+    w /= total
+    return alpha, False
+
+
+def samme_vote(model, X, classes=None):
+    """SAMME vote of a fitted booster on ``X``: each of ``estimators_`` adds
+    its ``estimator_weights_`` entry to the class it predicts, a column of
+    ``classes`` (default ``model.classes_``). Returns ``(votes, shares)``;
+    the shares of a row sum to 1 and are uniform on rows with no votes."""
+    check_is_fitted(model, ["estimators_"])
+    X = check_array(X)
+    classes = model.classes_ if classes is None else classes
+    votes = np.zeros((X.shape[0], len(classes)))
+    rows = np.arange(X.shape[0])
+    for member, alpha in zip(model.estimators_, model.estimator_weights_):
+        votes[rows, np.searchsorted(classes, member.predict(X))] += alpha
+    totals = votes.sum(axis=1, keepdims=True)
+    shares = np.full_like(votes, 1.0 / len(classes))
+    np.divide(votes, totals, out=shares, where=totals > 0)
+    return votes, shares
 
 
 class AdaBoostClassifier(BaseEstimator, ClassifierMixin):
@@ -50,18 +98,12 @@ class AdaBoostClassifier(BaseEstimator, ClassifierMixin):
         self.algorithm = algorithm
         self.random_state = random_state
 
-    def _make_base(self):
-        if self.estimator is None:
-            return DecisionTreeClassifier(max_depth=1)
-        from ..registry import resolve_estimator
-
-        return clone(resolve_estimator(self.estimator))
-
     def _fit_one(self, X, y, w, rng):
-        model = self._make_base()
-        if hasattr(model, "random_state"):
-            model.random_state = rng.randint(np.iinfo(np.int32).max)
-        if fit_supports_sample_weight(model):
+        base = self.estimator
+        if base is None:
+            base = DecisionTreeClassifier(max_depth=1)
+        model = make_member_model(rng, base)
+        if supports_sample_weight(model):
             model.fit(X, y, sample_weight=w * len(y))
         else:
             idx = rng.choice(len(y), size=len(y), p=w)
@@ -79,6 +121,7 @@ class AdaBoostClassifier(BaseEstimator, ClassifierMixin):
             raise ValueError(f"Unknown algorithm {self.algorithm!r}")
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
+        check_learning_rate(self.learning_rate)
         X, y = check_X_y(X, y)
         rng = check_random_state(self.random_state)
         self.classes_ = np.unique(y)
@@ -91,43 +134,32 @@ class AdaBoostClassifier(BaseEstimator, ClassifierMixin):
 
         for _ in range(self.n_estimators):
             model = self._fit_one(X, y, w, rng)
-            if self.algorithm == "SAMME.R":
-                proba = np.clip(model.predict_proba(X), 1e-12, None)
-                cols = np.searchsorted(self.classes_, model.classes_)
-                full = np.full((n, K), 1e-12)
-                full[:, cols] = proba
-                log_proba = np.log(full)
-                # Weight update from Zhu et al. (2009), eq. (4).
-                coding = np.full((n, K), -1.0 / (K - 1)) if K > 1 else np.ones((n, K))
-                coding[np.arange(n), y_codes] = 1.0
-                estimator_weight = 1.0  # SAMME.R uses unit weights
-                w *= np.exp(
-                    -self.learning_rate
-                    * ((K - 1.0) / K)
-                    * np.einsum("ij,ij->i", coding, log_proba)
+            if self.algorithm == "SAMME":
+                alpha, stop = samme_step(
+                    w, model.predict(X) != y, self.learning_rate, K,
+                    not self.estimators_,
                 )
-            else:
-                pred = model.predict(X)
-                incorrect = pred != y
-                err = float(np.sum(w * incorrect))
-                if err <= 0:
-                    # Perfect learner: give it a large but finite weight.
+                if alpha is not None:
                     self.estimators_.append(model)
-                    self.estimator_weights_.append(10.0 + np.log(max(K - 1, 1)))
+                    self.estimator_weights_.append(alpha)
+                if stop:
                     break
-                if err >= 1.0 - 1.0 / K:
-                    # No better than chance — re-randomise the weights slightly
-                    # and skip (standard SAMME early-out keeps prior models).
-                    if not self.estimators_:
-                        self.estimators_.append(model)
-                        self.estimator_weights_.append(1.0)
-                    break
-                estimator_weight = self.learning_rate * (
-                    np.log((1.0 - err) / err) + np.log(max(K - 1, 1))
-                )
-                w *= np.exp(estimator_weight * incorrect)
+                continue
+            proba = np.clip(model.predict_proba(X), 1e-12, None)
+            cols = np.searchsorted(self.classes_, model.classes_)
+            full = np.full((n, K), 1e-12)
+            full[:, cols] = proba
+            log_proba = np.log(full)
+            # Weight update from Zhu et al. (2009), eq. (4).
+            coding = np.full((n, K), -1.0 / (K - 1)) if K > 1 else np.ones((n, K))
+            coding[np.arange(n), y_codes] = 1.0
+            w *= np.exp(
+                -self.learning_rate
+                * ((K - 1.0) / K)
+                * np.einsum("ij,ij->i", coding, log_proba)
+            )
             self.estimators_.append(model)
-            self.estimator_weights_.append(float(estimator_weight))
+            self.estimator_weights_.append(1.0)  # SAMME.R uses unit weights
             total = w.sum()
             if not np.isfinite(total) or total <= 0:
                 break
@@ -137,38 +169,31 @@ class AdaBoostClassifier(BaseEstimator, ClassifierMixin):
 
     def decision_scores(self, X) -> np.ndarray:
         """Per-class aggregated votes (n_samples, n_classes)."""
+        if self.algorithm == "SAMME":
+            return samme_vote(self, X)[0]
         check_is_fitted(self, ["estimators_"])
         X = check_array(X)
         K = len(self.classes_)
         scores = np.zeros((X.shape[0], K))
-        for model, alpha in zip(self.estimators_, self.estimator_weights_):
-            if self.algorithm == "SAMME.R":
-                proba = np.clip(model.predict_proba(X), 1e-12, None)
-                cols = np.searchsorted(self.classes_, model.classes_)
-                full = np.full((X.shape[0], K), 1e-12)
-                full[:, cols] = proba
-                log_proba = np.log(full)
-                scores += (K - 1) * (log_proba - log_proba.mean(axis=1, keepdims=True))
-            else:
-                pred = model.predict(X)
-                cols = np.searchsorted(self.classes_, pred)
-                scores[np.arange(X.shape[0]), cols] += alpha
+        for model in self.estimators_:
+            proba = np.clip(model.predict_proba(X), 1e-12, None)
+            cols = np.searchsorted(self.classes_, model.classes_)
+            full = np.full((X.shape[0], K), 1e-12)
+            full[:, cols] = proba
+            log_proba = np.log(full)
+            scores += (K - 1) * (log_proba - log_proba.mean(axis=1, keepdims=True))
         return scores
 
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
+        if self.algorithm == "SAMME":
+            # Weighted vote shares: sum of alpha over estimators voting for
+            # each class, normalised — a graded score in [0, 1] per class.
+            return samme_vote(self, X)[1]
         scores = self.decision_scores(X)
         K = len(self.classes_)
         if K == 1:
             return np.ones((scores.shape[0], 1))
-        if self.algorithm == "SAMME":
-            # Weighted vote shares: sum of alpha over estimators voting for
-            # each class, normalised — a graded score in [0, 1] per class.
-            totals = scores.sum(axis=1, keepdims=True)
-            uniform = np.full_like(scores, 1.0 / K)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                proba = np.where(totals > 0, scores / np.where(totals > 0, totals, 1.0), uniform)
-            return proba
         # SAMME.R: softmax of the mean real-valued decision (Zhu et al. 2009).
         scores = scores / (max(len(self.estimators_), 1) * max(K - 1, 1))
         scores = scores - scores.max(axis=1, keepdims=True)

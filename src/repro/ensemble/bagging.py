@@ -19,19 +19,9 @@ from ..utils.validation import (
 
 __all__ = [
     "BaggingClassifier",
-    "average_ensemble_proba",
     "ensemble_predict_proba",
     "make_member_model",
 ]
-
-
-def average_ensemble_proba(estimators, X, classes: np.ndarray) -> np.ndarray:
-    """Serial shorthand for :func:`repro.parallel.ensemble_predict_proba`.
-
-    Kept as the historical name; the chunked engine behind it aligns each
-    estimator's classes into the full class space before averaging.
-    """
-    return ensemble_predict_proba(estimators, X, classes)
 
 
 def make_member_model(rng: np.random.RandomState, estimator=None):

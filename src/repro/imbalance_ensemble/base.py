@@ -23,7 +23,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..base import BaseEstimator, ClassifierMixin, clone
+from ..base import BaseEstimator, ClassifierMixin, clone, supports_sample_weight
+from ..ensemble.adaboost import check_learning_rate, samme_step, samme_vote
 from ..ensemble.bagging import make_member_model
 from ..parallel import ensemble_predict_proba, fit_ensemble_parallel
 from ..utils.validation import (
@@ -37,6 +38,7 @@ from ..utils.validation import (
 
 __all__ = [
     "BaseImbalanceEnsemble",
+    "BoostedImbalanceEnsemble",
     "ResampleEnsembleClassifier",
     "fit_resampled_ensemble",
     "make_member_model",
@@ -227,6 +229,71 @@ class BaseImbalanceEnsemble(BaseEstimator, ClassifierMixin, BinaryLabelEncoderMi
 
         restore_ensemble_state(self, meta, arrays, children)
         self.n_training_samples_ = int(meta.get("n_training_samples", 0))
+
+
+class BoostedImbalanceEnsemble(BaseImbalanceEnsemble):
+    """SAMME boosting over a per-round training set (RUSBoost, SMOTEBoost).
+
+    Boosting weights live on the original rows. Each round,
+    ``_round_set(X, y, w, rng)`` returns the round's rows and normalised
+    weights; a model without ``sample_weight`` fits a weighted resample of
+    them instead (all of them when the resample holds one class). Its error
+    on the original rows drives :func:`repro.ensemble.adaboost.samme_step`.
+    """
+
+    def _round_set(self, X, y, w, rng):
+        raise NotImplementedError
+
+    def fit(self, X, y):
+        """Fit on ``X``, ``y``; returns ``self``."""
+        X, y, rng = self._validate(X, y)
+        check_learning_rate(self.learning_rate)
+        w = np.full(len(y), 1.0 / len(y))
+        self.estimators_: List = []
+        self.estimator_weights_: List[float] = []
+        self.n_training_samples_ = 0
+        for _ in range(self.n_estimators):
+            X_r, y_r, w_r = self._round_set(X, y, w, rng)
+            model = self._make_base(rng)
+            if supports_sample_weight(model):
+                model.fit(X_r, y_r, sample_weight=w_r * len(y_r))
+            else:
+                pick = rng.choice(len(y_r), size=len(y_r), p=w_r)
+                if len(np.unique(y_r[pick])) > 1:
+                    X_r, y_r = X_r[pick], y_r[pick]
+                model.fit(X_r, y_r)
+            self.n_training_samples_ += len(y_r)
+            alpha, stop = samme_step(
+                w, model.predict(X) != y, self.learning_rate, 2, not self.estimators_
+            )
+            if alpha is not None:
+                self.estimators_.append(model)
+                self.estimator_weights_.append(alpha)
+            if stop:
+                break
+        return self
+
+    #: Serving warm-up opt-out: predict_proba is an alpha-weighted vote
+    #: over member *predictions*, never the packed probability kernel, so
+    #: pre-packing the member trees would build an unused forest.
+    __serving_ensemble__ = None
+
+    def predict_proba(self, X) -> np.ndarray:
+        """Class probabilities, columns ordered by ``classes_``."""
+        # Members are fitted on the internal 0/1 encoding.
+        return self._decode_proba(samme_vote(self, X, np.array([0, 1]))[1])
+
+    def __getstate_arrays__(self):
+        """Shared ensemble state plus the per-round boosting weights."""
+        meta, arrays, children = super().__getstate_arrays__()
+        arrays["estimator_weights"] = np.asarray(
+            self.estimator_weights_, dtype=np.float64
+        )
+        return meta, arrays, children
+
+    def __setstate_arrays__(self, meta, arrays, children) -> None:
+        super().__setstate_arrays__(meta, arrays, children)
+        self.estimator_weights_ = [float(w) for w in arrays["estimator_weights"]]
 
 
 class ResampleEnsembleClassifier(BaseImbalanceEnsemble):

@@ -7,7 +7,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..ensemble.adaboost import AdaBoostClassifier, fit_supports_sample_weight
+from ..base import supports_sample_weight
+from ..ensemble.adaboost import AdaBoostClassifier
 from ..tree import DecisionTreeClassifier
 from .base import (
     BaseImbalanceEnsemble,
@@ -70,7 +71,7 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
             else DecisionTreeClassifier(max_depth=1)
         )
         plain = (
-            self.boost_incapable == "plain" and not fit_supports_sample_weight(base)
+            self.boost_incapable == "plain" and not supports_sample_weight(base)
         ) or self.n_boost_rounds <= 1
         return partial(
             _make_boosted_model,

@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.base import clone
+from repro.base import clone, supports_sample_weight
 from repro.ensemble import (
     AdaBoostClassifier,
     BaggingClassifier,
     GradientBoostingClassifier,
     RandomForestClassifier,
-    average_ensemble_proba,
-    fit_supports_sample_weight,
 )
 from repro.neighbors import KNeighborsClassifier
+from repro.parallel import ensemble_predict_proba
 from repro.tree import DecisionTreeClassifier
 
 
@@ -21,7 +20,7 @@ class TestAverageEnsembleProba:
         X, y = binary_blobs
         full = DecisionTreeClassifier(max_depth=2).fit(X, y)
         only_zero = DecisionTreeClassifier(max_depth=2).fit(X[:5], np.zeros(5, int))
-        proba = average_ensemble_proba([full, only_zero], X[:4], np.array([0, 1]))
+        proba = ensemble_predict_proba([full, only_zero], X[:4], np.array([0, 1]))
         assert proba.shape == (4, 2)
         assert np.allclose(proba.sum(axis=1), 1.0)
 
@@ -123,7 +122,7 @@ class TestAdaBoost:
     def test_weightless_base_resampled(self, binary_blobs):
         """KNN has no sample_weight support; AdaBoost must still work."""
         X, y = binary_blobs
-        assert not fit_supports_sample_weight(KNeighborsClassifier())
+        assert not supports_sample_weight(KNeighborsClassifier())
         boost = AdaBoostClassifier(
             KNeighborsClassifier(n_neighbors=3), n_estimators=3, random_state=0
         ).fit(X, y)

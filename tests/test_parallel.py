@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.ensemble import BaggingClassifier, average_ensemble_proba
+from repro.ensemble import BaggingClassifier
 from repro.imbalance_ensemble import UnderBaggingClassifier
 from repro.parallel import (
     ensemble_predict_proba,
@@ -164,14 +164,6 @@ class TestEnsemblePredictProba:
         proba = ensemble_predict_proba([full, only_zero], X[:4], np.array([0, 1]))
         assert proba.shape == (4, 2)
         assert np.allclose(proba.sum(axis=1), 1.0)
-
-    def test_average_ensemble_proba_is_serial_alias(self, binary_blobs):
-        X, y = binary_blobs
-        trees = [DecisionTreeClassifier(max_depth=2, random_state=0).fit(X, y)]
-        assert np.array_equal(
-            average_ensemble_proba(trees, X, np.array([0, 1])),
-            ensemble_predict_proba(trees, X, np.array([0, 1])),
-        )
 
     def test_requires_estimators(self, binary_blobs):
         X, _ = binary_blobs

@@ -6,13 +6,16 @@ default ``spe``; 10 members where the model takes ``n_estimators``) on a
 credit-fraud table and hashes the flat node arrays of its trees in member
 order: each member's ``tree_``, recursing into the members of a member
 (EasyEnsemble's AdaBoost bags), a single tree's own ``tree_`` (``tree``,
-``c45``), and GBDT's ``trees_`` of gradient regression trees. Two
+``c45``), and GBDT's ``trees_`` of gradient regression trees. The boosters
+(``adaboost``, ``rus_boost``, ``smote_boost``) hash their tree members
+like any ensemble; ``--predict`` adds their alpha-weighted vote. Two
 checkouts that print the same digest grew byte-identical trees, so a
 change to the fit path can show it kept every model by running this once
 per checkout:
 
     PYTHONPATH=src python tools/fit_digest.py --rows 20000 --ir 20 --seed 3
     PYTHONPATH=src python tools/fit_digest.py --estimator forest --seed 3
+    PYTHONPATH=src python tools/fit_digest.py --estimator rus_boost --seed 3 --predict
     PYTHONPATH=../parent/src python tools/fit_digest.py --seed 3  # another checkout
 
 ``--seed`` seeds both the table and the model. ``--predict`` also hashes
