@@ -193,6 +193,8 @@ def run_streaming_memory(scale: float) -> dict:
             "n_minority": N_MINORITY,
             "majority_grid": majority_grid,
         },
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
         "n_estimators": N_ESTIMATORS,
         "memory_metric": "tracemalloc peak during fit (MB); ru_maxrss for context",
         "results": results,

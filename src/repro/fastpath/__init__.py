@@ -15,6 +15,7 @@ from .packed import (
     ESTIMATOR_BLOCK,
     PackedForest,
     ScoringMatrix,
+    TRANSPOSE_ROWS,
     cached_packed_ensemble,
     trees_of,
     warm_serving_pack,
@@ -26,5 +27,6 @@ __all__ = [
     "ESTIMATOR_BLOCK",
     "PackedForest",
     "ScoringMatrix",
+    "TRANSPOSE_ROWS",
     "trees_of",
 ]

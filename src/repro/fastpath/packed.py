@@ -27,15 +27,25 @@ lanes (:data:`_FUSED_LANES`, measured crossover in ``DESIGN.md``):
   compaction, so python overhead is paid per *level*;
 * **node partition** (large batches, the bulk-throughput regime) — rows
   are taken column-major (a row-major input is transposed one
-  :data:`_PARTITION_ROWS` chunk at a time, never whole) and each tree
-  pops ``(node, row indices)`` from a stack: the node's split is
-  ``columns[feature].take(rows) < key``, a 1-D gather from one
-  cache-resident column, and the non-empty children, cut out of the
-  rows with ``compress`` (about 4× cheaper per element than a boolean
-  mask at 64k rows), are pushed. Nodes reached by fewer than
-  :data:`_LANE_ROWS` rows hand their rows to one fused-style lane walk
-  shared by all trees of the chunk; the lane walk keeps boolean masks,
-  which win on the smallest serving batches.
+  :data:`_PARTITION_ROWS` chunk at a time, never whole, in cache-sized
+  blocks of :data:`TRANSPOSE_ROWS` rows) and each tree splits its nodes
+  in three regimes chosen by node size:
+
+  - **mask** — a node holding at least :data:`_DENSE_SHARE` of the
+    chunk's rows keeps a boolean mask over the whole chunk and splits
+    with one contiguous compare, ``test = columns[f] < key``, then
+    ``left = mask & test`` and ``right = mask ^ left``. These are the
+    heavy nodes down the spine of a tree, which most rows pass through.
+  - **index** — a child below that share converts its mask once, with
+    ``flatnonzero``, to row indices; an index node splits by
+    ``columns[f].take(rows) < key``, a 1-D gather from one
+    cache-resident column, and cuts the non-empty children out of the
+    rows with ``compress`` (about 4× cheaper per element than a boolean
+    mask at 64k rows).
+  - **lane walk** — nodes reached by fewer than :data:`_LANE_ROWS` rows
+    hand their rows to one fused-style lane walk shared by all trees of
+    the chunk; the lane walk keeps boolean masks, which win on the
+    smallest serving batches.
 
 The kernel runs on one thread. Splitting the rows into equal chunks over
 two threads made it slower on a 2-core x86_64 host (routing 10 SPE
@@ -78,6 +88,7 @@ __all__ = [
     "ESTIMATOR_BLOCK",
     "PackedForest",
     "ScoringMatrix",
+    "TRANSPOSE_ROWS",
     "cached_packed_ensemble",
     "trees_of",
     "warm_serving_pack",
@@ -101,7 +112,31 @@ _PARTITION_ROWS = 1 << 16
 #: lane walk instead of splitting them itself.
 _LANE_ROWS = 512
 
+#: Share of a chunk's rows from which a node of the partition kernel splits
+#: a boolean mask over the whole chunk instead of an index array (shares
+#: 0.2–0.5 measured one plateau; sweep in ``DESIGN.md``).
+_DENSE_SHARE = 0.25
+
+#: Rows per block when row-major rows are copied into column-major storage
+#: (:func:`_transpose_rows`, and the SPE fit's majority gather): a block of
+#: a 30-feature float64 input (120 KiB) stays cache-resident while its
+#: columns are scattered.
+TRANSPOSE_ROWS = 512
+
 _LEAF = -1
+
+
+def _transpose_rows(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo:hi`` of a row-major ``matrix`` as a C-contiguous
+    ``(n_features, hi - lo)`` array, copied :data:`TRANSPOSE_ROWS` rows at
+    a time: the same bytes as ``np.ascontiguousarray(matrix[lo:hi].T)``,
+    whose one strided pass over the whole chunk misses the cache on every
+    row (50k × 30 float64: 6.5 → 1.3 ms, 2-core x86_64, numpy 2.4.6)."""
+    columns = np.empty((matrix.shape[1], hi - lo), dtype=matrix.dtype)
+    for start in range(lo, hi, TRANSPOSE_ROWS):
+        stop = min(start + TRANSPOSE_ROWS, hi)
+        columns[:, start - lo : stop - lo] = matrix[start:stop].T
+    return columns
 
 
 def trees_of(estimators: Sequence) -> Optional[List[Tree]]:
@@ -248,7 +283,7 @@ class PackedForest:
             if column_major:
                 columns = matrix[:, lo:hi]
             else:
-                columns = np.ascontiguousarray(matrix[lo:hi].T)
+                columns = _transpose_rows(matrix, lo, hi)
             self._partition(columns, keys, out[:, lo:hi])
         return out
 
@@ -270,13 +305,25 @@ class PackedForest:
     def _partition(self, columns: np.ndarray, keys: np.ndarray,
                    out: np.ndarray) -> None:
         """Route a column-major chunk through every tree into ``out``
-        ``(n_trees, n)``. Each tree pops ``(node, row indices)`` from a
-        stack, splits the rows by one 1-D gather from one column and pushes
-        the non-empty children. Nodes reached by fewer than
-        :data:`_LANE_ROWS` rows would pay more python cost than gather work,
-        so their rows finish together, across all trees, in one lane walk.
+        ``(n_trees, n)``, in three regimes chosen by node size:
 
-        A node's rows are split with ``idx.compress(mask)``, not
+        * **mask** — a node holding at least :data:`_DENSE_SHARE` of the
+          chunk keeps its rows as a boolean mask over the whole chunk and
+          splits with one contiguous compare, ``test = columns[f] < key``,
+          then ``left = mask & test`` and ``right = mask ^ left``; a leaf
+          writes ``out[t][mask] = node``.
+        * **index** — a smaller node keeps its row indices (a masked child
+          converts once, with ``flatnonzero``), splits them by one 1-D
+          gather from one column, ``columns[f].take(idx) < key``, and cuts
+          the children out with ``compress``.
+        * **lane walk** — nodes reached by fewer than :data:`_LANE_ROWS`
+          rows would pay more python cost than gather work, so their rows
+          finish together, across all trees, in one lane walk.
+
+        The heavy nodes are the long spine that holds most of a chunk: a
+        mask split there costs a few contiguous passes over the chunk
+        instead of a gather and two compresses over tens of thousands of
+        indices. An index split uses ``idx.compress(mask)``, not
         ``idx[mask]``: on a 64k-row node boolean-mask indexing costs about
         7.9 ns per element and ``compress`` about 2.1 ns (2-core x86_64,
         numpy 2.4). The lane walk keeps masks: serving runs it on arrays of
@@ -285,13 +332,31 @@ class PackedForest:
         compressed)."""
         feature, left = self.feature, self.left
         n = columns.shape[1]
+        dense_rows = _DENSE_SHARE * n
+        every_row = np.ones(n, dtype=bool)  # read-only: splits build new masks
         pending = []  # (tree, node, rows) left to the lane walk
         for t, root in enumerate(self.roots):
-            stack = [(root, np.arange(n, dtype=np.int64))]
+            out_t = out[t]
+            masks = [(root, every_row, n)]  # (node, mask, rows)
+            stack = []  # (node, row indices)
+            while masks:
+                node, mask, count = masks.pop()
+                if feature[node] == _LEAF:
+                    out_t[mask] = node
+                elif count < dense_rows:
+                    stack.append((node, np.flatnonzero(mask)))
+                else:
+                    go_left = mask & (columns[feature[node]] < keys[node])
+                    n_left = np.count_nonzero(go_left)
+                    right = left[node] + 1
+                    if count - n_left:
+                        masks.append((right, mask ^ go_left, count - n_left))
+                    if n_left:
+                        masks.append((right - 1, go_left, n_left))
             while stack:
                 node, idx = stack.pop()
                 if feature[node] == _LEAF:
-                    out[t, idx] = node
+                    out_t[idx] = node
                 elif idx.size < _LANE_ROWS:
                     pending.append((t, node, idx))
                 else:

@@ -363,13 +363,20 @@ class TestLevelSynchronousBuilder:
 
 # --------------------------------------------------------------------- #
 #: Routing regimes forced through the kernel's module constants:
-#: ``(_FUSED_LANES, _LANE_ROWS, _PARTITION_ROWS)``. "partition" splits
-#: every node itself over 7-row chunks; "hybrid" hands nodes of < 3 rows
-#: to the lane walk.
+#: ``(_FUSED_LANES, _LANE_ROWS, _PARTITION_ROWS, _DENSE_SHARE)``.
+#: "partition" splits every node itself over 7-row chunks; "hybrid" hands
+#: nodes of < 3 rows to the lane walk; both keep the shipped mask share.
+#: "dense" splits every node as a chunk-wide mask, down to its leaves;
+#: "index" turns the masks off (index splits above 3 rows, lane walk
+#: below); "mixed" runs all three over 7-row chunks (masks from 4 rows,
+#: index splits at 3, lane walk below).
 _REGIME_CONSTANTS = {
-    "fused": (1 << 62, 512, 1 << 16),
-    "partition": (-1, 0, 7),
-    "hybrid": (-1, 3, 1 << 16),
+    "fused": (1 << 62, 512, 1 << 16, 0.25),
+    "partition": (-1, 0, 7, 0.25),
+    "hybrid": (-1, 3, 1 << 16, 0.25),
+    "dense": (-1, 0, 1 << 16, 0.0),
+    "index": (-1, 3, 1 << 16, 2.0),
+    "mixed": (-1, 3, 7, 0.5),
 }
 _REGIMES = sorted(_REGIME_CONSTANTS)
 
@@ -378,7 +385,7 @@ _REGIMES = sorted(_REGIME_CONSTANTS)
 def _routing_regime(regime):
     import repro.fastpath.packed as packed_mod
 
-    names = ("_FUSED_LANES", "_LANE_ROWS", "_PARTITION_ROWS")
+    names = ("_FUSED_LANES", "_LANE_ROWS", "_PARTITION_ROWS", "_DENSE_SHARE")
     saved = [getattr(packed_mod, name) for name in names]
     try:
         for name, value in zip(names, _REGIME_CONSTANTS[regime]):
@@ -520,6 +527,31 @@ class TestPackedKernel:
         for t, tree in enumerate(trees):
             want = tree.value[tree.apply(codes.astype(np.float64))]
             assert np.array_equal(forest.value[leaves[t]], want)
+
+    def test_blocked_transpose_of_ragged_chunks(self, rng, monkeypatch):
+        """A row-major input is copied to column-major in blocks of
+        ``TRANSPOSE_ROWS``; chunks whose length is not a multiple of the
+        block (1,000-row chunks of 512-row blocks, a 500-row tail) still
+        route every row to the leaf ``Tree.apply`` reaches, and the copy
+        holds the bytes of a plain transpose for floats and codes."""
+        import repro.fastpath.packed as packed_mod
+
+        X = rng.randn(2500, 3)
+        y = (X[:, 0] + X[:, 2] > 0).astype(int)
+        trees = [DecisionTreeClassifier(max_depth=8, random_state=s).fit(X, y)
+                 for s in range(3)]
+        forest = PackedForest.from_estimators(trees, np.array([0, 1]))
+        monkeypatch.setattr(packed_mod, "_FUSED_LANES", -1)
+        monkeypatch.setattr(packed_mod, "_PARTITION_ROWS", 1000)
+        assert 1000 % packed_mod.TRANSPOSE_ROWS
+        leaves = forest._route(X, forest.threshold)
+        for t, est in enumerate(trees):
+            want = est.tree_.value[est.tree_.apply(X)]
+            assert np.array_equal(forest.value[leaves[t]], want)
+        for matrix in (X, (X * 1000 % 65536).astype(np.uint16)):
+            got = packed_mod._transpose_rows(matrix, 3, 1300)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == np.ascontiguousarray(matrix[3:1300].T).tobytes()
 
     def test_scoring_matrix_dtype_ladder(self, rng):
         low_card = np.repeat(np.arange(4.0), 25).reshape(-1, 1)
@@ -760,6 +792,42 @@ class TestFitDigestTool:
         }
         assert len({gbdt, printed, easy, *singles.values()}) == 5
         assert fit_digest.fit_digest(3000, 10.0, 1, estimator="tree") == singles["tree"]
+
+    def test_digest_of_models_without_trees(self):
+        """KNN and logistic regression take no ``random_state`` and grow no
+        tree: the script completes for both, and with ``--predict`` their
+        digest is the SHA-256 of their ``predict_proba`` bytes alone. The
+        script's output is not compared with this process's: their
+        distances and dot products go through BLAS, whose threading may
+        differ between the two processes."""
+        import hashlib
+        import pathlib
+        import subprocess
+        import sys
+
+        from repro.datasets import make_credit_fraud
+        from repro.registry import get_classifier
+
+        tools = pathlib.Path(__file__).resolve().parents[1] / "tools"
+        sys.path.insert(0, str(tools))
+        try:
+            import fit_digest
+        finally:
+            sys.path.pop(0)
+        X, y = make_credit_fraud(n_samples=2000, imbalance_ratio=10.0, random_state=1)
+        for name in ("knn", "logistic"):
+            run = subprocess.run(
+                [sys.executable, str(tools / "fit_digest.py"), "--rows", "2000",
+                 "--ir", "10", "--seed", "1", "--estimator", name, "--predict"],
+                capture_output=True, text=True, check=True, timeout=120,
+            )
+            printed = run.stdout.strip()
+            assert len(printed) == 64 and int(printed, 16) >= 0
+            digest = hashlib.sha256()
+            fit_digest._update(digest, "predict_proba",
+                               get_classifier(name).fit(X, y).predict_proba(X))
+            assert fit_digest.fit_digest(2000, 10.0, 1, predict=True,
+                                         estimator=name) == digest.hexdigest()
 
     def test_digest_covers_every_tree_array(self):
         """Each estimator kind's digest is exactly the SHA-256 over its

@@ -8,7 +8,9 @@ order: each member's ``tree_``, recursing into the members of a member
 (EasyEnsemble's AdaBoost bags), a single tree's own ``tree_`` (``tree``,
 ``c45``), and GBDT's ``trees_`` of gradient regression trees. The boosters
 (``adaboost``, ``rus_boost``, ``smote_boost``) hash their tree members
-like any ensemble; ``--predict`` adds their alpha-weighted vote. Two
+like any ensemble; ``--predict`` adds their alpha-weighted vote. A model
+without trees (``knn``, ``logistic``) hashes nothing but its
+``--predict`` output, so digest it with ``--predict``. Two
 checkouts that print the same digest grew byte-identical trees, so a
 change to the fit path can show it kept every model by running this once
 per checkout:
@@ -18,7 +20,8 @@ per checkout:
     PYTHONPATH=src python tools/fit_digest.py --estimator rus_boost --seed 3 --predict
     PYTHONPATH=../parent/src python tools/fit_digest.py --seed 3  # another checkout
 
-``--seed`` seeds both the table and the model. ``--predict`` also hashes
+``--seed`` seeds the table, and the model where it takes a
+``random_state``. ``--predict`` also hashes
 the bytes of the fitted model's ``predict_proba`` on its own table, so
 equal digests then mean equal predictions as well as trees.
 
@@ -63,7 +66,8 @@ def _trees(model):
         for tree in model.trees_:
             yield tree, GRADIENT_TREE_ARRAYS
     else:
-        for member in model.estimators_:
+        # a model without trees (KNN, logistic regression) yields none
+        for member in getattr(model, "estimators_", ()):
             yield from _trees(member)
 
 
@@ -85,8 +89,9 @@ def fit_digest(rows: int, ir: float, seed: int, predict: bool = False,
     from repro.registry import classifier_spec, get_classifier
 
     X, y = make_credit_fraud(n_samples=rows, imbalance_ratio=ir, random_state=seed)
-    params = {"random_state": seed}
-    if "n_estimators" in classifier_spec(estimator).cls._get_param_names():
+    names = classifier_spec(estimator).cls._get_param_names()
+    params = {"random_state": seed} if "random_state" in names else {}
+    if "n_estimators" in names:
         params["n_estimators"] = 10
     model = get_classifier(estimator, **params).fit(X, y)
     return model_digest(model, X if predict else None)
