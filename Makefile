@@ -55,17 +55,21 @@ perfbench-smoke:
 	$(PYTHON) -m pytest -q perfbench/smoke.py
 
 # Byte-identity gate of a fit-path change: one SHA-256 per model over its
-# fitted trees and its predict_proba on its own table (tools/fit_digest.py),
-# for SPE at the serve_drift and fit_credit shapes and for the forest,
-# EasyEnsemble, GBDT, AdaBoost, RUSBoost and SMOTEBoost, seeds 1-3. Run it
-# in the parent's checkout and in the change's on the same host: equal
-# lines mean byte-identical models.
+# fitted trees, its predict_proba on its own table, its saved state tree
+# and the mmap-loaded artifact's predict_proba (tools/fit_digest.py), for
+# SPE at the serve_drift and fit_credit shapes and for the forest,
+# EasyEnsemble, GBDT, AdaBoost, RUSBoost, SMOTEBoost, Bagging,
+# UnderBagging, SMOTEBagging, BalanceCascade and streaming SPE, seeds 1-3.
+# Run it with PYTHONPATH at the parent's src and at the change's on the
+# same host: equal lines mean byte-identical models and artifacts.
 fit-digest:
 	@for seed in 1 2 3; do \
 	  for args in "--rows 20000 --ir 20" "--rows 150000 --ir 200" \
 	              "--estimator forest" "--estimator easy_ensemble" "--estimator gbdt" \
-	              "--estimator adaboost" "--estimator rus_boost" "--estimator smote_boost"; do \
-	    echo "$$($(PYTHON) tools/fit_digest.py $$args --seed $$seed --predict)  $$args --seed $$seed"; \
+	              "--estimator adaboost" "--estimator rus_boost" "--estimator smote_boost" \
+	              "--estimator bagging" "--estimator under_bagging" "--estimator smote_bagging" \
+	              "--estimator balance_cascade" "--estimator streaming_spe"; do \
+	    echo "$$($(PYTHON) tools/fit_digest.py $$args --seed $$seed --predict --persist)  $$args --seed $$seed"; \
 	  done; \
 	done
 

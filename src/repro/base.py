@@ -5,8 +5,9 @@ rest of the library relies on:
 
 * ``get_params`` / ``set_params`` driven by the ``__init__`` signature,
 * :func:`clone` producing an unfitted copy with identical hyper-parameters,
-* ``ClassifierMixin.score`` (accuracy) and the ``fit/predict/predict_proba``
-  conventions used by every classifier in :mod:`repro`.
+* ``ClassifierMixin.predict`` (the argmax of ``predict_proba``) and
+  ``score`` (accuracy), and the ``fit/predict/predict_proba`` conventions
+  used by every classifier in :mod:`repro`.
 
 Fitted attributes always carry a trailing underscore (``classes_``,
 ``estimators_`` ...) so :func:`repro.utils.validation.check_is_fitted` can
@@ -127,9 +128,18 @@ class BaseEstimator:
 
 
 class ClassifierMixin:
-    """Mixin adding ``score`` (accuracy) and marking the estimator type."""
+    """Mixin adding ``predict`` and ``score`` (accuracy) and marking the
+    estimator type."""
 
     _estimator_type = "classifier"
+
+    def predict(self, X):
+        """Predicted class labels for ``X``: the ``classes_`` entry of each
+        row's most probable ``predict_proba`` column."""
+        import numpy as np
+
+        proba = self.predict_proba(X)  # raises NotFittedError before fit
+        return self.classes_[np.argmax(proba, axis=1)]
 
     def score(self, X, y) -> float:
         """Mean accuracy of ``self.predict(X)`` w.r.t. ``y``."""

@@ -27,18 +27,11 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from .. import telemetry
-from ..base import BaseEstimator, ClassifierMixin
 from ..ensemble.bagging import make_member_model
 from ..fastpath import TRANSPOSE_ROWS, PackedForest
+from ..imbalance_ensemble.base import BaseImbalanceEnsemble
 from ..parallel import ensemble_predict_proba, fit_ensemble_member
-from ..utils.validation import (
-    BinaryLabelEncoderMixin,
-    check_array,
-    check_is_fitted,
-    check_random_state,
-    check_X_y,
-    encode_binary_labels,
-)
+from ..utils.validation import check_array, check_is_fitted
 from .binning import (
     HardnessBins,
     allocate_bin_samples,
@@ -219,9 +212,7 @@ class InMemoryMajorityAccess:
         return self._proba_fn(model, np.ascontiguousarray(self._columns.T))
 
 
-class SelfPacedEnsembleClassifier(
-    BaseEstimator, ClassifierMixin, BinaryLabelEncoderMixin
-):
+class SelfPacedEnsembleClassifier(BaseImbalanceEnsemble):
     """Self-paced Ensemble (SPE) for highly imbalanced binary classification.
 
     Parameters
@@ -351,21 +342,15 @@ class SelfPacedEnsembleClassifier(
         eval data is recorded after every iteration in ``train_curve_``
         (the paper's Fig 5 training curves).
         """
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
         if self.k_bins < 1:
             raise ValueError("k_bins must be >= 1")
-        X, y = check_X_y(X, y)
-        classes, y, minority_idx = encode_binary_labels(y)
-        self._set_label_encoding(classes, minority_idx)
-        rng = check_random_state(self.random_state)
+        X, y, rng = self._validate(X, y)
         maj_idx = np.flatnonzero(y == 0)
         min_idx = np.flatnonzero(y == 1)
         if len(min_idx) == 0 or len(maj_idx) == 0:
             raise ValueError("SPE requires both classes present (0=majority, 1=minority)")
         majority = InMemoryMajorityAccess(X, maj_idx, self._proba_pos)
         self._fit_loop(majority, X[min_idx], maj_idx, rng, eval_set)
-        self.n_features_in_ = X.shape[1]
         return self
 
     def _fit_loop(
@@ -465,6 +450,8 @@ class SelfPacedEnsembleClassifier(
             return self.estimators_
         return self.estimators_[1:]
 
+    # The base's predict_proba, repeated so perfbench's wrapper of this
+    # module's ensemble_predict_proba sees it; goes with ROADMAP item 6.
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["estimators_"])
@@ -476,30 +463,3 @@ class SelfPacedEnsembleClassifier(
             n_jobs=self.n_jobs,
         )
         return self._decode_proba(internal)
-
-    def predict(self, X) -> np.ndarray:
-        """Predicted class labels for ``X``."""
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
-
-    # ------------------------------------------------------------------ #
-    def __serving_ensemble__(self):
-        """(voting members, member class vector) for serving-time warm-up —
-        the exact pair ``predict_proba`` feeds to the packed-forest cache."""
-        check_is_fitted(self, ["estimators_"])
-        return self._voting_estimators(), np.array([0, 1])
-
-    def __getstate_arrays__(self):
-        """Pickle-free fitted-state export (see :mod:`repro.persistence`)."""
-        check_is_fitted(self, ["estimators_"])
-        from ..persistence.state import export_ensemble_state
-
-        meta, arrays, children = export_ensemble_state(self)
-        meta["n_training_samples"] = int(getattr(self, "n_training_samples_", 0))
-        return meta, arrays, children
-
-    def __setstate_arrays__(self, meta, arrays, children) -> None:
-        from ..persistence.state import restore_ensemble_state
-
-        restore_ensemble_state(self, meta, arrays, children)
-        self.n_training_samples_ = int(meta.get("n_training_samples", 0))

@@ -17,11 +17,7 @@ from ..utils.validation import (
     check_X_y,
 )
 
-__all__ = [
-    "BaggingClassifier",
-    "ensemble_predict_proba",
-    "make_member_model",
-]
+__all__ = ["BaggingClassifier", "make_member_model"]
 
 
 def make_member_model(rng: np.random.RandomState, estimator=None):
@@ -128,11 +124,6 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
             self.classes_,
             n_jobs=self.n_jobs,
         )
-
-    def predict(self, X) -> np.ndarray:
-        """Predicted class labels for ``X``."""
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
 
     # ------------------------------------------------------------------ #
     def __serving_ensemble__(self):

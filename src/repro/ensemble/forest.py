@@ -7,15 +7,10 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from ..base import BaseEstimator, ClassifierMixin
-from ..parallel import ensemble_predict_proba, fit_ensemble_parallel
+from ..parallel import fit_ensemble_parallel
 from ..tree import DecisionTreeClassifier
-from ..utils.validation import (
-    check_array,
-    check_is_fitted,
-    check_random_state,
-    check_X_y,
-)
+from ..utils.validation import check_is_fitted, check_random_state, check_X_y
+from .bagging import BaggingClassifier
 
 __all__ = ["RandomForestClassifier"]
 
@@ -45,12 +40,13 @@ def _make_forest_tree(rng: np.random.RandomState, params: Dict) -> DecisionTreeC
     )
 
 
-class RandomForestClassifier(BaseEstimator, ClassifierMixin):
+class RandomForestClassifier(BaggingClassifier):
     """Breiman-style random forest over the library's histogram CART trees.
 
-    Tree fits and chunked ``predict_proba`` run through the
-    :mod:`repro.parallel` engine; ``n_jobs`` never changes the
-    forest grown under a fixed ``random_state``.
+    Tree fits run through the :mod:`repro.parallel` engine; ``n_jobs``
+    never changes the forest grown under a fixed ``random_state``.
+    Prediction, the serving hook and persistence are
+    :class:`~repro.ensemble.BaggingClassifier`'s.
     """
 
     def __init__(
@@ -107,40 +103,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         )
         self.n_features_in_ = X.shape[1]
         return self
-
-    def predict_proba(self, X) -> np.ndarray:
-        """Class probabilities, columns ordered by ``classes_``."""
-        check_is_fitted(self, ["estimators_"])
-        X = check_array(X)
-        return ensemble_predict_proba(
-            self.estimators_,
-            X,
-            self.classes_,
-            n_jobs=self.n_jobs,
-        )
-
-    def predict(self, X) -> np.ndarray:
-        """Predicted class labels for ``X``."""
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
-
-    # ------------------------------------------------------------------ #
-    def __serving_ensemble__(self):
-        """(voting members, member class vector) for serving-time warm-up."""
-        check_is_fitted(self, ["estimators_"])
-        return self.estimators_, self.classes_
-
-    def __getstate_arrays__(self):
-        """Pickle-free fitted-state export (see :mod:`repro.persistence`)."""
-        check_is_fitted(self, ["estimators_"])
-        from ..persistence.state import export_ensemble_state
-
-        return export_ensemble_state(self)
-
-    def __setstate_arrays__(self, meta, arrays, children) -> None:
-        from ..persistence.state import restore_ensemble_state
-
-        restore_ensemble_state(self, meta, arrays, children)
 
     @property
     def feature_importances_(self) -> np.ndarray:

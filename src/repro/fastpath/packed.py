@@ -26,10 +26,10 @@ lanes (:data:`_FUSED_LANES`, measured crossover in ``DESIGN.md``):
   one lane vector, advanced one level per step with active-lane
   compaction, so python overhead is paid per *level*;
 * **node partition** (large batches, the bulk-throughput regime) — rows
-  are taken column-major (a row-major input is transposed one
-  :data:`_PARTITION_ROWS` chunk at a time, never whole, in cache-sized
-  blocks of :data:`TRANSPOSE_ROWS` rows) and each tree splits its nodes
-  in three regimes chosen by node size:
+  are taken column-major (column-major input whole; a row-major input is
+  transposed one :data:`_PARTITION_ROWS` chunk at a time, never whole, in
+  cache-sized blocks of :data:`TRANSPOSE_ROWS` rows) and each tree splits
+  its nodes in three regimes chosen by node size:
 
   - **mask** — a node holding at least :data:`_DENSE_SHARE` of the
     chunk's rows keeps a boolean mask over the whole chunk and splits
@@ -104,8 +104,10 @@ ESTIMATOR_BLOCK = 8
 #: node-partition kernel wins (1-D gathers from one column per node).
 _FUSED_LANES = 1 << 14
 
-#: Row chunk of the partition kernel — bounds the transposed copy of a
-#: row-major input at ``_PARTITION_ROWS × n_features`` values.
+#: Row chunk of the partition kernel over row-major input — bounds its
+#: transposed copy at ``_PARTITION_ROWS × n_features`` values. Column-major
+#: input needs no copy and is routed whole, so small nodes are not cut
+#: into a tail of per-chunk fragments for the lane walk.
 _PARTITION_ROWS = 1 << 16
 
 #: Rows below which a node of the partition kernel hands its rows to the
@@ -278,13 +280,12 @@ class PackedForest:
             columns = matrix if column_major else matrix.T
             return self._walk_lanes(columns, keys, node, rows).reshape(self.n_trees, n)
         out = np.empty((self.n_trees, n), dtype=np.int64)
+        if column_major:
+            self._partition(matrix, keys, out)
+            return out
         for lo in range(0, n, _PARTITION_ROWS):
             hi = min(lo + _PARTITION_ROWS, n)
-            if column_major:
-                columns = matrix[:, lo:hi]
-            else:
-                columns = _transpose_rows(matrix, lo, hi)
-            self._partition(columns, keys, out[:, lo:hi])
+            self._partition(_transpose_rows(matrix, lo, hi), keys, out[:, lo:hi])
         return out
 
     def _walk_lanes(self, columns: np.ndarray, keys: np.ndarray,

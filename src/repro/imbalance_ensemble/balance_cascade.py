@@ -21,12 +21,9 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..ensemble.bagging import make_member_model
 from ..parallel import ensemble_predict_proba, fit_ensemble_member
-from .base import (
-    BaseImbalanceEnsemble,
-    make_member_model,
-    random_balanced_subset,
-)
+from .base import BaseImbalanceEnsemble, random_balanced_subset
 
 __all__ = ["BalanceCascadeClassifier"]
 

@@ -41,7 +41,6 @@ __all__ = [
     "BoostedImbalanceEnsemble",
     "ResampleEnsembleClassifier",
     "fit_resampled_ensemble",
-    "make_member_model",
     "random_balanced_subset",
 ]
 
@@ -192,28 +191,28 @@ class BaseImbalanceEnsemble(BaseEstimator, ClassifierMixin, BinaryLabelEncoderMi
             f"{type(self).__name__} does not support source-based fitting"
         )
 
+    def _voting_estimators(self) -> List:
+        """The members ``predict_proba`` averages and serving packs."""
+        return self.estimators_
+
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["estimators_"])
         X = check_array(X)
         internal = ensemble_predict_proba(
-            self.estimators_,
+            self._voting_estimators(),
             X,
             np.array([0, 1]),  # members are fitted on the internal encoding
             n_jobs=self.n_jobs,
         )
         return self._decode_proba(internal)
 
-    def predict(self, X) -> np.ndarray:
-        """Predicted class labels for ``X``."""
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
-
     # ------------------------------------------------------------------ #
     def __serving_ensemble__(self):
-        """(voting members, member class vector) for serving-time warm-up."""
+        """(voting members, member class vector) for serving-time warm-up —
+        the exact pair ``predict_proba`` feeds to the packed-forest cache."""
         check_is_fitted(self, ["estimators_"])
-        return self.estimators_, np.array([0, 1])
+        return self._voting_estimators(), np.array([0, 1])
 
     def __getstate_arrays__(self):
         """Pickle-free fitted-state export (see :mod:`repro.persistence`)."""

@@ -9,12 +9,12 @@ import numpy as np
 
 from ..base import supports_sample_weight
 from ..ensemble.adaboost import AdaBoostClassifier
+from ..ensemble.bagging import make_member_model
 from ..tree import DecisionTreeClassifier
 from .base import (
     BaseImbalanceEnsemble,
     balanced_subset_sample,
     fit_resampled_ensemble,
-    make_member_model,
 )
 
 __all__ = ["EasyEnsembleClassifier"]

@@ -116,11 +116,6 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
         p1 = _sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - p1, p1])
 
-    def predict(self, X) -> np.ndarray:
-        """Predicted class labels for ``X``."""
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
-
     # ------------------------------------------------------------------ #
     def __getstate_arrays__(self):
         """Pickle-free fitted-state export (see :mod:`repro.persistence`).

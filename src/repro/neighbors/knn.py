@@ -101,11 +101,6 @@ class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
         X = check_array(X)
         return self._vote(X)
 
-    def predict(self, X) -> np.ndarray:
-        """Predicted class labels for ``X``."""
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
-
     # ------------------------------------------------------------------ #
     def __getstate_arrays__(self):
         """Pickle-free fitted-state export (see :mod:`repro.persistence`).

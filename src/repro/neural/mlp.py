@@ -178,11 +178,6 @@ class MLPClassifier(BaseEstimator, ClassifierMixin):
             return np.ones((X.shape[0], 1))
         return proba[:, : len(self.classes_)]
 
-    def predict(self, X) -> np.ndarray:
-        """Predicted class labels for ``X``."""
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
-
     # ------------------------------------------------------------------ #
     def __getstate_arrays__(self):
         """Pickle-free fitted-state export (see :mod:`repro.persistence`).

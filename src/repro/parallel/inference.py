@@ -17,11 +17,12 @@
   ``packed="never"``): rows are cut into cache-friendly chunks and
   estimators into fixed-size blocks, each (chunk, block) cell computes a
   partial probability sum, and cells are reduced in grid order. The grid
-  and the reduction order depend only on the inputs and ``chunk_size`` —
-  never on ``n_jobs`` — so the result is bit-identical whether the cells
-  run serially or on a thread pool. The estimator blocks sit in the
-  executor's keyed payload registry (:mod:`repro.parallel.executor`), so
-  task payloads carry only ``(key, block id, row chunk)``.
+  and the reduction order depend only on the inputs and
+  :data:`DEFAULT_CHUNK_SIZE` — never on ``n_jobs`` — so the result is
+  bit-identical whether the cells run serially or on a thread pool. The
+  estimator blocks sit in the executor's keyed payload registry
+  (:mod:`repro.parallel.executor`), so task payloads carry only
+  ``(key, block id, row chunk)``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _predict_histogram(path: str):
 
 __all__ = ["DEFAULT_CHUNK_SIZE", "ESTIMATOR_BLOCK", "ensemble_predict_proba"]
 
-#: Default number of rows scored per task — large enough to amortise the
+#: Rows scored per task of the chunked path — large enough to amortise the
 #: per-call python overhead of ``predict_proba``, small enough that a chunk
 #: of float64 features stays cache-resident.
 DEFAULT_CHUNK_SIZE = 8192
@@ -106,7 +107,6 @@ def ensemble_predict_proba(
     classes: np.ndarray,
     *,
     n_jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     packed: str = "auto",
 ) -> np.ndarray:
     """Average ``predict_proba`` over fitted estimators, aligning classes.
@@ -121,9 +121,8 @@ def ensemble_predict_proba(
     X : array of shape (n_samples, n_features)
     classes : the ensemble's full class vector; output columns follow it.
     n_jobs : worker count (``None``/1 serial, ``-1`` all CPUs); the
-        chunked path runs its cells on a thread pool.
-    chunk_size : rows per task on the chunked path (default
-        :data:`DEFAULT_CHUNK_SIZE`). The result is independent of the value.
+        chunked path runs its cells, :data:`DEFAULT_CHUNK_SIZE` rows each,
+        on a thread pool.
     packed : ``"auto"`` (packed kernel for packable ensembles, chunked
         otherwise) or ``"never"`` (always the chunked path). Both paths
         are bit-identical.
@@ -135,10 +134,6 @@ def ensemble_predict_proba(
         raise ValueError(f"packed must be 'auto' or 'never', got {packed!r}")
     X = np.asarray(X, dtype=float)
     classes = np.asarray(classes)
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
 
     watch = telemetry.stopwatch()
     if packed == "auto":
@@ -157,7 +152,7 @@ def ensemble_predict_proba(
     ]
     est_blocks = tuple(estimators[blk] for blk in block_slices)
     map_blocks = tuple(column_maps[blk] for blk in block_slices)
-    spans = _row_spans(X.shape[0], chunk_size)
+    spans = _row_spans(X.shape[0], DEFAULT_CHUNK_SIZE)
     with payload_key() as key:
         partials = parallel_map(
             _partial_proba,

@@ -134,11 +134,6 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         X = self._check_predict_X(X)
         return self.tree_.predict_proba(X)
 
-    def predict(self, X) -> np.ndarray:
-        """Predicted class labels for ``X``."""
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
-
     def apply(self, X) -> np.ndarray:
         """Index of the leaf each sample lands in."""
         X = self._check_predict_X(X)

@@ -607,19 +607,21 @@ class TestMajorityScoring:
 
 # --------------------------------------------------------------------- #
 class TestInferencePayloads:
-    def test_payload_registry_cleaned_up(self, rng):
+    def test_payload_registry_cleaned_up(self, rng, monkeypatch):
+        from repro.parallel import inference
+
+        monkeypatch.setattr(inference, "DEFAULT_CHUNK_SIZE", 64)
         X = rng.randn(300, 2)
         y = (X[:, 0] > 0).astype(int)
         trees = [DecisionTreeClassifier(max_depth=2, random_state=s).fit(X, y)
                  for s in range(3)]
         for n_jobs in (1, 2):
             ensemble_predict_proba(
-                trees, X, np.array([0, 1]), packed="never",
-                n_jobs=n_jobs, chunk_size=64,
+                trees, X, np.array([0, 1]), packed="never", n_jobs=n_jobs
             )
             assert not _SHARED_PAYLOADS, n_jobs
 
-    def test_process_backend_tasks_carry_no_estimators(self, rng):
+    def test_process_backend_tasks_carry_no_estimators(self, rng, monkeypatch):
         """Task payloads carry only (key, block id, row chunk) — estimators
         travel once per worker through the pool initializer, and a worker
         never receives more than one chunk of the matrix per task."""
@@ -638,11 +640,10 @@ class TestInferencePayloads:
             seen.append((list(tasks), kwargs))
             return original(fn, tasks, **kwargs)
 
+        monkeypatch.setattr(inference, "DEFAULT_CHUNK_SIZE", 100)
         inference.parallel_map = spy
         try:
-            ensemble_predict_proba(
-                trees, X, np.array([0, 1]), packed="never", chunk_size=100
-            )
+            ensemble_predict_proba(trees, X, np.array([0, 1]), packed="never")
         finally:
             inference.parallel_map = original
         tasks, kwargs = seen[0]
@@ -858,3 +859,35 @@ class TestFitDigestTool:
             assert fit_digest.fit_digest(2000, 10.0, 2, estimator=name) == digest.hexdigest()
         assert set(fit_digest.GRADIENT_TREE_ARRAYS) == {
             "feature_", "threshold_", "left_", "right_", "value_"}
+
+    def test_persist_digest_covers_state_and_loaded_model(self):
+        """``--persist`` extends the ``--predict`` digest with the saved
+        state tree and the mmap-loaded model's ``predict_proba``, repeats,
+        and its state tree reaches every member tree's arrays."""
+        import hashlib
+        import pathlib
+        import sys
+
+        from repro.core import SelfPacedEnsembleClassifier
+        from repro.datasets import make_credit_fraud
+
+        sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
+        try:
+            import fit_digest
+        finally:
+            sys.path.pop(0)
+        predicted = fit_digest.fit_digest(2000, 10.0, 1, predict=True)
+        persisted = fit_digest.fit_digest(2000, 10.0, 1, predict=True, persist=True)
+        assert persisted != predicted
+        assert fit_digest.fit_digest(2000, 10.0, 1, predict=True,
+                                     persist=True) == persisted
+
+        X, y = make_credit_fraud(n_samples=2000, imbalance_ratio=10.0, random_state=1)
+        model = SelfPacedEnsembleClassifier(n_estimators=3, random_state=0).fit(X, y)
+        digests = []
+        for _ in range(2):
+            digest = hashlib.sha256()
+            fit_digest._update_state(digest, model)
+            digests.append(digest.hexdigest())
+            model.estimators_[-1].tree_.threshold[0] += 1.0
+        assert digests[0] != digests[1]

@@ -122,7 +122,9 @@ class TestEnsemblePredictProba:
         engine = ensemble_predict_proba(trees, X, np.array([0, 1]))
         assert np.allclose(engine, manual)
 
-    def test_chunk_size_never_changes_result(self, binary_blobs):
+    def test_chunk_size_never_changes_result(self, binary_blobs, monkeypatch):
+        from repro.parallel import inference
+
         X, y = binary_blobs
         trees = [
             DecisionTreeClassifier(max_depth=3, random_state=s).fit(X, y)
@@ -130,27 +132,30 @@ class TestEnsemblePredictProba:
         ]
         reference = ensemble_predict_proba(trees, X, np.array([0, 1]))
         for chunk_size in (1, 7, 64, 10_000):
+            monkeypatch.setattr(inference, "DEFAULT_CHUNK_SIZE", chunk_size)
             out = ensemble_predict_proba(
-                trees, X, np.array([0, 1]), chunk_size=chunk_size
+                trees, X, np.array([0, 1]), packed="never"
             )
             assert np.array_equal(out, reference)
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_backend_never_changes_result(self, binary_blobs, backend):
+    def test_backend_never_changes_result(self, binary_blobs, backend, monkeypatch):
         """The chunked path, serial or on the thread pool, reproduces the
         packed kernel bit for bit."""
+        from repro.parallel import inference
+
         X, y = binary_blobs
         trees = [
             DecisionTreeClassifier(max_depth=3, random_state=s).fit(X, y)
             for s in range(10)
         ]
         reference = ensemble_predict_proba(trees, X, np.array([0, 1]))
+        monkeypatch.setattr(inference, "DEFAULT_CHUNK_SIZE", 50)
         out = ensemble_predict_proba(
             trees,
             X,
             np.array([0, 1]),
             n_jobs=EXECUTORS[backend]["n_jobs"],
-            chunk_size=50,
             packed="never",
         )
         assert np.array_equal(out, reference)
@@ -169,12 +174,6 @@ class TestEnsemblePredictProba:
         X, _ = binary_blobs
         with pytest.raises(ValueError):
             ensemble_predict_proba([], X, np.array([0, 1]))
-
-    def test_invalid_chunk_size(self, binary_blobs):
-        X, y = binary_blobs
-        tree = DecisionTreeClassifier(max_depth=1).fit(X, y)
-        with pytest.raises(ValueError):
-            ensemble_predict_proba([tree], X, np.array([0, 1]), chunk_size=0)
 
 
 class TestFitEnsembleParallel:

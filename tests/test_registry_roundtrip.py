@@ -12,6 +12,7 @@ whose results depend on the buffer placement of bit-identical inputs
 import numpy as np
 import pytest
 
+from repro.base import ClassifierMixin
 from repro.persistence import load_model, save_model
 from repro.registry import (
     classifier_spec,
@@ -23,6 +24,11 @@ from repro.registry import (
 from repro.serving import ModelServer
 
 PERSISTABLE = [n for n in list_classifiers() if classifier_spec(n).persistable]
+#: Classifiers whose serving hook names the pair predict_proba packs.
+SERVED = [
+    n for n in list_classifiers()
+    if getattr(classifier_spec(n).cls, "__serving_ensemble__", None) is not None
+]
 
 #: BLAS-backed decision functions reproduce within 1 ULP, not bit-exactly.
 ULP_TOLERANT = {"svm"}
@@ -40,9 +46,9 @@ def toy():
     return toy_imbalanced_split()
 
 
-def fitted(name, toy):
+def fitted(name, toy, **params):
     X, y = toy
-    clf = make_classifier(name, **classifier_spec(name).smoke_params)
+    clf = make_classifier(name, **{**classifier_spec(name).smoke_params, **params})
     if hasattr(clf, "random_state"):
         clf.random_state = 0
     return clf.fit(X, y)
@@ -89,6 +95,52 @@ class TestRoundTripMatrix:
             assert_matches(name, expected, server.predict_proba(X))
         finally:
             server.close()
+
+
+class TestSharedSurface:
+    @pytest.mark.parametrize("name", SERVED)
+    def test_predict_proba_packs_the_serving_pair(self, name, toy, monkeypatch):
+        """The (estimators, classes) pair predict_proba hands the packed
+        kernel is the pair __serving_ensemble__ warms: the same members by
+        identity, in order, and the same class vector. SPE fits without
+        its cold-start member in the vote, so its voters differ from its
+        members."""
+        from repro.parallel import inference
+
+        X, _ = toy
+        params = {}
+        if "include_cold_start" in classifier_spec(name).cls._get_param_names():
+            params["include_cold_start"] = False
+        clf = fitted(name, toy, **params)
+        seen = []
+        original = inference.cached_packed_ensemble
+
+        def spy(estimators, classes):
+            seen.append((list(estimators), np.asarray(classes)))
+            return original(estimators, classes)
+
+        monkeypatch.setattr(inference, "cached_packed_ensemble", spy)
+        clf.predict_proba(X)
+        estimators, classes = clf.__serving_ensemble__()
+        assert len(seen) == 1
+        packed, packed_classes = seen[0]
+        assert len(packed) == len(estimators)
+        assert all(a is b for a, b in zip(packed, estimators))
+        assert np.array_equal(packed_classes, classes)
+        if params:
+            assert len(estimators) == len(clf.estimators_) - 1
+
+    def test_only_vote_and_sign_classifiers_override_predict(self):
+        """Every registered classifier predicts through
+        ClassifierMixin.predict (the argmax of predict_proba) except the
+        three whose labels come from raw votes or a decision sign, which
+        can disagree with the argmax of normalised probabilities."""
+        overriding = {
+            classifier_spec(n).cls.__name__
+            for n in list_classifiers()
+            if classifier_spec(n).cls.predict is not ClassifierMixin.predict
+        }
+        assert overriding == {"AdaBoostClassifier", "SVC", "LinearSVC"}
 
 
 class TestFacadeAcceptance:

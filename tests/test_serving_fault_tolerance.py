@@ -187,6 +187,7 @@ class TestSupervision:
         finally:
             pool.close()
 
+    @under_each_cpu_set
     def test_wait_healthy_timeout_names_the_silent_slot(self, artifacts, toy):
         """Every slot reads alive while one is stuck: the timeout names
         the slot that did not answer the last stats round, with its
@@ -288,6 +289,7 @@ class TestDeadlines:
             assert pool.stats()["n_deadline_expired"] == 2
 
     @pytest.mark.chaos
+    @under_each_cpu_set
     def test_deadline_expires_typed_behind_a_stalled_worker(
         self, artifacts, toy
     ):

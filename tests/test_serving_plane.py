@@ -31,7 +31,7 @@ from repro.serving import (
     WorkerPool,
 )
 
-from affinity import cpu_sets, pinned
+from affinity import cpu_sets, pinned, under_each_cpu_set
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +240,7 @@ class TestWorkerPool:
         finally:
             pool.close()
 
+    @under_each_cpu_set
     def test_worker_batches_and_answers_stats_in_fifo_order(
         self, artifacts, toy
     ):

@@ -23,7 +23,12 @@ per checkout:
 ``--seed`` seeds the table, and the model where it takes a
 ``random_state``. ``--predict`` also hashes
 the bytes of the fitted model's ``predict_proba`` on its own table, so
-equal digests then mean equal predictions as well as trees.
+equal digests then mean equal predictions as well as trees. ``--persist``
+saves the fitted model with :func:`repro.persistence.save_model`, loads it
+back memory-mapped, and also hashes the saved state tree (each
+``__getstate_arrays__`` meta, arrays and children, recursively) and the
+bytes of the loaded model's ``predict_proba`` on the table, so equal
+digests then mean equal artifacts and equal served predictions too.
 
 A digest is a same-host check: compare parent and change on one machine
 at one numpy CPU-dispatch level. numpy picks SIMD kernels per CPU, and
@@ -40,8 +45,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
+import tempfile
+
+import numpy as np
 
 #: The node arrays of :class:`repro.tree._tree.Tree`, hashed in this order.
 TREE_ARRAYS = ("feature", "threshold", "children_left", "children_right",
@@ -71,20 +80,45 @@ def _trees(model):
             yield from _trees(member)
 
 
-def model_digest(model, X=None) -> str:
+def _update_state(digest, obj) -> None:
+    """Fold the state tree ``save_model`` writes for ``obj`` into
+    ``digest``: its class, meta, arrays and children, recursively."""
+    meta, arrays, children = obj.__getstate_arrays__()
+    digest.update(type(obj).__name__.encode())
+    digest.update(json.dumps(meta, sort_keys=True).encode())
+    for name in sorted(arrays):
+        _update(digest, name, np.asarray(arrays[name]))
+    for name in sorted(children):
+        digest.update(name.encode())
+        child = children[name]
+        for member in child if isinstance(child, (list, tuple)) else [child]:
+            _update_state(digest, member)
+
+
+def model_digest(model, X=None, persist_X=None) -> str:
     """SHA-256 over every fitted tree of ``model``, then over the bytes
-    of ``model.predict_proba(X)`` when ``X`` is given."""
+    of ``model.predict_proba(X)`` when ``X`` is given. With ``persist_X``,
+    then over the model's saved state tree and the bytes of the
+    memory-mapped reloaded model's ``predict_proba(persist_X)``."""
     digest = hashlib.sha256()
     for tree, names in _trees(model):
         for name in names:
             _update(digest, name, getattr(tree, name))
     if X is not None:
         _update(digest, "predict_proba", model.predict_proba(X))
+    if persist_X is not None:
+        from repro.persistence import load_model, save_model
+
+        _update_state(digest, model)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = save_model(model, os.path.join(tmp, "model.npz"))
+            loaded = load_model(path, mmap_mode="r")
+            _update(digest, "loaded_predict_proba", loaded.predict_proba(persist_X))
     return digest.hexdigest()
 
 
 def fit_digest(rows: int, ir: float, seed: int, predict: bool = False,
-               estimator: str = "spe") -> str:
+               estimator: str = "spe", persist: bool = False) -> str:
     from repro.datasets import make_credit_fraud
     from repro.registry import classifier_spec, get_classifier
 
@@ -94,7 +128,7 @@ def fit_digest(rows: int, ir: float, seed: int, predict: bool = False,
     if "n_estimators" in names:
         params["n_estimators"] = 10
     model = get_classifier(estimator, **params).fit(X, y)
-    return model_digest(model, X if predict else None)
+    return model_digest(model, X if predict else None, X if persist else None)
 
 
 def main(argv=None) -> int:
@@ -106,9 +140,12 @@ def main(argv=None) -> int:
                         help="also hash predict_proba on the training table")
     parser.add_argument("--estimator", default="spe",
                         help="classifier-registry name of the model to fit")
+    parser.add_argument("--persist", action="store_true",
+                        help="also hash the saved state tree and the "
+                             "mmap-loaded model's predict_proba")
     args = parser.parse_args(argv)
     print(fit_digest(args.rows, args.ir, args.seed, predict=args.predict,
-                     estimator=args.estimator))
+                     estimator=args.estimator, persist=args.persist))
     return 0
 
 
