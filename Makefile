@@ -68,7 +68,8 @@ fit-digest:
 	              "--estimator forest" "--estimator easy_ensemble" "--estimator gbdt" \
 	              "--estimator adaboost" "--estimator rus_boost" "--estimator smote_boost" \
 	              "--estimator bagging" "--estimator under_bagging" "--estimator smote_bagging" \
-	              "--estimator balance_cascade" "--estimator streaming_spe"; do \
+	              "--estimator balance_cascade" "--estimator streaming_spe" \
+	              "--estimator streaming_spe --mode reservoir"; do \
 	    echo "$$($(PYTHON) tools/fit_digest.py $$args --seed $$seed --predict --persist)  $$args --seed $$seed"; \
 	  done; \
 	done

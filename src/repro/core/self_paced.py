@@ -162,42 +162,82 @@ def _gather_columns(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return columns
 
 
-class InMemoryMajorityAccess:
-    """Majority-class data operations for the in-memory training path.
+def _running_mean(mean, latest, n: int):
+    """Fold the ``n``-th value into the mean of the first ``n − 1``
+    (Algorithm 1, line 4); the first value is the mean itself."""
+    return latest if n == 1 else (mean * (n - 1) + latest) / n
 
-    Algorithm 1 touches the majority set in exactly three ways — gather rows
-    by global index (cold start), gather rows by majority-local index
-    (self-paced subsets), and score a model over every majority row. The fit
-    loop is written against this three-method seam so the out-of-core path
-    (:class:`repro.streaming.StreamingSelfPacedEnsembleClassifier`) can swap
-    in block-streaming implementations while sharing the loop — and with it
-    the RNG consumption order that makes the two paths bit-identical.
 
-    Storage and scoring fast path: the majority rows are kept once,
-    column-major (``(n_features, n_majority)``, built once per fit), and
-    ``take`` gathers member subsets from those columns — the same values as
-    row-major gathers, so members are fitted on identical inputs. Each new
-    tree member is packed and routed by
-    :meth:`~repro.fastpath.PackedForest.apply_columns` over the columns
-    with its raw thresholds: each node's split is a 1-D gather from one
-    column, with the exact ``x < t`` comparison of
+class _ExactMajority:
+    """The majority seam of the exact trainers: one running average of
+    the members' majority probabilities, one hardness per majority row.
+
+    :meth:`SelfPacedEnsembleClassifier._fit_loop` touches the majority in
+    three ways: ``cold_start`` (Algorithm 1, line 2), ``draw`` (lines
+    5–9) and ``add`` (line 4). Here they are built on two storage
+    operations a subclass supplies: ``take(local_indices)`` gathers rows
+    by majority-local index and ``score(model)`` is ``model``'s
+    positive-class probability on every majority row, in majority order.
+    """
+
+    def __init__(self, n_majority: int):
+        self._n_majority = n_majority
+        self._zeros = np.zeros(n_majority)
+        self._proba: Optional[np.ndarray] = None
+        self._n_members = 0
+
+    def cold_start(self, n_samples: int, rng: np.random.RandomState) -> np.ndarray:
+        """A uniform draw of ``min(n_samples, n_majority)`` majority rows."""
+        size = min(n_samples, self._n_majority)
+        return self.take(rng.choice(self._n_majority, size=size, replace=False))
+
+    def draw(
+        self,
+        hardness_fn: Callable,
+        k_bins: int,
+        alpha: float,
+        n_samples: int,
+        rng: np.random.RandomState,
+    ) -> Tuple[np.ndarray, HardnessBins, np.ndarray]:
+        """The self-paced subset for the running average: its rows, the
+        bins cut over the whole majority, and the subset's hardness."""
+        hardness = hardness_fn(self._zeros, self._proba)
+        selected, bins = self_paced_under_sample(
+            hardness, k_bins, alpha, n_samples, rng
+        )
+        return self.take(selected), bins, hardness[selected]
+
+    def add(self, model) -> None:
+        """Score ``model`` over the majority and fold it into the average."""
+        with telemetry.stage_timer("ensemble_score"):
+            latest = self.score(model)
+        self._n_members += 1
+        self._proba = _running_mean(self._proba, latest, self._n_members)
+
+
+class InMemoryMajorityAccess(_ExactMajority):
+    """The exact majority seam over an in-memory ``X``.
+
+    The majority rows are kept once, column-major (``(n_features,
+    n_majority)``, built once per fit), and ``take`` gathers member
+    subsets from those columns — the same values as row-major gathers, so
+    members are fitted on identical inputs. Each new tree member is packed
+    and routed by :meth:`~repro.fastpath.PackedForest.apply_columns` over
+    the columns with its raw thresholds: each node's split is a 1-D gather
+    from one column, with the exact ``x < t`` comparison of
     :meth:`repro.tree.Tree.apply`, so the returned probabilities are
-    bit-identical to the legacy ``proba_fn`` path (gated by the fastpath
+    bit-identical to the ``proba_fn`` path (gated by the fastpath
     equivalence suite); non-tree models fall back to ``proba_fn`` over a
     row-major copy.
     """
 
     def __init__(self, X: np.ndarray, maj_idx: np.ndarray, proba_fn: Callable):
-        self._X = X
+        super().__init__(len(maj_idx))
         self._columns = _gather_columns(X, maj_idx)
         self._proba_fn = proba_fn
 
-    def take_global(self, indices: np.ndarray) -> np.ndarray:
-        """Rows by global dataset index (the cold-start draw)."""
-        return self._X[indices]
-
     def take(self, local_indices: np.ndarray) -> np.ndarray:
-        """Rows by majority-local index (the self-paced subsets)."""
+        """Rows by majority-local index."""
         return self._columns[:, local_indices].T
 
     def score(self, model) -> np.ndarray:
@@ -323,9 +363,10 @@ class SelfPacedEnsembleClassifier(BaseImbalanceEnsemble):
         Base models are always trained on the internal 0/1 encoding
         (0 = majority, 1 = minority) regardless of the original label
         alphabet, so the class vector here is the internal one — column 1 is
-        the minority probability whatever ``classes_`` holds. Scored through
-        the chunked inference engine so large majority sets stream in
-        cache-friendly blocks, split across ``n_jobs`` workers.
+        the minority probability whatever ``classes_`` holds. Scores the
+        ``eval_set``, every member in the block-streaming exact trainer,
+        and non-tree members over the in-memory majority (tree members
+        there go through :meth:`InMemoryMajorityAccess.score`).
         """
         return ensemble_predict_proba(
             [model],
@@ -342,31 +383,40 @@ class SelfPacedEnsembleClassifier(BaseImbalanceEnsemble):
         eval data is recorded after every iteration in ``train_curve_``
         (the paper's Fig 5 training curves).
         """
-        if self.k_bins < 1:
-            raise ValueError("k_bins must be >= 1")
         X, y, rng = self._validate(X, y)
         maj_idx = np.flatnonzero(y == 0)
         min_idx = np.flatnonzero(y == 1)
         if len(min_idx) == 0 or len(maj_idx) == 0:
             raise ValueError("SPE requires both classes present (0=majority, 1=minority)")
         majority = InMemoryMajorityAccess(X, maj_idx, self._proba_pos)
-        self._fit_loop(majority, X[min_idx], maj_idx, rng, eval_set)
+        self._fit_loop(majority, X[min_idx], rng, eval_set)
         return self
+
+    def _check_params(self) -> None:
+        if self.k_bins < 1:
+            raise ValueError("k_bins must be >= 1")
+        super()._check_params()
 
     def _fit_loop(
         self,
         majority,
         X_min: np.ndarray,
-        maj_idx: np.ndarray,
         rng: np.random.RandomState,
         eval_set: Optional[Tuple],
     ) -> None:
-        """Algorithm 1 against the majority-access seam.
+        """Algorithm 1 against the majority seam — the only loop that
+        trains SPE members.
 
-        ``majority`` supplies ``take_global`` / ``take`` / ``score`` (see
-        :class:`InMemoryMajorityAccess`); everything else — RNG consumption
-        order, hardness maths, bin bookkeeping — lives here exactly once, so
-        the in-memory and streaming classifiers cannot drift apart.
+        ``majority`` supplies ``cold_start(n, rng)`` (line 2: ``n`` uniform
+        majority rows), ``draw(hardness_fn, k_bins, alpha, n, rng)`` (lines
+        5–9: hardness of the running ensemble, bins, α-weighted
+        under-sample; returns the rows, the majority's bins and the
+        subset's hardness) and ``add(model)`` (fold a member into what the
+        next ``draw`` reads). The exact trainers' seam is
+        :class:`_ExactMajority`; ``mode="reservoir"`` supplies a streaming
+        one. The α schedule, member fits, RNG consumption order,
+        ``bin_history_`` and ``train_curve_`` live here once, so the
+        trainers cannot drift apart.
         """
         hardness_fn = resolve_hardness(self.hardness)
         schedule = self._resolve_schedule()
@@ -384,59 +434,40 @@ class SelfPacedEnsembleClassifier(BaseImbalanceEnsemble):
             # Eval labels arrive in the original alphabet; AUCPRC needs the
             # internal 0/1 codes.
             y_eval = self._encode_labels(np.asarray(eval_set[1]))
-            proba_eval = np.zeros(X_eval.shape[0])
+            proba_eval = None
 
         sample_fn = partial(_majority_union_minority_sample, X_min=X_min)
         make_model = partial(make_member_model, estimator=self.estimator)
-
-        def train_one(X_sub_maj: np.ndarray) -> None:
-            """Fit one base model on sampled majority ∪ all minority."""
-            with telemetry.stage_timer("member_fit"):
-                model, n_trained = fit_ensemble_member(
-                    len(self.estimators_), rng, X_sub_maj, None, sample_fn,
-                    make_model,
-                )
-            self.estimators_.append(model)
-            self.n_training_samples_ += n_trained
-
-        # --- cold start: random balanced subset (Algorithm 1, line 2) ----
-        # A member is scored over the majority only when a later iteration
-        # reads the running average, so the last member is never scored.
-        cold = rng.choice(maj_idx, size=min(n_min, len(maj_idx)), replace=False)
-        train_one(majority.take_global(cold))
-        if self.n_estimators > 1:
-            with telemetry.stage_timer("ensemble_score"):
-                proba_maj = majority.score(self.estimators_[0])
-        if eval_set is not None:
-            proba_eval = self._proba_pos(self.estimators_[0], X_eval)
-            self._record_eval(y_eval, proba_eval)
-
-        # --- self-paced iterations (Algorithm 1, lines 3-11) --------------
         # Schedule convention: α_i = tan(π/2 · i/n) with n = n_estimators,
         # the paper's tan(iπ/2n). Every trained iteration gets a finite α;
         # the π/2 clamp inside the schedule guards only the i = n limit.
-        n_iter = self.n_estimators
-        y_maj_zeros = np.zeros(len(maj_idx))
-        for i in range(1, self.n_estimators):
-            hardness = hardness_fn(y_maj_zeros, proba_maj)
-            alpha = schedule(i, n_iter)
-            with telemetry.stage_timer("self_paced_sampling"):
-                selected, bins = self_paced_under_sample(
-                    hardness, self.k_bins, alpha, n_min, rng
+        for i in range(self.n_estimators):
+            if i == 0:
+                X_sub = majority.cold_start(n_min, rng)
+            else:
+                alpha = schedule(i, self.n_estimators)
+                with telemetry.stage_timer("self_paced_sampling"):
+                    X_sub, bins, h_sub = majority.draw(
+                        hardness_fn, self.k_bins, alpha, n_min, rng
+                    )
+                if self.record_bins:
+                    sub_bins = cut_hardness_bins(
+                        h_sub if len(h_sub) else np.zeros(1), self.k_bins
+                    )
+                    self.bin_history_.append((alpha, bins, sub_bins))
+            with telemetry.stage_timer("member_fit"):
+                model, n_trained = fit_ensemble_member(
+                    i, rng, X_sub, None, sample_fn, make_model
                 )
-            if self.record_bins:
-                sub_bins = cut_hardness_bins(hardness[selected], self.k_bins)
-                self.bin_history_.append((alpha, bins, sub_bins))
-            train_one(majority.take(selected))
-            # Incremental running-average update (Algorithm 1, line 4).
-            n_models = len(self.estimators_)
+            self.estimators_.append(model)
+            self.n_training_samples_ += n_trained
+            # Only a later draw reads the majority state, so the last
+            # member is never added (never scored over the majority).
             if i < self.n_estimators - 1:
-                with telemetry.stage_timer("ensemble_score"):
-                    latest = majority.score(self.estimators_[-1])
-                proba_maj = (proba_maj * (n_models - 1) + latest) / n_models
+                majority.add(model)
             if eval_set is not None:
-                latest_eval = self._proba_pos(self.estimators_[-1], X_eval)
-                proba_eval = (proba_eval * (n_models - 1) + latest_eval) / n_models
+                latest_eval = self._proba_pos(model, X_eval)
+                proba_eval = _running_mean(proba_eval, latest_eval, i + 1)
                 self._record_eval(y_eval, proba_eval)
 
     def _record_eval(self, y_eval: np.ndarray, proba_eval: np.ndarray) -> None:

@@ -127,12 +127,16 @@ class BaseImbalanceEnsemble(BaseEstimator, ClassifierMixin, BinaryLabelEncoderMi
     def _make_base(self, rng: np.random.RandomState):
         return make_member_model(rng, self.estimator)
 
+    def _check_params(self) -> None:
+        """Reject invalid hyper-parameters before any data is read."""
+        if self.n_estimators < 1:
+            raise ValueError("n_estimators must be >= 1")
+
     def _validate(self, X, y):
         """Validate inputs and map arbitrary binary labels to the internal
         0/1 encoding (minority by frequency → 1); every member model trains
         on the internal codes, ``predict``/``predict_proba`` decode back."""
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
+        self._check_params()
         X, y = check_X_y(X, y)
         classes, y, minority_idx = encode_binary_labels(y)
         self._set_label_encoding(classes, minority_idx)
@@ -158,8 +162,7 @@ class BaseImbalanceEnsemble(BaseEstimator, ClassifierMixin, BinaryLabelEncoderMi
             label_value_scan,
         )
 
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
+        self._check_params()
         if scan is None:
             classes, _, minority_idx = label_value_scan(source)
             self._set_label_encoding(classes, minority_idx)

@@ -8,7 +8,7 @@ to training. Four layers:
   (:class:`ArraySource` / :class:`CSVSource` / :class:`NPYSource`) plus the
   single-pass :func:`class_index_scan`;
 * :mod:`repro.streaming.binstats` — running per-bin hardness statistics
-  (:class:`StreamingBinStats`), mergeable across blocks and workers;
+  (:class:`StreamingBinStats`), folded in block by block;
 * :mod:`repro.streaming.reservoir` — bounded-memory self-paced
   under-sampling (:func:`streaming_self_paced_under_sample`) built on
   per-bin reservoirs (:class:`BinReservoir`);

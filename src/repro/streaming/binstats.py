@@ -5,9 +5,7 @@ over the *observed* min/max — impossible in one streaming pass, because the
 range isn't known until the stream ends. :class:`StreamingBinStats` instead
 bins over a fixed ``value_range`` (the paper's ``H ∈ [0, 1]``, which every
 bounded hardness function satisfies; unbounded ones are clipped) and folds
-each block into running populations / hardness sums. Instances merge, so
-per-block statistics computed by parallel workers reduce to the same totals
-as a serial pass.
+each block into running populations / hardness sums.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ class StreamingBinStats:
     edges : (k+1,) bin boundaries.
     populations : (k,) samples seen per bin.
     sums : (k,) summed hardness per bin.
-    n_seen, min_seen, max_seen : stream diagnostics.
+    n_seen : values folded in so far.
     """
 
     def __init__(self, k_bins: int, value_range: Tuple[float, float] = (0.0, 1.0)):
@@ -51,8 +49,6 @@ class StreamingBinStats:
         self.populations = np.zeros(k_bins, dtype=np.int64)
         self.sums = np.zeros(k_bins, dtype=np.float64)
         self.n_seen = 0
-        self.min_seen = np.inf
-        self.max_seen = -np.inf
 
     def assign(self, values: np.ndarray) -> np.ndarray:
         """Bin index for each value (clipped into the fixed range)."""
@@ -73,21 +69,7 @@ class StreamingBinStats:
             assignments, weights=values, minlength=self.k_bins
         )
         self.n_seen += values.size
-        if values.size:
-            self.min_seen = min(self.min_seen, float(values.min()))
-            self.max_seen = max(self.max_seen, float(values.max()))
         return assignments
-
-    def merge(self, other: "StreamingBinStats") -> "StreamingBinStats":
-        """Fold another instance (same bins/range) into this one."""
-        if other.k_bins != self.k_bins or other.value_range != self.value_range:
-            raise ValueError("can only merge StreamingBinStats with equal bins")
-        self.populations += other.populations
-        self.sums += other.sums
-        self.n_seen += other.n_seen
-        self.min_seen = min(self.min_seen, other.min_seen)
-        self.max_seen = max(self.max_seen, other.max_seen)
-        return self
 
     @property
     def avg_hardness(self) -> np.ndarray:

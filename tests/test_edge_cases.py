@@ -8,6 +8,7 @@ from repro.ensemble import GradientBoostingClassifier
 from repro.ensemble.gbdt import GradientRegressionTree
 from repro.exceptions import NotEnoughSamplesError
 from repro.sampling import SMOTE, RandomUnderSampler
+from repro.streaming import StreamingSelfPacedEnsembleClassifier
 from repro.tree import DecisionTreeClassifier, FeatureBinner
 
 
@@ -155,3 +156,24 @@ class TestNonFiniteInputs:
         X = np.array([[np.inf, 0.0], [1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(Exception):
             SelfPacedEnsembleClassifier().fit(X, [0, 1, 0])
+
+
+class TestSPEParamCheck:
+    """The in-memory and streaming SPE fits share one parameter check:
+    same messages, reported in the same order."""
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"n_estimators": 0}, "n_estimators must be >= 1"),
+            ({"k_bins": 0}, "k_bins must be >= 1"),
+            ({"n_estimators": 0, "k_bins": 0}, "k_bins must be >= 1"),
+        ],
+    )
+    def test_both_fits_report_alike(self, params, message):
+        rng = np.random.RandomState(0)
+        X = rng.randn(40, 2)
+        y = (np.arange(40) < 8).astype(int)
+        for cls in (SelfPacedEnsembleClassifier, StreamingSelfPacedEnsembleClassifier):
+            with pytest.raises(ValueError, match=message):
+                cls(**params).fit(X, y)

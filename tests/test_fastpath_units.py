@@ -860,6 +860,42 @@ class TestFitDigestTool:
         assert set(fit_digest.GRADIENT_TREE_ARRAYS) == {
             "feature_", "threshold_", "left_", "right_", "value_"}
 
+    def test_mode_reaches_the_reservoir_trainer(self):
+        """``--mode reservoir`` fits streaming SPE's reservoir trainer: the
+        script prints the digest of that model, which differs from the
+        exact trainer's; a model without a ``mode`` ignores it."""
+        import pathlib
+        import subprocess
+        import sys
+
+        from repro.datasets import make_credit_fraud
+        from repro.streaming import StreamingSelfPacedEnsembleClassifier
+
+        tools = pathlib.Path(__file__).resolve().parents[1] / "tools"
+        sys.path.insert(0, str(tools))
+        try:
+            import fit_digest
+        finally:
+            sys.path.pop(0)
+        run = subprocess.run(
+            [sys.executable, str(tools / "fit_digest.py"), "--rows", "2000",
+             "--ir", "10", "--seed", "1", "--estimator", "streaming_spe",
+             "--mode", "reservoir"],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        reservoir = run.stdout.strip()
+        X, y = make_credit_fraud(n_samples=2000, imbalance_ratio=10.0, random_state=1)
+        model = StreamingSelfPacedEnsembleClassifier(
+            n_estimators=10, random_state=1, mode="reservoir"
+        ).fit(X, y)
+        assert fit_digest.model_digest(model) == reservoir
+        exact = fit_digest.fit_digest(2000, 10.0, 1, estimator="streaming_spe")
+        assert exact != reservoir
+        assert fit_digest.fit_digest(
+            2000, 10.0, 1, estimator="streaming_spe", mode="exact") == exact
+        assert fit_digest.fit_digest(2000, 10.0, 1, mode="reservoir") == \
+            fit_digest.fit_digest(2000, 10.0, 1)
+
     def test_persist_digest_covers_state_and_loaded_model(self):
         """``--persist`` extends the ``--predict`` digest with the saved
         state tree and the mmap-loaded model's ``predict_proba``, repeats,

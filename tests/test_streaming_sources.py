@@ -175,17 +175,6 @@ class TestStreamingBinStats:
         assert stats.n_seen == 1000
         assert np.isclose(stats.sums.sum(), values.sum())
 
-    def test_merge_equals_serial(self, rng):
-        values = rng.uniform(size=400)
-        serial = StreamingBinStats(8)
-        serial.update(values)
-        a, b = StreamingBinStats(8), StreamingBinStats(8)
-        a.update(values[:150])
-        b.update(values[150:])
-        merged = a.merge(b)
-        assert np.array_equal(merged.populations, serial.populations)
-        assert np.allclose(merged.sums, serial.sums)
-
     def test_clips_out_of_range(self):
         stats = StreamingBinStats(4)
         stats.update(np.array([-1.0, 2.0, 0.5]))

@@ -743,23 +743,49 @@ class TestPoolTelemetry:
 # --------------------------------------------------------------------- #
 # fit-path stage timers and drift-level gauges
 # --------------------------------------------------------------------- #
+def _stage_count(stage):
+    reading = metric_value("repro_fit_stage_seconds", {"stage": stage})
+    return reading["count"] if reading else 0
+
+
 class TestPipelineInstrumentation:
     def test_fit_stage_timers_advance(self, toy):
         X, y = toy
-
-        def stage_count(stage):
-            reading = metric_value("repro_fit_stage_seconds", {"stage": stage})
-            return reading["count"] if reading else 0
-
         before = {
-            s: stage_count(s)
+            s: _stage_count(s)
             for s in ("member_fit", "self_paced_sampling", "ensemble_score")
         }
         get_classifier("spe", base="tree", n_estimators=3, random_state=0).fit(
             X, y
         )
         for stage, count in before.items():
-            assert stage_count(stage) > count, stage
+            assert _stage_count(stage) > count, stage
+
+    @pytest.mark.parametrize("trainer", ["memory", "exact", "reservoir"])
+    def test_every_spe_trainer_records_one_loop(self, toy, trainer):
+        """The in-memory, exact-streaming and reservoir fits run one
+        Algorithm-1 loop: n−1 bin records and self-paced draws, n eval
+        points and member fits."""
+        from repro.core import SelfPacedEnsembleClassifier
+        from repro.streaming import StreamingSelfPacedEnsembleClassifier
+
+        X, y = toy
+        n = 4
+        params = dict(n_estimators=n, record_bins=True, random_state=0)
+        if trainer == "memory":
+            model = SelfPacedEnsembleClassifier(**params)
+        else:
+            model = StreamingSelfPacedEnsembleClassifier(mode=trainer, **params)
+        stages = ("member_fit", "self_paced_sampling")
+        before = {s: _stage_count(s) for s in stages}
+        model.fit(X, y, eval_set=(X, y))
+        assert len(model.bin_history_) == n - 1
+        assert len(model.train_curve_) == n
+        assert _stage_count("member_fit") - before["member_fit"] == n
+        assert (
+            _stage_count("self_paced_sampling") - before["self_paced_sampling"]
+            == n - 1
+        )
 
     def test_fastpath_predict_histogram(self, champion, toy):
         X, _ = toy

@@ -18,10 +18,13 @@ per checkout:
     PYTHONPATH=src python tools/fit_digest.py --rows 20000 --ir 20 --seed 3
     PYTHONPATH=src python tools/fit_digest.py --estimator forest --seed 3
     PYTHONPATH=src python tools/fit_digest.py --estimator rus_boost --seed 3 --predict
+    PYTHONPATH=src python tools/fit_digest.py --estimator streaming_spe --mode reservoir
     PYTHONPATH=../parent/src python tools/fit_digest.py --seed 3  # another checkout
 
 ``--seed`` seeds the table, and the model where it takes a
-``random_state``. ``--predict`` also hashes
+``random_state``. ``--mode`` is passed to a model that takes a ``mode``
+(streaming SPE's ``exact`` or ``reservoir`` trainer) and ignored by the
+others. ``--predict`` also hashes
 the bytes of the fitted model's ``predict_proba`` on its own table, so
 equal digests then mean equal predictions as well as trees. ``--persist``
 saves the fitted model with :func:`repro.persistence.save_model`, loads it
@@ -49,6 +52,7 @@ import json
 import os
 import sys
 import tempfile
+from typing import Optional
 
 import numpy as np
 
@@ -118,7 +122,8 @@ def model_digest(model, X=None, persist_X=None) -> str:
 
 
 def fit_digest(rows: int, ir: float, seed: int, predict: bool = False,
-               estimator: str = "spe", persist: bool = False) -> str:
+               estimator: str = "spe", persist: bool = False,
+               mode: Optional[str] = None) -> str:
     from repro.datasets import make_credit_fraud
     from repro.registry import classifier_spec, get_classifier
 
@@ -127,6 +132,8 @@ def fit_digest(rows: int, ir: float, seed: int, predict: bool = False,
     params = {"random_state": seed} if "random_state" in names else {}
     if "n_estimators" in names:
         params["n_estimators"] = 10
+    if mode is not None and "mode" in names:
+        params["mode"] = mode
     model = get_classifier(estimator, **params).fit(X, y)
     return model_digest(model, X if predict else None, X if persist else None)
 
@@ -143,9 +150,13 @@ def main(argv=None) -> int:
     parser.add_argument("--persist", action="store_true",
                         help="also hash the saved state tree and the "
                              "mmap-loaded model's predict_proba")
+    parser.add_argument("--mode", default=None,
+                        help="training mode, for models that take a mode "
+                             "(streaming_spe: exact or reservoir)")
     args = parser.parse_args(argv)
     print(fit_digest(args.rows, args.ir, args.seed, predict=args.predict,
-                     estimator=args.estimator, persist=args.persist))
+                     estimator=args.estimator, persist=args.persist,
+                     mode=args.mode))
     return 0
 
 
