@@ -1,8 +1,8 @@
 """Streaming-training memory: peak RAM vs dataset rows, out-of-core vs in-memory.
 
-Trains ``SelfPacedEnsembleClassifier`` (full in-memory arrays) against
-``StreamingSelfPacedEnsembleClassifier`` (``mode="exact"`` and
-``mode="reservoir"``) over an on-disk ``NPYSource`` while growing the
+Trains ``SelfPacedEnsembleClassifier`` with ``fit`` (full in-memory arrays)
+against its ``fit_source`` (``mode="exact"`` and ``mode="reservoir"``) over
+an on-disk ``NPYSource`` while growing the
 majority class, and records per-run peak memory two ways:
 
 * ``tracemalloc`` peak — Python/NumPy allocations during ``fit`` only (the
@@ -78,17 +78,14 @@ def _probe_set() -> np.ndarray:
 
 def _build_model(mode: str):
     from repro.core import SelfPacedEnsembleClassifier
-    from repro.streaming import StreamingSelfPacedEnsembleClassifier
     from repro.tree import DecisionTreeClassifier
 
-    base = DecisionTreeClassifier(max_depth=8, random_state=0)
-    common = dict(
-        estimator=base, n_estimators=N_ESTIMATORS, k_bins=10, random_state=0
-    )
-    if mode == "in_memory":
-        return SelfPacedEnsembleClassifier(**common)
-    return StreamingSelfPacedEnsembleClassifier(
-        mode="exact" if mode == "stream_exact" else "reservoir", **common
+    return SelfPacedEnsembleClassifier(
+        estimator=DecisionTreeClassifier(max_depth=8, random_state=0),
+        n_estimators=N_ESTIMATORS,
+        k_bins=10,
+        random_state=0,
+        mode="reservoir" if mode == "stream_reservoir" else "exact",
     )
 
 
@@ -109,7 +106,7 @@ def run_worker(config: dict) -> dict:
         # multiple blocks, so the per-block transient is a constant and the
         # slope isolates what actually grows with the dataset.
         source = NPYSource(config["x"], config["y"], block_size=4096)
-        _, fit_seconds = timed_call(model.fit, source)
+        _, fit_seconds = timed_call(model.fit_source, source)
     _, traced_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     proba = model.predict_proba(_probe_set())

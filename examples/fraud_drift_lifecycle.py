@@ -6,7 +6,7 @@ change modus operandi (covariate drift) and attack waves triple the fraud
 rate overnight (prior drift). This script runs the full post-deployment
 loop on the credit-fraud surrogate:
 
-1. train a streaming SPE on "day 0" traffic, register it in an
+1. train an SPE through ``fit_source`` on "day 0" traffic, register it in an
    :class:`~repro.lifecycle.ArtifactRegistry`, and serve it through a
    :class:`~repro.serving.ModelServer`;
 2. replay a drift-free control phase — the
@@ -30,11 +30,12 @@ import sys
 
 import numpy as np
 
+from repro.core import SelfPacedEnsembleClassifier
 from repro.datasets import make_credit_fraud
 from repro.lifecycle import ArtifactRegistry, LifecycleController, RetrainPolicy
 from repro.monitoring import ReferenceSketch, DriftMonitor
 from repro.serving import ServerConfig, serve
-from repro.streaming import ArraySource, StreamingSelfPacedEnsembleClassifier
+from repro.streaming import ArraySource
 from repro.tree import DecisionTreeClassifier
 
 
@@ -63,7 +64,7 @@ def main(n_samples: int = 30_000, n_estimators: int = 10, registry_dir=None) -> 
 
     # -- day 0: train, register, serve ---------------------------------
     X0, y0 = make_stream(n_samples, drifted=False, seed=7)
-    champion = StreamingSelfPacedEnsembleClassifier(
+    champion = SelfPacedEnsembleClassifier(
         DecisionTreeClassifier(max_depth=8, random_state=0),
         n_estimators=n_estimators,
         random_state=0,
@@ -83,7 +84,7 @@ def main(n_samples: int = 30_000, n_estimators: int = 10, registry_dir=None) -> 
         server,
         registry,
         monitor,
-        train_fn=lambda source: StreamingSelfPacedEnsembleClassifier(
+        train_fn=lambda source: SelfPacedEnsembleClassifier(
             DecisionTreeClassifier(max_depth=8, random_state=0),
             n_estimators=n_estimators,
             random_state=1,

@@ -32,7 +32,6 @@ from .base import (
     supports_sample_weight,
 )
 from .core import SelfPacedEnsembleClassifier
-from .streaming import StreamingSelfPacedEnsembleClassifier
 from .registry import (
     get_classifier,
     list_classifiers,
@@ -82,7 +81,6 @@ __all__ = [
     "is_persistable",
     "supports_sample_weight",
     "SelfPacedEnsembleClassifier",
-    "StreamingSelfPacedEnsembleClassifier",
     "get_classifier",
     "list_classifiers",
     "list_presets",

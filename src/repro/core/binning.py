@@ -11,11 +11,17 @@ self-paced factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["HardnessBins", "cut_hardness_bins", "self_paced_bin_weights", "allocate_bin_samples"]
+__all__ = [
+    "HardnessBins",
+    "allocate_bin_samples",
+    "cut_hardness_bins",
+    "finite_hardness_range",
+    "self_paced_bin_weights",
+]
 
 
 @dataclass
@@ -48,17 +54,12 @@ class HardnessBins:
         return bool(self.edges[0] == self.edges[-1])
 
 
-def cut_hardness_bins(hardness: np.ndarray, k: int) -> HardnessBins:
-    """Split samples into ``k`` equal-width bins over ``[min(H), max(H)]``.
+def finite_hardness_range(hardness: np.ndarray) -> Tuple[float, float]:
+    """``(min, max)`` of a non-empty float hardness array.
 
     Raises ``ValueError`` when any hardness is NaN or ±inf (a custom
-    hardness function can return them): the bin range would be undefined.
+    hardness function can return them): no bin can hold such a value.
     """
-    if k < 1:
-        raise ValueError("k (number of bins) must be >= 1")
-    hardness = np.asarray(hardness, dtype=float)
-    if hardness.ndim != 1 or hardness.size == 0:
-        raise ValueError("hardness must be a non-empty 1D array")
     lo, hi = float(hardness.min()), float(hardness.max())
     # min/max propagate NaN and reach ±inf, so this checks every value.
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -67,6 +68,21 @@ def cut_hardness_bins(hardness: np.ndarray, k: int) -> HardnessBins:
             f"hardness must be finite; got {bad.size} non-finite value(s) "
             f"(first: {float(bad[0])}) — check the hardness function"
         )
+    return lo, hi
+
+
+def cut_hardness_bins(hardness: np.ndarray, k: int) -> HardnessBins:
+    """Split samples into ``k`` equal-width bins over ``[min(H), max(H)]``.
+
+    Raises ``ValueError`` when any hardness is NaN or ±inf
+    (:func:`finite_hardness_range`).
+    """
+    if k < 1:
+        raise ValueError("k (number of bins) must be >= 1")
+    hardness = np.asarray(hardness, dtype=float)
+    if hardness.ndim != 1 or hardness.size == 0:
+        raise ValueError("hardness must be a non-empty 1D array")
+    lo, hi = finite_hardness_range(hardness)
     edges = np.linspace(lo, hi, k + 1)
     if hi > lo:
         width = (hi - lo) / k

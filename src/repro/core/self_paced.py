@@ -28,6 +28,7 @@ import numpy as np
 
 from .. import telemetry
 from ..ensemble.bagging import make_member_model
+from ..exceptions import DataValidationError
 from ..fastpath import TRANSPOSE_ROWS, PackedForest
 from ..imbalance_ensemble.base import BaseImbalanceEnsemble
 from ..parallel import ensemble_predict_proba, fit_ensemble_member
@@ -290,6 +291,15 @@ class SelfPacedEnsembleClassifier(BaseImbalanceEnsemble):
         (Algorithm 1 is a cascade), so results are identical for every
         ``n_jobs``.
     random_state : int / RandomState, optional
+    mode : {"exact", "reservoir"}, default "exact"
+        How the majority is sampled. ``"exact"`` follows Algorithm 1 over
+        the whole majority and gives the same model from ``fit(X, y)`` and
+        from ``fit_source`` on any :class:`~repro.streaming.DataSource`
+        and block size. ``"reservoir"`` keeps no per-row state: each
+        iteration re-scores the majority block by block and draws from
+        per-bin reservoirs over the paper's fixed H ∈ [0, 1] bins, so
+        memory does not grow with the majority (see
+        :mod:`repro.streaming.self_paced`).
 
     Notes
     -----
@@ -321,6 +331,13 @@ class SelfPacedEnsembleClassifier(BaseImbalanceEnsemble):
     >>> X, y = make_checkerboard(n_minority=100, n_majority=1000, random_state=0)
     >>> spe = SelfPacedEnsembleClassifier(n_estimators=10, random_state=0).fit(X, y)
     >>> proba = spe.predict_proba(X)[:, 1]
+
+    Out of core, from any :class:`~repro.streaming.DataSource`:
+
+    >>> from repro.streaming import ArraySource
+    >>> spe = SelfPacedEnsembleClassifier(n_estimators=5, mode="reservoir",
+    ...                                   random_state=0)
+    >>> proba = spe.fit_source(ArraySource(X, y)).predict_proba(X)[:, 1]
     """
 
     def __init__(
@@ -334,6 +351,7 @@ class SelfPacedEnsembleClassifier(BaseImbalanceEnsemble):
         record_bins: bool = False,
         n_jobs: Optional[int] = None,
         random_state=None,
+        mode: str = "exact",
     ):
         self.estimator = estimator
         self.n_estimators = n_estimators
@@ -344,6 +362,7 @@ class SelfPacedEnsembleClassifier(BaseImbalanceEnsemble):
         self.record_bins = record_bins
         self.n_jobs = n_jobs
         self.random_state = random_state
+        self.mode = mode
 
     # ------------------------------------------------------------------ #
     def _resolve_schedule(self) -> Callable[[int, int], float]:
@@ -387,15 +406,53 @@ class SelfPacedEnsembleClassifier(BaseImbalanceEnsemble):
         maj_idx = np.flatnonzero(y == 0)
         min_idx = np.flatnonzero(y == 1)
         if len(min_idx) == 0 or len(maj_idx) == 0:
-            raise ValueError("SPE requires both classes present (0=majority, 1=minority)")
-        majority = InMemoryMajorityAccess(X, maj_idx, self._proba_pos)
+            raise DataValidationError(
+                "SPE requires both classes present (0=majority, 1=minority)"
+            )
+        if self.mode == "exact":
+            majority = InMemoryMajorityAccess(X, maj_idx, self._proba_pos)
+        else:
+            from ..streaming import ArraySource
+            from ..streaming.self_paced import _ReservoirMajority
+
+            majority = _ReservoirMajority(ArraySource(X, y), len(maj_idx), self.n_jobs)
         self._fit_loop(majority, X[min_idx], rng, eval_set)
+        return self
+
+    def fit_source(
+        self, source, eval_set: Optional[Tuple] = None
+    ) -> "SelfPacedEnsembleClassifier":
+        """Fit from a :class:`~repro.streaming.DataSource`.
+
+        In exact mode an :class:`~repro.streaming.ArraySource` is fitted
+        in memory over its arrays (no block pass, no copy), and any other
+        source through the block-walking seam; both give the model
+        ``fit(X, y)`` gives. Reservoir mode streams every source.
+        """
+        from ..streaming import ArraySource
+        from ..streaming.self_paced import _ReservoirMajority, _StreamingMajorityAccess
+
+        exact = self.mode == "exact"
+        if exact and isinstance(source, ArraySource):
+            return self.fit(source.X, source.y, eval_set)
+        source, scan, rng = self._validate_source(
+            source, collect_indices=exact, collect_minority=True
+        )
+        if exact:
+            majority = _StreamingMajorityAccess(source, scan, self._proba_pos)
+        else:
+            majority = _ReservoirMajority(source, scan.n_majority, self.n_jobs)
+        self._fit_loop(majority, scan.X_min, rng, eval_set)
         return self
 
     def _check_params(self) -> None:
         if self.k_bins < 1:
             raise ValueError("k_bins must be >= 1")
         super()._check_params()
+        if self.mode not in ("exact", "reservoir"):
+            raise ValueError(
+                f"Unknown mode {self.mode!r}; expected 'exact' or 'reservoir'"
+            )
 
     def _fit_loop(
         self,

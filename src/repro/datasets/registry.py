@@ -58,8 +58,8 @@ class Dataset:
     def as_source(self, block_size: Optional[int] = None):
         """The dataset as a :class:`repro.streaming.ArraySource`.
 
-        Feeds the out-of-core trainers (``StreamingSelfPacedEnsemble-
-        Classifier``, ``fit_source``) with block-streamed access to the
+        Feeds the out-of-core trainers (``fit_source`` on SPE,
+        UnderBagging and EasyEnsemble) with block-streamed access to the
         loaded arrays — the drop-in stand-in for the CSV/NPY sources used
         when data genuinely exceeds memory.
         """

@@ -143,18 +143,14 @@ class BaseImbalanceEnsemble(BaseEstimator, ClassifierMixin, BinaryLabelEncoderMi
         self.n_features_in_ = X.shape[1]
         return X, y, check_random_state(self.random_state)
 
-    def _validate_source(self, source, scan=None):
+    def _validate_source(self, source, collect_indices=True, collect_minority=False):
         """Source counterpart of :meth:`_validate` for ``fit_source``.
 
-        Scans the source once (unless a scan is supplied) and derives the
-        same fitted metadata as the in-memory path. Arbitrary binary label
-        alphabets are handled like the in-memory path: a cheap label-only
-        pass determines the encoding, and the index scan runs over an
-        internally encoded view of the source — member training labels come
-        from ``scan.y``, so the fitted members always see 0/1 codes. A
-        *supplied* scan must already carry internal labels (it came from
-        :func:`~repro.streaming.class_index_scan`, which enforces that).
-        Returns ``(scan, rng)``.
+        A label-only pass sets the label encoding as the in-memory path
+        does, then one :func:`~repro.streaming.class_index_scan` (with the
+        given ``collect_*`` flags) runs over the source's internally
+        encoded view, so the fitted members always see 0/1 codes. Returns
+        ``(encoded source, scan, rng)``.
         """
         from ..streaming.sources import (
             class_index_scan,
@@ -163,36 +159,16 @@ class BaseImbalanceEnsemble(BaseEstimator, ClassifierMixin, BinaryLabelEncoderMi
         )
 
         self._check_params()
-        if scan is None:
-            classes, _, minority_idx = label_value_scan(source)
-            self._set_label_encoding(classes, minority_idx)
-            scan = class_index_scan(
-                encoded_label_source(source, classes, minority_idx),
-                collect_indices=True,
-            )
-        else:
-            if scan.y is None or scan.maj_idx is None:
-                raise ValueError(
-                    "fit_source needs a scan built with collect_indices=True "
-                    "(the supplied one carries class counts only)"
-                )
-            classes = np.unique(scan.y)
-            self._set_label_encoding(
-                classes, 1 if classes.size == 2 else None
-            )
-        self.n_features_in_ = scan.n_features
-        return scan, check_random_state(self.random_state)
-
-    def fit_source(self, source, scan=None):
-        """Fit out-of-core from a :class:`repro.streaming.DataSource`.
-
-        Implemented by the balanced-subset ensembles (UnderBagging,
-        EasyEnsemble); bit-identical to ``fit`` on the same data for a
-        fixed ``random_state``.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support source-based fitting"
+        classes, _, minority_idx = label_value_scan(source)
+        self._set_label_encoding(classes, minority_idx)
+        source = encoded_label_source(source, classes, minority_idx)
+        scan = class_index_scan(
+            source,
+            collect_indices=collect_indices,
+            collect_minority=collect_minority,
         )
+        self.n_features_in_ = scan.n_features
+        return source, scan, check_random_state(self.random_state)
 
     def _voting_estimators(self) -> List:
         """The members ``predict_proba`` averages and serving packs."""

@@ -95,7 +95,7 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
         )
         return self
 
-    def fit_source(self, source, scan=None) -> "EasyEnsembleClassifier":
+    def fit_source(self, source) -> "EasyEnsembleClassifier":
         """Out-of-core ``fit`` from a :class:`repro.streaming.DataSource`:
         every boosted bag gathers only its own balanced subset.
         Bit-identical to ``fit`` on the same data for a fixed
@@ -103,15 +103,13 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
         from ..streaming.adapters import fit_balanced_source_ensemble
 
         make_model = self._member_factory()
-        scan, rng = self._validate_source(source, scan)
-        self.estimators_, self.n_training_samples_, _ = (
-            fit_balanced_source_ensemble(
-                source,
-                n_estimators=self.n_estimators,
-                make_model=make_model,
-                random_state=rng,
-                n_jobs=self.n_jobs,
-                scan=scan,
-            )
+        source, scan, rng = self._validate_source(source)
+        self.estimators_, self.n_training_samples_ = fit_balanced_source_ensemble(
+            source,
+            scan,
+            n_estimators=self.n_estimators,
+            make_model=make_model,
+            random_state=rng,
+            n_jobs=self.n_jobs,
         )
         return self

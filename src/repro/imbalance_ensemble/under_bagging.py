@@ -48,21 +48,19 @@ class UnderBaggingClassifier(BaseImbalanceEnsemble):
         )
         return self
 
-    def fit_source(self, source, scan=None) -> "UnderBaggingClassifier":
+    def fit_source(self, source) -> "UnderBaggingClassifier":
         """Out-of-core ``fit`` from a :class:`repro.streaming.DataSource`:
         each bag gathers only its own balanced subset. Bit-identical to
         ``fit`` on the same data for a fixed ``random_state``."""
         from ..streaming.adapters import fit_balanced_source_ensemble
 
-        scan, rng = self._validate_source(source, scan)
-        self.estimators_, self.n_training_samples_, _ = (
-            fit_balanced_source_ensemble(
-                source,
-                n_estimators=self.n_estimators,
-                estimator=self.estimator,
-                random_state=rng,
-                n_jobs=self.n_jobs,
-                scan=scan,
-            )
+        source, scan, rng = self._validate_source(source)
+        self.estimators_, self.n_training_samples_ = fit_balanced_source_ensemble(
+            source,
+            scan,
+            n_estimators=self.n_estimators,
+            estimator=self.estimator,
+            random_state=rng,
+            n_jobs=self.n_jobs,
         )
         return self

@@ -74,10 +74,7 @@ def resolve_train_fn(spec) -> Callable:
         model = clone(template)
         fit_source = getattr(model, "fit_source", None)
         if fit_source is not None:
-            try:
-                return fit_source(source)
-            except NotImplementedError:
-                pass
+            return fit_source(source)
         blocks = list(source.iter_blocks())
         X = np.vstack([b[0] for b in blocks])
         y = np.concatenate([b[1] for b in blocks])
@@ -116,7 +113,7 @@ class LifecycleController:
     train_fn : callable, registered name, or estimator instance
         The retraining recipe, normalised through :func:`resolve_train_fn`:
         a ``callable(DataSource) -> fitted model`` (e.g. ``lambda src:
-        StreamingSelfPacedEnsembleClassifier(n_estimators=10,
+        SelfPacedEnsembleClassifier(n_estimators=10,
         random_state=0).fit_source(src)``), a registered classifier name
         (``"spe"``, ``"logistic"``, ...), or an unfitted estimator used as
         a per-cycle clone template. Any registered model works — models

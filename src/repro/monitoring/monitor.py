@@ -229,8 +229,9 @@ class DriftMonitor:
 
     def window_source(self, block_size: Optional[int] = None):
         """The labeled window as an :class:`~repro.streaming.ArraySource` —
-        the exact input :meth:`StreamingSelfPacedEnsembleClassifier.
-        fit_source` retrains from."""
+        the exact input :meth:`SelfPacedEnsembleClassifier.fit_source
+        <repro.core.SelfPacedEnsembleClassifier.fit_source>` retrains
+        from."""
         from ..streaming import ArraySource
 
         X, y, _ = self.window()

@@ -1,8 +1,8 @@
 """Versioned model persistence: pickle-free ``.npz`` artifacts.
 
 :func:`save_model` / :func:`load_model` round-trip every fitted ensemble in
-the library — SelfPacedEnsemble, RandomForest, Bagging, UnderBagging,
-EasyEnsemble, and the streaming SPE — **bit-identically** on
+the library — SelfPacedEnsemble (in either ``mode``), RandomForest,
+Bagging, UnderBagging and EasyEnsemble — **bit-identically** on
 ``predict_proba``, for every ``n_jobs``, on the packed and the
 per-tree path. Artifacts carry a schema-version header and per-array SHA-256
 checksums; corrupted or newer-schema files are rejected with a clear

@@ -82,9 +82,16 @@ _AUX: Dict[str, str] = {
 #: on load, nothing is imported for them.
 _RETIRED = frozenset({"SharedBinContext"})
 
+#: Classes of older artifacts that were folded into another class, which
+#: loads them. Streaming SPE became ``SelfPacedEnsembleClassifier``'s
+#: ``fit_source`` and ``mode``.
+_RENAMED = {"StreamingSelfPacedEnsembleClassifier": "SelfPacedEnsembleClassifier"}
+
 #: Hyper-parameters that older artifacts store and no constructor takes
 #: any more; they are dropped on load.
-_RETIRED_PARAMS = frozenset({"backend", "chunk_size", "shared_binning"})
+_RETIRED_PARAMS = frozenset(
+    {"backend", "chunk_size", "hardness_range", "shared_binning"}
+)
 
 
 def _persistable_names():
@@ -99,6 +106,7 @@ def _persistable_names():
 
 
 def _registry_class(name: str):
+    name = _RENAMED.get(name, name)
     module_path = _AUX.get(name)
     if module_path is not None:
         return getattr(importlib.import_module(module_path), name)
@@ -244,7 +252,7 @@ def save_model(model, path) -> str:
     """Write a fitted model to a versioned, pickle-free ``.npz`` artifact.
 
     Supports every ensemble in the library (SPE, random forest, bagging,
-    UnderBagging, EasyEnsemble, streaming SPE) plus their member models;
+    UnderBagging, EasyEnsemble) plus their member models;
     raises :class:`~repro.exceptions.PersistenceError` for unsupported
     classes or hyper-parameters and
     :class:`~repro.exceptions.NotFittedError` for unfitted models. Returns

@@ -40,7 +40,6 @@ from ..linear import LogisticRegression
 from ..neighbors import KNeighborsClassifier
 from ..neural import MLPClassifier
 from ..sampling import RandomUnderSampler
-from ..streaming import StreamingSelfPacedEnsembleClassifier
 from ..svm import SVC, LinearSVC
 from ..tree import C45Classifier, DecisionTreeClassifier
 from .completeness import registry_problems, toy_imbalanced_split
@@ -134,9 +133,9 @@ register_classifier(
     description="Self-paced ensemble (the paper's method)",
 )
 register_classifier(
-    "streaming_spe", StreamingSelfPacedEnsembleClassifier,
+    "streaming_spe", SelfPacedEnsembleClassifier,
     smoke_params={"n_estimators": 4, "k_bins": 5},
-    description="Out-of-core self-paced ensemble over block sources",
+    description="Self-paced ensemble (alias of spe for out-of-core recipes)",
 )
 register_classifier(
     "under_bagging", UnderBaggingClassifier,

@@ -12,9 +12,10 @@ to training. Four layers:
 * :mod:`repro.streaming.reservoir` — bounded-memory self-paced
   under-sampling (:func:`streaming_self_paced_under_sample`) built on
   per-bin reservoirs (:class:`BinReservoir`);
-* :mod:`repro.streaming.self_paced` —
-  :class:`StreamingSelfPacedEnsembleClassifier`, Algorithm 1 over a source:
-  bit-identical to the in-memory classifier in ``mode="exact"``,
+* :mod:`repro.streaming.self_paced` — the majority seams behind
+  :meth:`SelfPacedEnsembleClassifier.fit_source
+  <repro.core.SelfPacedEnsembleClassifier.fit_source>`, Algorithm 1 over a
+  source: bit-identical to ``fit(X, y)`` in ``mode="exact"``,
   majority-size-independent memory in ``mode="reservoir"``.
 
 :mod:`repro.streaming.adapters` wires the same sources into the resampled
@@ -25,7 +26,6 @@ expose matching sources via ``Dataset.as_source()``.
 from .adapters import fit_balanced_source_ensemble, source_balanced_subset_sample
 from .binstats import StreamingBinStats
 from .reservoir import BinReservoir, streaming_self_paced_under_sample
-from .self_paced import StreamingSelfPacedEnsembleClassifier
 from .sources import (
     ArraySource,
     ClassIndexScan,
@@ -48,7 +48,6 @@ __all__ = [
     "EncodedLabelSource",
     "NPYSource",
     "StreamingBinStats",
-    "StreamingSelfPacedEnsembleClassifier",
     "class_index_scan",
     "encoded_label_source",
     "fit_balanced_source_ensemble",

@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..imbalance_ensemble.base import fit_resampled_ensemble
-from .sources import ClassIndexScan, DataSource, class_index_scan
+from .sources import ClassIndexScan, DataSource
 
 __all__ = [
     "fit_balanced_source_ensemble",
@@ -48,24 +48,22 @@ def source_balanced_subset_sample(
 
 def fit_balanced_source_ensemble(
     source: DataSource,
+    scan: ClassIndexScan,
     *,
     n_estimators: int,
     estimator=None,
     make_model: Optional[Callable] = None,
     random_state=None,
     n_jobs: Optional[int] = None,
-    scan: Optional[ClassIndexScan] = None,
-) -> Tuple[List, int, ClassIndexScan]:
+) -> Tuple[List, int]:
     """Fit ``n_estimators`` members on balanced under-samples of a source.
 
-    One class-index scan (reused if supplied) feeds every member; each
-    member gathers only its own ~2·|P| training rows, so feature memory
-    never exceeds one subset per concurrent worker. Returns
-    ``(estimators, total_training_samples, scan)``.
+    One class-index scan (``collect_indices=True``, internal labels) feeds
+    every member; each member gathers only its own ~2·|P| training rows,
+    so feature memory never exceeds one subset per concurrent worker.
+    Returns ``(estimators, total_training_samples)``.
     """
-    if scan is None:
-        scan = class_index_scan(source, collect_indices=True)
-    estimators, n_samples = fit_resampled_ensemble(
+    return fit_resampled_ensemble(
         source,
         None,
         n_estimators=n_estimators,
@@ -75,4 +73,3 @@ def fit_balanced_source_ensemble(
         random_state=random_state,
         n_jobs=n_jobs,
     )
-    return estimators, n_samples, scan

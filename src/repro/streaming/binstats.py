@@ -3,18 +3,16 @@
 The in-memory sampler (:func:`repro.core.cut_hardness_bins`) bins hardness
 over the *observed* min/max — impossible in one streaming pass, because the
 range isn't known until the stream ends. :class:`StreamingBinStats` instead
-bins over a fixed ``value_range`` (the paper's ``H ∈ [0, 1]``, which every
-bounded hardness function satisfies; unbounded ones are clipped) and folds
-each block into running populations / hardness sums.
+bins over the paper's fixed ``H ∈ [0, 1]``, which every bounded hardness
+function satisfies (unbounded ones are clipped), and folds each block into
+running populations / hardness sums.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from ..core.binning import HardnessBins
+from ..core.binning import HardnessBins, finite_hardness_range
 
 __all__ = ["StreamingBinStats"]
 
@@ -25,9 +23,8 @@ class StreamingBinStats:
     Parameters
     ----------
     k_bins : int
-        Number of equal-width bins.
-    value_range : (low, high), default (0.0, 1.0)
-        Hardness support; values outside are clipped into the edge bins.
+        Number of equal-width bins over [0, 1]; values outside are clipped
+        into the edge bins.
 
     Attributes
     ----------
@@ -37,28 +34,24 @@ class StreamingBinStats:
     n_seen : values folded in so far.
     """
 
-    def __init__(self, k_bins: int, value_range: Tuple[float, float] = (0.0, 1.0)):
+    def __init__(self, k_bins: int):
         if k_bins < 1:
             raise ValueError("k_bins must be >= 1")
-        lo, hi = float(value_range[0]), float(value_range[1])
-        if not hi > lo:
-            raise ValueError("value_range must satisfy high > low")
         self.k_bins = int(k_bins)
-        self.value_range = (lo, hi)
-        self.edges = np.linspace(lo, hi, k_bins + 1)
+        self.edges = np.linspace(0.0, 1.0, k_bins + 1)
         self.populations = np.zeros(k_bins, dtype=np.int64)
         self.sums = np.zeros(k_bins, dtype=np.float64)
         self.n_seen = 0
 
     def assign(self, values: np.ndarray) -> np.ndarray:
-        """Bin index for each value (clipped into the fixed range)."""
+        """Bin index for each value (clipped into [0, 1]); raises
+        ``ValueError`` for a NaN or ±inf value, as the in-memory bins do."""
         values = np.asarray(values, dtype=np.float64)
-        lo, hi = self.value_range
-        width = (hi - lo) / self.k_bins
-        clipped = np.clip(values, lo, hi)
-        return np.minimum(
-            ((clipped - lo) / width).astype(np.intp), self.k_bins - 1
-        )
+        if values.size:
+            finite_hardness_range(values)
+        width = 1.0 / self.k_bins
+        clipped = np.clip(values, 0.0, 1.0)
+        return np.minimum((clipped / width).astype(np.intp), self.k_bins - 1)
 
     def update(self, values: np.ndarray) -> np.ndarray:
         """Fold one block of hardness values in; returns their bin indices."""

@@ -121,7 +121,6 @@ def streaming_self_paced_under_sample(
     alpha: float,
     n_samples: int,
     rng: np.random.RandomState,
-    value_range: Tuple[float, float] = (0.0, 1.0),
 ) -> Tuple[np.ndarray, np.ndarray, StreamingBinStats]:
     """One self-paced under-sampling round over a hardness/row stream.
 
@@ -130,8 +129,8 @@ def streaming_self_paced_under_sample(
     blocks : iterable of ``(hardness_block, X_block)``
         The majority class, in any block sizes; consumed exactly once.
     k_bins, alpha, n_samples, rng
-        As in :func:`repro.core.self_paced_under_sample`.
-    value_range : hardness support for the fixed-edge bins.
+        As in :func:`repro.core.self_paced_under_sample`; the bins have
+        fixed edges over H ∈ [0, 1] (see :class:`StreamingBinStats`).
 
     Returns
     -------
@@ -143,7 +142,7 @@ def streaming_self_paced_under_sample(
     """
     if n_samples < 0:
         raise ValueError("n_samples must be non-negative")
-    stats = StreamingBinStats(k_bins, value_range)
+    stats = StreamingBinStats(k_bins)
     reservoir: Optional[BinReservoir] = None
     for hardness_block, X_block in blocks:
         hardness_block = np.asarray(hardness_block, dtype=np.float64)

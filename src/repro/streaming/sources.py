@@ -150,7 +150,7 @@ class ArraySource(DataSource):
     {-1, 1}, strings, ...); numeric labels are validated against silent
     truncation like the file sources. Consumers that need the internal
     {0, 1} encoding get it from :func:`label_value_scan` +
-    :func:`encoded_label_source` (the streaming SPE does this itself), or
+    :func:`encoded_label_source` (every ``fit_source`` does this), or
     reject other alphabets at scan time.
     """
 

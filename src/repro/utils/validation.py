@@ -243,7 +243,7 @@ def decode_binary_proba(internal, classes, minority_class) -> np.ndarray:
 
 class BinaryLabelEncoderMixin:
     """Fit-time label-encoding bookkeeping shared by every label-encoded
-    classifier (SPE, streaming SPE, the imbalance-ensemble family).
+    classifier (SPE and the rest of the imbalance-ensemble family).
 
     One implementation keeps the three users from drifting apart: the
     mapping recorded by :meth:`_set_label_encoding` (typically from

@@ -236,10 +236,10 @@ class TestMajorityScoring:
     @pytest.mark.parametrize("streaming", [False, True], ids=["memory", "streaming"])
     @pytest.mark.parametrize("n_estimators", [1, 2, 10])
     def test_scores_every_member_but_the_last(
-        self, imbalanced_data, monkeypatch, n_estimators, streaming
+        self, imbalanced_data, monkeypatch, tmp_path, n_estimators, streaming
     ):
         from repro.core.self_paced import InMemoryMajorityAccess
-        from repro.streaming import StreamingSelfPacedEnsembleClassifier
+        from repro.streaming import NPYSource
         from repro.streaming.self_paced import _StreamingMajorityAccess
 
         access = _StreamingMajorityAccess if streaming else InMemoryMajorityAccess
@@ -251,13 +251,16 @@ class TestMajorityScoring:
             return original(self, model)
 
         monkeypatch.setattr(access, "score", counting)
-        cls = (
-            StreamingSelfPacedEnsembleClassifier
-            if streaming
-            else SelfPacedEnsembleClassifier
-        )
         X, y = imbalanced_data
-        spe = cls(_base(), n_estimators=n_estimators, random_state=0).fit(X, y)
+        spe = SelfPacedEnsembleClassifier(
+            _base(), n_estimators=n_estimators, random_state=0
+        )
+        if streaming:
+            np.save(tmp_path / "x.npy", X)
+            np.save(tmp_path / "y.npy", y)
+            spe.fit_source(NPYSource(tmp_path / "x.npy", tmp_path / "y.npy"))
+        else:
+            spe.fit(X, y)
         assert len(scored) == n_estimators - 1
         assert all(a is b for a, b in zip(scored, spe.estimators_[:-1]))
 
@@ -286,6 +289,24 @@ class TestSPEValidation:
             _base(), n_estimators=3, hardness=hardness, random_state=0
         )
         with pytest.raises(ValueError, match="non-finite value"):
+            spe.fit(X, y)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["exact", "reservoir"])
+    def test_nan_hardness_rejected_in_either_mode(self, imbalanced_data, mode):
+        """Both modes reject a NaN hardness through the one finiteness
+        check of the bins, before any cast to a bin index can warn."""
+        X, y = imbalanced_data
+
+        def hardness(y_true, proba_pos):
+            h = np.abs(proba_pos - y_true)
+            h[0] = np.nan
+            return h
+
+        spe = SelfPacedEnsembleClassifier(
+            _base(), n_estimators=3, hardness=hardness, mode=mode, random_state=0
+        )
+        with pytest.raises(ValueError, match="hardness must be finite"):
             spe.fit(X, y)
 
     def test_invalid_schedule(self, imbalanced_data):

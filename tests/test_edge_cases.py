@@ -8,7 +8,6 @@ from repro.ensemble import GradientBoostingClassifier
 from repro.ensemble.gbdt import GradientRegressionTree
 from repro.exceptions import NotEnoughSamplesError
 from repro.sampling import SMOTE, RandomUnderSampler
-from repro.streaming import StreamingSelfPacedEnsembleClassifier
 from repro.tree import DecisionTreeClassifier, FeatureBinner
 
 
@@ -159,8 +158,8 @@ class TestNonFiniteInputs:
 
 
 class TestSPEParamCheck:
-    """The in-memory and streaming SPE fits share one parameter check:
-    same messages, reported in the same order."""
+    """SPE's ``fit`` and ``fit_source`` share one parameter check: same
+    messages, reported in the same order."""
 
     @pytest.mark.parametrize(
         "params, message",
@@ -170,10 +169,15 @@ class TestSPEParamCheck:
             ({"n_estimators": 0, "k_bins": 0}, "k_bins must be >= 1"),
         ],
     )
-    def test_both_fits_report_alike(self, params, message):
+    def test_both_fits_report_alike(self, params, message, tmp_path):
+        from repro.streaming import NPYSource
+
         rng = np.random.RandomState(0)
         X = rng.randn(40, 2)
         y = (np.arange(40) < 8).astype(int)
-        for cls in (SelfPacedEnsembleClassifier, StreamingSelfPacedEnsembleClassifier):
+        np.save(tmp_path / "x.npy", X)
+        np.save(tmp_path / "y.npy", y)
+        source = NPYSource(tmp_path / "x.npy", tmp_path / "y.npy")
+        for fit in (lambda m: m.fit(X, y), lambda m: m.fit_source(source)):
             with pytest.raises(ValueError, match=message):
-                cls(**params).fit(X, y)
+                fit(SelfPacedEnsembleClassifier(**params))

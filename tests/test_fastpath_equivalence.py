@@ -15,7 +15,7 @@ from repro.imbalance_ensemble import (
     UnderBaggingClassifier,
 )
 from repro.parallel import ensemble_predict_proba
-from repro.streaming import ArraySource, StreamingSelfPacedEnsembleClassifier
+from repro.streaming import ArraySource
 from repro.tree import DecisionTreeClassifier
 
 from per_tree import per_tree_reference
@@ -90,16 +90,16 @@ class TestPackedEqualsPerTree:
 
     def test_streaming_exact_mode(self, data, test_rows):
         X, y = data
-        model = StreamingSelfPacedEnsembleClassifier(
+        model = SelfPacedEnsembleClassifier(
             n_estimators=5, random_state=7
-        ).fit(ArraySource(X, y, block_size=128))
+        ).fit_source(ArraySource(X, y, block_size=128))
         _assert_packed_matches_legacy(model, test_rows)
 
     def test_streaming_reservoir_mode(self, data, test_rows):
         X, y = data
-        model = StreamingSelfPacedEnsembleClassifier(
+        model = SelfPacedEnsembleClassifier(
             n_estimators=4, mode="reservoir", random_state=8
-        ).fit(ArraySource(X, y, block_size=128))
+        ).fit_source(ArraySource(X, y, block_size=128))
         _assert_packed_matches_legacy(model, test_rows)
 
 

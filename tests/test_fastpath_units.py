@@ -861,7 +861,7 @@ class TestFitDigestTool:
             "feature_", "threshold_", "left_", "right_", "value_"}
 
     def test_mode_reaches_the_reservoir_trainer(self):
-        """``--mode reservoir`` fits streaming SPE's reservoir trainer: the
+        """``--mode reservoir`` fits SPE's reservoir trainer: the
         script prints the digest of that model, which differs from the
         exact trainer's; a model without a ``mode`` ignores it."""
         import pathlib
@@ -869,7 +869,7 @@ class TestFitDigestTool:
         import sys
 
         from repro.datasets import make_credit_fraud
-        from repro.streaming import StreamingSelfPacedEnsembleClassifier
+        from repro.core import SelfPacedEnsembleClassifier
 
         tools = pathlib.Path(__file__).resolve().parents[1] / "tools"
         sys.path.insert(0, str(tools))
@@ -885,7 +885,7 @@ class TestFitDigestTool:
         )
         reservoir = run.stdout.strip()
         X, y = make_credit_fraud(n_samples=2000, imbalance_ratio=10.0, random_state=1)
-        model = StreamingSelfPacedEnsembleClassifier(
+        model = SelfPacedEnsembleClassifier(
             n_estimators=10, random_state=1, mode="reservoir"
         ).fit(X, y)
         assert fit_digest.model_digest(model) == reservoir
@@ -893,8 +893,9 @@ class TestFitDigestTool:
         assert exact != reservoir
         assert fit_digest.fit_digest(
             2000, 10.0, 1, estimator="streaming_spe", mode="exact") == exact
-        assert fit_digest.fit_digest(2000, 10.0, 1, mode="reservoir") == \
-            fit_digest.fit_digest(2000, 10.0, 1)
+        assert fit_digest.fit_digest(
+            2000, 10.0, 1, estimator="under_bagging", mode="reservoir") == \
+            fit_digest.fit_digest(2000, 10.0, 1, estimator="under_bagging")
 
     def test_persist_digest_covers_state_and_loaded_model(self):
         """``--persist`` extends the ``--predict`` digest with the saved

@@ -25,7 +25,6 @@ from repro.imbalance_ensemble import (
 from repro.streaming import (
     ArraySource,
     NPYSource,
-    StreamingSelfPacedEnsembleClassifier,
     label_value_scan,
 )
 from repro.utils.validation import (
@@ -96,7 +95,7 @@ ENSEMBLES = {
     "easy_ensemble": lambda: EasyEnsembleClassifier(
         n_estimators=3, n_boost_rounds=2, random_state=0
     ),
-    "streaming_spe": lambda: StreamingSelfPacedEnsembleClassifier(
+    "streaming_spe": lambda: SelfPacedEnsembleClassifier(
         n_estimators=4, random_state=0
     ),
     "balance_cascade": lambda: BalanceCascadeClassifier(n_estimators=3, random_state=0),
@@ -164,6 +163,21 @@ class TestEnsemblesAcceptArbitraryLabels:
         )
         assert clf.train_curve_ == ref.train_curve_
 
+    @pytest.mark.parametrize("mode", ["exact", "reservoir"])
+    def test_spe_fit_keeps_float_labels(self, data, mode):
+        """``fit(X, y)`` encodes labels like every in-memory ensemble in
+        either mode: float labels give float ``classes_``, and non-integral
+        ones (which an ``ArraySource`` rejects) are accepted."""
+        X, y = data
+        ref = SelfPacedEnsembleClassifier(n_estimators=3, mode=mode, random_state=0)
+        ref_proba = ref.fit(X, y).predict_proba(X)
+        for y_float in (y.astype(float), np.where(y == 1, 1.5, 0.5)):
+            clf = SelfPacedEnsembleClassifier(n_estimators=3, mode=mode, random_state=0)
+            clf.fit(X, y_float)
+            assert clf.classes_.dtype.kind == "f"
+            assert clf.classes_.tolist() == np.unique(y_float).tolist()
+            assert np.array_equal(ref_proba, clf.predict_proba(X))
+
 
 class TestStreamingLabelSupport:
     def test_label_value_scan(self, data):
@@ -180,7 +194,7 @@ class TestStreamingLabelSupport:
         X, y = data
         y_pm = np.where(y == 1, 1, -1)
         ref = SelfPacedEnsembleClassifier(n_estimators=4, random_state=0).fit(X, y)
-        clf = StreamingSelfPacedEnsembleClassifier(n_estimators=4, random_state=0).fit(
+        clf = SelfPacedEnsembleClassifier(n_estimators=4, random_state=0).fit_source(
             ArraySource(X, y_pm, block_size=128)
         )
         assert clf.classes_.tolist() == [-1, 1]
@@ -193,7 +207,7 @@ class TestStreamingLabelSupport:
         np.save(tmp_path / "x.npy", X)
         np.save(tmp_path / "y.npy", y_pm)
         source = NPYSource(tmp_path / "x.npy", tmp_path / "y.npy", block_size=128)
-        clf = StreamingSelfPacedEnsembleClassifier(n_estimators=3, random_state=0).fit(
+        clf = SelfPacedEnsembleClassifier(n_estimators=3, random_state=0).fit_source(
             source
         )
         ref = SelfPacedEnsembleClassifier(n_estimators=3, random_state=0).fit(X, y)

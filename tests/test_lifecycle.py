@@ -15,6 +15,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import SelfPacedEnsembleClassifier
 from repro.datasets import make_checkerboard
 from repro.exceptions import PersistenceError, RegistryError
 from repro.lifecycle import (
@@ -26,7 +27,7 @@ from repro.lifecycle import (
 )
 from repro.monitoring import DriftLevel, DriftMonitor, DriftReport, ReferenceSketch
 from repro.serving import ModelServer
-from repro.streaming import ArraySource, StreamingSelfPacedEnsembleClassifier
+from repro.streaming import ArraySource
 from repro.tree import DecisionTreeClassifier
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -47,7 +48,7 @@ def data():
 @pytest.fixture(scope="module")
 def fitted(data):
     X, y = data
-    return StreamingSelfPacedEnsembleClassifier(
+    return SelfPacedEnsembleClassifier(
         n_estimators=5, random_state=0
     ).fit_source(ArraySource(X, y))
 
@@ -154,10 +155,10 @@ class TestRetrainPolicy:
 class TestShadowEvaluate:
     def _models(self, data, good_state=0):
         X, y = data
-        good = StreamingSelfPacedEnsembleClassifier(
+        good = SelfPacedEnsembleClassifier(
             n_estimators=8, random_state=good_state
         ).fit_source(ArraySource(X, y))
-        weak = StreamingSelfPacedEnsembleClassifier(
+        weak = SelfPacedEnsembleClassifier(
             DecisionTreeClassifier(max_depth=1, random_state=0),
             n_estimators=1,
             random_state=7,
@@ -220,7 +221,7 @@ class TestEndToEndLifecycle:
 
     def _build(self, data, tmp_path, window=1200):
         X, y = data
-        champion = StreamingSelfPacedEnsembleClassifier(
+        champion = SelfPacedEnsembleClassifier(
             n_estimators=6, random_state=0
         ).fit_source(ArraySource(X, y))
         registry = ArtifactRegistry(tmp_path / "registry")
@@ -236,7 +237,7 @@ class TestEndToEndLifecycle:
             server,
             registry,
             monitor,
-            train_fn=lambda src: StreamingSelfPacedEnsembleClassifier(
+            train_fn=lambda src: SelfPacedEnsembleClassifier(
                 n_estimators=6, random_state=1
             ).fit_source(src),
             policy=RetrainPolicy(warn_quorum=2, cooldown=2),
@@ -407,7 +408,7 @@ class TestNonDefaultAlphabetLifecycle:
         X, y = data
         y_pm = np.where(y == 1, 1, -1)
         rng = np.random.RandomState(8)
-        train = lambda src: StreamingSelfPacedEnsembleClassifier(
+        train = lambda src: SelfPacedEnsembleClassifier(
             n_estimators=5, random_state=1
         ).fit_source(src)
         champion = train(ArraySource(X, y_pm))

@@ -27,7 +27,6 @@ from repro.exceptions import NotFittedError, PersistenceError
 from repro.imbalance_ensemble import EasyEnsembleClassifier, UnderBaggingClassifier
 from repro.persistence import SCHEMA_VERSION, load_model, save_model
 from repro.persistence.format import MAGIC
-from repro.streaming import StreamingSelfPacedEnsembleClassifier
 from repro.tree import DecisionTreeClassifier
 
 from per_tree import per_tree_reference
@@ -43,7 +42,7 @@ def data():
 def _builders():
     return {
         "spe": lambda: SelfPacedEnsembleClassifier(n_estimators=4, random_state=0),
-        "streaming_spe": lambda: StreamingSelfPacedEnsembleClassifier(
+        "streaming_spe": lambda: SelfPacedEnsembleClassifier(
             n_estimators=4, random_state=0
         ),
         "forest": lambda: RandomForestClassifier(n_estimators=4, random_state=0),
@@ -135,6 +134,46 @@ class TestRoundTripBitIdentity:
             with ModelServer(path, mmap=mmap) as server:
                 assert server.packed_
                 assert server.predict_proba(X).tobytes() == recorded.tobytes()
+
+    def test_streaming_spe_artifact_loads_as_spe(self):
+        """An artifact of the retired ``StreamingSelfPacedEnsembleClassifier``
+        still loads, as a ``SelfPacedEnsembleClassifier``.
+
+        It keeps ``mode="reservoir"``, drops the retired ``hardness_range``
+        parameter, and, loaded on the heap and mmap'd, reproduces the
+        probabilities recorded when it was written, bit for bit. The two
+        files in ``tests/data`` were written at commit ``e87c7f3`` with::
+
+            import numpy as np
+            from repro.datasets import make_checkerboard
+            from repro.persistence import save_model
+            from repro.streaming import StreamingSelfPacedEnsembleClassifier
+
+            X, y = make_checkerboard(60, 600, random_state=0)
+            clf = StreamingSelfPacedEnsembleClassifier(
+                n_estimators=3, mode="reservoir", random_state=0
+            ).fit(X, y)
+            save_model(clf, "streaming_spe_e87c7f3.npz")
+            np.save("streaming_spe_e87c7f3_proba.npy", clf.predict_proba(X))
+        """
+        import warnings
+
+        data_dir = pathlib.Path(__file__).parent / "data"
+        path = data_dir / "streaming_spe_e87c7f3.npz"
+        recorded = np.load(data_dir / "streaming_spe_e87c7f3_proba.npy")
+        header = json.loads(bytes(np.load(path)["__header__"]).decode())
+        assert header["root"]["class"] == "StreamingSelfPacedEnsembleClassifier"
+        X, _ = make_checkerboard(60, 600, random_state=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            heap = load_model(path)
+            mapped = load_model(path, mmap_mode="r")
+        for model in (heap, mapped):
+            assert type(model) is SelfPacedEnsembleClassifier
+            assert model.mode == "reservoir"
+            assert "hardness_range" not in model.get_params()
+            assert len(model.estimators_) == 3
+            assert model.predict_proba(X).tobytes() == recorded.tobytes()
 
     def test_fit_diagnostics_not_persisted(self, data, tmp_path):
         X, y, _ = data

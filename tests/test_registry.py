@@ -244,3 +244,50 @@ class TestLifecycleTrainFn:
 
         with pytest.raises(TypeError, match="train_fn"):
             resolve_train_fn(None)
+
+    def test_spe_fits_an_array_source_in_memory(self, toy, monkeypatch):
+        """SPE retrains through ``fit_source``: on an ``ArraySource`` it
+        grows ``fit(X, y)``'s trees and probabilities, bit for bit, and
+        never walks the window's blocks to stack them into a copy."""
+        from repro.core import SelfPacedEnsembleClassifier
+        from repro.lifecycle import resolve_train_fn
+        from repro.streaming import ArraySource
+
+        X, y = toy
+        template = SelfPacedEnsembleClassifier(n_estimators=4, random_state=0)
+        ref = clone(template).fit(X, y)
+
+        def no_block_walk(self):
+            raise AssertionError("the window was stacked block by block")
+
+        monkeypatch.setattr(ArraySource, "iter_blocks", no_block_walk)
+        assert isinstance(
+            resolve_train_fn("spe")(ArraySource(X, y)), SelfPacedEnsembleClassifier
+        )
+        model = resolve_train_fn(template)(ArraySource(X, y))
+        for a, b in zip(ref.estimators_, model.estimators_, strict=True):
+            for name in ("feature", "threshold", "children_left",
+                         "children_right", "value"):
+                assert np.array_equal(getattr(a.tree_, name), getattr(b.tree_, name))
+        assert model.predict_proba(X).tobytes() == ref.predict_proba(X).tobytes()
+
+    def test_model_without_fit_source_trains_on_the_stacked_window(
+        self, toy, monkeypatch
+    ):
+        from repro.imbalance_ensemble import BalanceCascadeClassifier
+        from repro.lifecycle import resolve_train_fn
+        from repro.streaming import ArraySource
+
+        X, y = toy
+        walked = []
+        iter_blocks = ArraySource.iter_blocks
+
+        def counting(self):
+            walked.append(self)
+            return iter_blocks(self)
+
+        monkeypatch.setattr(ArraySource, "iter_blocks", counting)
+        model = resolve_train_fn("balance_cascade")(ArraySource(X, y))
+        assert isinstance(model, BalanceCascadeClassifier)
+        assert len(walked) == 1
+        assert model.predict_proba(X[:2]).shape == (2, 2)

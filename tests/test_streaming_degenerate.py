@@ -14,7 +14,6 @@ from repro.imbalance_ensemble import UnderBaggingClassifier
 from repro.streaming import (
     ArraySource,
     CSVSource,
-    StreamingSelfPacedEnsembleClassifier,
     class_index_scan,
     save_csv,
 )
@@ -38,9 +37,9 @@ class TestSingleBlockSources:
         X, y = _tiny(rng)
         ref = SelfPacedEnsembleClassifier(_base(), n_estimators=3, random_state=0)
         ref.fit(X, y)
-        stream = StreamingSelfPacedEnsembleClassifier(
+        stream = SelfPacedEnsembleClassifier(
             _base(), n_estimators=3, random_state=0
-        ).fit(ArraySource(X, y, block_size=10_000))
+        ).fit_source(ArraySource(X, y, block_size=10_000))
         assert np.array_equal(ref.predict_proba(X), stream.predict_proba(X))
 
     def test_single_block_scan(self, rng):
@@ -54,9 +53,9 @@ class TestSingleBlockSources:
         X, y = _tiny(rng, n_maj=15, n_min=4)
         ref = SelfPacedEnsembleClassifier(_base(), n_estimators=2, random_state=1)
         ref.fit(X, y)
-        stream = StreamingSelfPacedEnsembleClassifier(
+        stream = SelfPacedEnsembleClassifier(
             _base(), n_estimators=2, random_state=1
-        ).fit(ArraySource(X, y, block_size=1))
+        ).fit_source(ArraySource(X, y, block_size=1))
         assert np.array_equal(ref.predict_proba(X), stream.predict_proba(X))
 
 
@@ -74,9 +73,9 @@ class TestOneClassBlocks:
         )
         ref = SelfPacedEnsembleClassifier(_base(), n_estimators=4, random_state=2)
         ref.fit(X, y)
-        stream = StreamingSelfPacedEnsembleClassifier(
+        stream = SelfPacedEnsembleClassifier(
             _base(), n_estimators=4, random_state=2
-        ).fit(source)
+        ).fit_source(source)
         assert np.array_equal(ref.predict_proba(X), stream.predict_proba(X))
 
     def test_one_class_blocks_reservoir_mode(self, rng):
@@ -85,9 +84,9 @@ class TestOneClassBlocks:
         y = np.concatenate(
             [np.zeros(n_maj, dtype=int), np.ones(n_min, dtype=int)]
         )
-        model = StreamingSelfPacedEnsembleClassifier(
+        model = SelfPacedEnsembleClassifier(
             _base(), n_estimators=3, random_state=2, mode="reservoir"
-        ).fit(ArraySource(X, y, block_size=16))
+        ).fit_source(ArraySource(X, y, block_size=16))
         assert len(model.estimators_) == 3
 
     def test_one_class_blocks_fit_source(self, rng):
@@ -107,9 +106,9 @@ class TestDegenerateShapes:
     def test_minority_of_one(self, rng):
         X = np.vstack([rng.randn(20, 2), [[5.0, 5.0]]])
         y = np.array([0] * 20 + [1])
-        model = StreamingSelfPacedEnsembleClassifier(
+        model = SelfPacedEnsembleClassifier(
             _base(), n_estimators=3, random_state=0
-        ).fit(ArraySource(X, y, block_size=7))
+        ).fit_source(ArraySource(X, y, block_size=7))
         assert model.predict_proba(X).shape == (21, 2)
 
     def test_empty_csv_raises(self, tmp_path):
@@ -122,7 +121,7 @@ class TestDegenerateShapes:
         X = rng.randn(12, 2)
         y = np.zeros(12, dtype=int)
         with pytest.raises(DataValidationError):
-            StreamingSelfPacedEnsembleClassifier(_base()).fit(ArraySource(X, y))
+            SelfPacedEnsembleClassifier(_base()).fit_source(ArraySource(X, y))
 
     def test_csv_shorter_than_one_chunk(self, rng, tmp_path):
         X, y = _tiny(rng, n_maj=10, n_min=3)
@@ -135,7 +134,7 @@ class TestDegenerateShapes:
         """|P| > |N|-per-bin capacity paths: budget capped by stream size."""
         X = np.vstack([rng.randn(8, 2), rng.randn(12, 2) + 2.0])
         y = np.array([0] * 8 + [1] * 12)
-        model = StreamingSelfPacedEnsembleClassifier(
+        model = SelfPacedEnsembleClassifier(
             _base(), n_estimators=3, random_state=0, mode="reservoir"
-        ).fit(ArraySource(X, y, block_size=5))
+        ).fit_source(ArraySource(X, y, block_size=5))
         assert len(model.estimators_) == 3

@@ -2,9 +2,9 @@
 
 The streaming counterpart of tests/test_parallel_equivalence.py — the
 tentpole guarantee of the out-of-core subsystem: with a fixed
-``random_state``, ``StreamingSelfPacedEnsembleClassifier`` (``mode="exact"``)
+``random_state``, ``SelfPacedEnsembleClassifier.fit_source`` (``mode="exact"``)
 fed any :class:`~repro.streaming.DataSource` produces bit-identical
-``predict_proba`` to the in-memory ``SelfPacedEnsembleClassifier``, for any
+``predict_proba`` to the in-memory ``fit(X, y)``, for any
 block size, and ``fit_source`` on the balanced-subset ensembles matches
 their ``fit`` the same way.
 """
@@ -19,7 +19,6 @@ from repro.streaming import (
     ArraySource,
     CSVSource,
     NPYSource,
-    StreamingSelfPacedEnsembleClassifier,
     save_csv,
 )
 from repro.tree import DecisionTreeClassifier
@@ -31,6 +30,14 @@ def _base():
 
 def _spe_kwargs(**extra):
     return dict(estimator=_base(), n_estimators=5, random_state=7, **extra)
+
+
+def _npy_source(tmp_path, X, y, block_size):
+    """``(X, y)`` saved as ``.npy`` files: a non-array source, so exact SPE
+    walks it block by block instead of fitting the arrays in memory."""
+    np.save(tmp_path / "x.npy", X)
+    np.save(tmp_path / "y.npy", y)
+    return NPYSource(tmp_path / "x.npy", tmp_path / "y.npy", block_size=block_size)
 
 
 @pytest.fixture
@@ -47,8 +54,19 @@ class TestStreamingSPEBitIdentical:
     ):
         """The issue's headline guarantee, across block sizes."""
         X, y = imbalanced_data
-        model = StreamingSelfPacedEnsembleClassifier(**_spe_kwargs()).fit(
+        model = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit_source(
             ArraySource(X, y, block_size=block_size)
+        )
+        assert np.array_equal(reference_proba, model.predict_proba(X))
+
+    @pytest.mark.parametrize("block_size", [16, 100, 100_000])
+    def test_npy_source_any_block_size(
+        self, imbalanced_data, reference_proba, tmp_path, block_size
+    ):
+        """The same guarantee through the block-walking exact seam."""
+        X, y = imbalanced_data
+        model = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit_source(
+            _npy_source(tmp_path, X, y, block_size)
         )
         assert np.array_equal(reference_proba, model.predict_proba(X))
 
@@ -57,7 +75,7 @@ class TestStreamingSPEBitIdentical:
         np.save(tmp_path / "x.npy", X)
         np.save(tmp_path / "y.npy", y)
         source = NPYSource(tmp_path / "x.npy", tmp_path / "y.npy", block_size=64)
-        model = StreamingSelfPacedEnsembleClassifier(**_spe_kwargs()).fit(source)
+        model = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit_source(source)
         assert np.array_equal(reference_proba, model.predict_proba(X))
 
     def test_csv_source(self, imbalanced_data, reference_proba, tmp_path):
@@ -65,21 +83,21 @@ class TestStreamingSPEBitIdentical:
         X, y = imbalanced_data
         save_csv(tmp_path / "data.csv", X, y)
         source = CSVSource(tmp_path / "data.csv", block_size=97)
-        model = StreamingSelfPacedEnsembleClassifier(**_spe_kwargs()).fit(source)
+        model = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit_source(source)
         assert np.array_equal(reference_proba, model.predict_proba(X))
 
     def test_in_memory_convenience_signature(
         self, imbalanced_data, reference_proba
     ):
-        """fit(X, y) wraps an ArraySource and still matches bit-for-bit."""
+        """fit(X, y) of the default exact mode is the reference itself."""
         X, y = imbalanced_data
-        model = StreamingSelfPacedEnsembleClassifier(**_spe_kwargs()).fit(X, y)
+        model = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit(X, y)
         assert np.array_equal(reference_proba, model.predict_proba(X))
 
     def test_fitted_metadata_matches(self, imbalanced_data):
         X, y = imbalanced_data
         ref = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit(X, y)
-        stream = StreamingSelfPacedEnsembleClassifier(**_spe_kwargs()).fit(
+        stream = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit_source(
             ArraySource(X, y, block_size=50)
         )
         assert np.array_equal(ref.classes_, stream.classes_)
@@ -92,17 +110,41 @@ class TestStreamingSPEBitIdentical:
         ref = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit(
             X[100:], y[100:], eval_set=eval_set
         )
-        stream = StreamingSelfPacedEnsembleClassifier(**_spe_kwargs()).fit(
+        stream = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit_source(
             ArraySource(X[100:], y[100:], block_size=64), eval_set=eval_set
+        )
+        assert ref.train_curve_ == stream.train_curve_
+
+    def test_eval_curve_matches_npy_source(self, imbalanced_data, tmp_path):
+        X, y = imbalanced_data
+        eval_set = (X[:100], y[:100])
+        ref = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit(
+            X[100:], y[100:], eval_set=eval_set
+        )
+        stream = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit_source(
+            _npy_source(tmp_path, X[100:], y[100:], 64), eval_set=eval_set
         )
         assert ref.train_curve_ == stream.train_curve_
 
     def test_record_bins_matches(self, imbalanced_data):
         X, y = imbalanced_data
         ref = SelfPacedEnsembleClassifier(**_spe_kwargs(record_bins=True)).fit(X, y)
-        stream = StreamingSelfPacedEnsembleClassifier(
+        stream = SelfPacedEnsembleClassifier(
             **_spe_kwargs(record_bins=True)
-        ).fit(ArraySource(X, y, block_size=33))
+        ).fit_source(ArraySource(X, y, block_size=33))
+        assert len(ref.bin_history_) == len(stream.bin_history_)
+        for (a_ref, bins_ref, _), (a_str, bins_str, _) in zip(
+            ref.bin_history_, stream.bin_history_
+        ):
+            assert a_ref == a_str
+            assert np.array_equal(bins_ref.populations, bins_str.populations)
+
+    def test_record_bins_matches_npy_source(self, imbalanced_data, tmp_path):
+        X, y = imbalanced_data
+        ref = SelfPacedEnsembleClassifier(**_spe_kwargs(record_bins=True)).fit(X, y)
+        stream = SelfPacedEnsembleClassifier(
+            **_spe_kwargs(record_bins=True)
+        ).fit_source(_npy_source(tmp_path, X, y, 33))
         assert len(ref.bin_history_) == len(stream.bin_history_)
         for (a_ref, bins_ref, _), (a_str, bins_str, _) in zip(
             ref.bin_history_, stream.bin_history_
@@ -159,19 +201,8 @@ class TestFitSourceBitIdentical:
         from repro.imbalance_ensemble import BalanceCascadeClassifier
 
         X, y = imbalanced_data
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(AttributeError):
             BalanceCascadeClassifier(_base()).fit_source(ArraySource(X, y))
-
-    def test_counts_only_scan_rejected(self, imbalanced_data):
-        """A scan without index maps cannot drive fit_source — explicit
-        error instead of training on corrupted metadata."""
-        from repro.streaming import class_index_scan
-
-        X, y = imbalanced_data
-        source = ArraySource(X, y)
-        scan = class_index_scan(source, collect_indices=False)
-        with pytest.raises(ValueError, match="collect_indices"):
-            UnderBaggingClassifier(_base()).fit_source(source, scan=scan)
 
 
 class TestDatasetAsSource:
@@ -180,7 +211,7 @@ class TestDatasetAsSource:
 
         ds = load_dataset("checkerboard", scale=0.1, random_state=0)
         ref = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit(ds.X, ds.y)
-        stream = StreamingSelfPacedEnsembleClassifier(**_spe_kwargs()).fit(
+        stream = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit_source(
             ds.as_source(block_size=128)
         )
         assert np.array_equal(
@@ -193,9 +224,9 @@ class TestReservoirMode:
 
     def test_trains_and_scores_reasonably(self, imbalanced_data):
         X, y = imbalanced_data
-        model = StreamingSelfPacedEnsembleClassifier(
+        model = SelfPacedEnsembleClassifier(
             **_spe_kwargs(mode="reservoir")
-        ).fit(ArraySource(X, y, block_size=64))
+        ).fit_source(ArraySource(X, y, block_size=64))
         assert len(model.estimators_) == 5
         score = average_precision_score(y, model.predict_proba(X)[:, 1])
         prevalence = float((y == 1).mean())
@@ -204,8 +235,8 @@ class TestReservoirMode:
     def test_deterministic_given_seed(self, imbalanced_data):
         X, y = imbalanced_data
         probas = [
-            StreamingSelfPacedEnsembleClassifier(**_spe_kwargs(mode="reservoir"))
-            .fit(ArraySource(X, y, block_size=64))
+            SelfPacedEnsembleClassifier(**_spe_kwargs(mode="reservoir"))
+            .fit_source(ArraySource(X, y, block_size=64))
             .predict_proba(X)
             for _ in range(2)
         ]
@@ -214,11 +245,11 @@ class TestReservoirMode:
     def test_invalid_mode_rejected(self, imbalanced_data):
         X, y = imbalanced_data
         with pytest.raises(ValueError, match="mode"):
-            StreamingSelfPacedEnsembleClassifier(mode="bogus").fit(
+            SelfPacedEnsembleClassifier(mode="bogus").fit_source(
                 ArraySource(X, y)
             )
 
     def test_source_with_y_rejected(self, imbalanced_data):
         X, y = imbalanced_data
         with pytest.raises(ValueError):
-            StreamingSelfPacedEnsembleClassifier().fit(ArraySource(X, y), y)
+            SelfPacedEnsembleClassifier().fit(ArraySource(X, y), y)

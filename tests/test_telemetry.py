@@ -763,11 +763,9 @@ class TestPipelineInstrumentation:
 
     @pytest.mark.parametrize("trainer", ["memory", "exact", "reservoir"])
     def test_every_spe_trainer_records_one_loop(self, toy, trainer):
-        """The in-memory, exact-streaming and reservoir fits run one
-        Algorithm-1 loop: n−1 bin records and self-paced draws, n eval
-        points and member fits."""
+        """SPE's fits in either mode run one Algorithm-1 loop: n−1 bin
+        records and self-paced draws, n eval points and member fits."""
         from repro.core import SelfPacedEnsembleClassifier
-        from repro.streaming import StreamingSelfPacedEnsembleClassifier
 
         X, y = toy
         n = 4
@@ -775,7 +773,7 @@ class TestPipelineInstrumentation:
         if trainer == "memory":
             model = SelfPacedEnsembleClassifier(**params)
         else:
-            model = StreamingSelfPacedEnsembleClassifier(mode=trainer, **params)
+            model = SelfPacedEnsembleClassifier(mode=trainer, **params)
         stages = ("member_fit", "self_paced_sampling")
         before = {s: _stage_count(s) for s in stages}
         model.fit(X, y, eval_set=(X, y))

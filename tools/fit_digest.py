@@ -18,13 +18,13 @@ per checkout:
     PYTHONPATH=src python tools/fit_digest.py --rows 20000 --ir 20 --seed 3
     PYTHONPATH=src python tools/fit_digest.py --estimator forest --seed 3
     PYTHONPATH=src python tools/fit_digest.py --estimator rus_boost --seed 3 --predict
-    PYTHONPATH=src python tools/fit_digest.py --estimator streaming_spe --mode reservoir
+    PYTHONPATH=src python tools/fit_digest.py --mode reservoir
     PYTHONPATH=../parent/src python tools/fit_digest.py --seed 3  # another checkout
 
 ``--seed`` seeds the table, and the model where it takes a
 ``random_state``. ``--mode`` is passed to a model that takes a ``mode``
-(streaming SPE's ``exact`` or ``reservoir`` trainer) and ignored by the
-others. ``--predict`` also hashes
+(SPE's ``exact`` or ``reservoir`` trainer; the registry name
+``streaming_spe`` builds the same SPE) and ignored by the others. ``--predict`` also hashes
 the bytes of the fitted model's ``predict_proba`` on its own table, so
 equal digests then mean equal predictions as well as trees. ``--persist``
 saves the fitted model with :func:`repro.persistence.save_model`, loads it
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
                              "mmap-loaded model's predict_proba")
     parser.add_argument("--mode", default=None,
                         help="training mode, for models that take a mode "
-                             "(streaming_spe: exact or reservoir)")
+                             "(spe, streaming_spe: exact or reservoir)")
     args = parser.parse_args(argv)
     print(fit_digest(args.rows, args.ir, args.seed, predict=args.predict,
                      estimator=args.estimator, persist=args.persist,
