@@ -59,7 +59,8 @@ perfbench-smoke:
 # and the mmap-loaded artifact's predict_proba (tools/fit_digest.py), for
 # SPE at the serve_drift and fit_credit shapes and for the forest,
 # EasyEnsemble, GBDT, AdaBoost, RUSBoost, SMOTEBoost, Bagging,
-# UnderBagging, SMOTEBagging, BalanceCascade and streaming SPE, seeds 1-3.
+# UnderBagging, SMOTEBagging, BalanceCascade and streaming SPE, seeds 1-3,
+# plus ResampleEnsemble's trees and predict_proba (it is not persistable).
 # Run it with PYTHONPATH at the parent's src and at the change's on the
 # same host: equal lines mean byte-identical models and artifacts.
 fit-digest:
@@ -72,6 +73,7 @@ fit-digest:
 	              "--estimator streaming_spe --mode reservoir"; do \
 	    echo "$$($(PYTHON) tools/fit_digest.py $$args --seed $$seed --predict --persist)  $$args --seed $$seed"; \
 	  done; \
+	  echo "$$($(PYTHON) tools/fit_digest.py --estimator resample_ensemble --seed $$seed --predict)  --estimator resample_ensemble --seed $$seed --predict"; \
 	done
 
 # Full-scale fastpath speedup benchmark (predict_proba, per-tree vs packed

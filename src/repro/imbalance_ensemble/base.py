@@ -8,12 +8,13 @@ the paper's tables report:
   models (the "# Sample" column of Tables V and VI);
 * ``estimators_`` — the fitted base models.
 
-The per-member clone/resample/fit plumbing that used to be copy-pasted into
-every subclass lives in one place now: :func:`fit_resampled_ensemble`, a
-thin specialisation of :func:`repro.parallel.fit_ensemble_parallel` that
-fills in the library's default model factory. Subclasses supply only their
-``sample_fn`` (how member *i* builds its training set) and inherit the
-``n_jobs`` knob.
+The bagging family (UnderBagging, EasyEnsemble, SMOTEBagging and the
+generic :class:`ResampleEnsembleClassifier`) shares one ``fit`` on
+:class:`ResampledEnsemble`: each subclass supplies only its ``sample_fn``
+(how member *i* builds its training set) and, where it is not a clone of
+``estimator``, its member factory. The balanced pair (UnderBagging and
+EasyEnsemble) sits on :class:`BalancedBagEnsemble`, whose ``fit_source``
+draws every bag through the same :func:`balanced_indices` as ``fit``.
 """
 
 from __future__ import annotations
@@ -37,12 +38,24 @@ from ..utils.validation import (
 )
 
 __all__ = [
+    "BalancedBagEnsemble",
     "BaseImbalanceEnsemble",
     "BoostedImbalanceEnsemble",
     "ResampleEnsembleClassifier",
-    "fit_resampled_ensemble",
+    "ResampledEnsemble",
+    "balanced_indices",
     "random_balanced_subset",
 ]
+
+
+def balanced_indices(
+    maj_idx: np.ndarray, min_idx: np.ndarray, rng: np.random.RandomState
+) -> np.ndarray:
+    """Row indices of all minority samples plus an equal-size random
+    majority draw, shuffled: one ``rng.choice`` then one ``rng.permutation``."""
+    n = min(len(min_idx), len(maj_idx))
+    chosen = rng.choice(maj_idx, size=n, replace=len(maj_idx) < n)
+    return rng.permutation(np.concatenate([chosen, min_idx]))
 
 
 def random_balanced_subset(
@@ -53,9 +66,7 @@ def random_balanced_subset(
     rng: np.random.RandomState,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All minority samples plus an equal-size random majority draw."""
-    n = min(len(min_idx), len(maj_idx))
-    chosen = rng.choice(maj_idx, size=n, replace=len(maj_idx) < n)
-    idx = rng.permutation(np.concatenate([chosen, min_idx]))
+    idx = balanced_indices(maj_idx, min_idx, rng)
     return X[idx], y[idx]
 
 
@@ -71,6 +82,13 @@ def balanced_subset_sample(
     return random_balanced_subset(X, y, maj_idx, min_idx, rng)
 
 
+def _source_balanced_sample(index, rng, source, y, maj_idx, min_idx):
+    """:func:`balanced_subset_sample` over a source: the same draw from a
+    class-index scan's indices, gathering only the bag's rows."""
+    idx = balanced_indices(maj_idx, min_idx, rng)
+    return source.take(idx), y[idx]
+
+
 def _sampler_resample(
     index: int,
     rng: np.random.RandomState,
@@ -82,36 +100,6 @@ def _sampler_resample(
     if hasattr(member_sampler, "random_state"):
         member_sampler.random_state = rng.randint(np.iinfo(np.int32).max)
     return member_sampler.fit_resample(X, y)
-
-
-def fit_resampled_ensemble(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    n_estimators: int,
-    sample_fn: Callable,
-    estimator=None,
-    make_model: Optional[Callable] = None,
-    random_state=None,
-    n_jobs: Optional[int] = None,
-) -> Tuple[List, int]:
-    """Fit an ensemble of independently resampled members.
-
-    ``sample_fn(i, rng, X, y)`` builds member *i*'s training set;
-    ``make_model(rng)`` (default: clone ``estimator``) its unfitted model.
-    Returns ``(estimators, total_training_samples)``.
-    """
-    if make_model is None:
-        make_model = partial(make_member_model, estimator=estimator)
-    return fit_ensemble_parallel(
-        X,
-        y,
-        n_estimators=n_estimators,
-        sample_fn=sample_fn,
-        make_model=make_model,
-        random_state=random_state,
-        n_jobs=n_jobs,
-    )
 
 
 class BaseImbalanceEnsemble(BaseEstimator, ClassifierMixin, BinaryLabelEncoderMixin):
@@ -274,7 +262,63 @@ class BoostedImbalanceEnsemble(BaseImbalanceEnsemble):
         self.estimator_weights_ = [float(w) for w in arrays["estimator_weights"]]
 
 
-class ResampleEnsembleClassifier(BaseImbalanceEnsemble):
+class ResampledEnsemble(BaseImbalanceEnsemble):
+    """Bagging over independently resampled members: the one ``fit``.
+
+    Subclasses supply ``_sample_fn()``, the engine ``sample_fn(i, rng, X,
+    y)``, and override ``_member_factory()`` only where a member is not a
+    clone of ``estimator``. Both hooks run before any data is read, so
+    their parameter errors come first.
+    """
+
+    def _sample_fn(self) -> Callable:
+        raise NotImplementedError
+
+    def _member_factory(self) -> Callable:
+        """The engine ``make_model(rng)``."""
+        return partial(make_member_model, estimator=self.estimator)
+
+    def _fit_members(self, X, y, sample_fn, make_model, rng) -> None:
+        self.estimators_, self.n_training_samples_ = fit_ensemble_parallel(
+            X,
+            y,
+            n_estimators=self.n_estimators,
+            sample_fn=sample_fn,
+            make_model=make_model,
+            random_state=rng,
+            n_jobs=self.n_jobs,
+        )
+
+    def fit(self, X, y):
+        """Fit on ``X``, ``y``; returns ``self``."""
+        make_model = self._member_factory()
+        sample_fn = self._sample_fn()
+        X, y, rng = self._validate(X, y)
+        self._fit_members(X, y, sample_fn, make_model, rng)
+        return self
+
+
+class BalancedBagEnsemble(ResampledEnsemble):
+    """Members on random balanced under-samples, in memory or from a source."""
+
+    def _sample_fn(self) -> Callable:
+        return balanced_subset_sample
+
+    def fit_source(self, source):
+        """Out-of-core ``fit`` from a :class:`repro.streaming.DataSource`:
+        one class-index scan, then each bag gathers only its own rows.
+        Bit-identical to ``fit`` on the same data for a fixed
+        ``random_state`` and any ``n_jobs``."""
+        make_model = self._member_factory()
+        source, scan, rng = self._validate_source(source)
+        sample_fn = partial(
+            _source_balanced_sample, maj_idx=scan.maj_idx, min_idx=scan.min_idx
+        )
+        self._fit_members(source, scan.y, sample_fn, make_model, rng)
+        return self
+
+
+class ResampleEnsembleClassifier(ResampledEnsemble):
     """Generic sampler + bagging ensemble.
 
     Each base model trains on an independent ``sampler.fit_resample`` of the
@@ -297,18 +341,7 @@ class ResampleEnsembleClassifier(BaseImbalanceEnsemble):
         self.n_jobs = n_jobs
         self.random_state = random_state
 
-    def fit(self, X, y) -> "ResampleEnsembleClassifier":
-        """Fit on ``X``, ``y``; returns ``self``."""
+    def _sample_fn(self) -> Callable:
         if self.sampler is None:
             raise ValueError("ResampleEnsembleClassifier requires a sampler")
-        X, y, rng = self._validate(X, y)
-        self.estimators_, self.n_training_samples_ = fit_resampled_ensemble(
-            X,
-            y,
-            n_estimators=self.n_estimators,
-            sample_fn=partial(_sampler_resample, sampler=self.sampler),
-            estimator=self.estimator,
-            random_state=rng,
-            n_jobs=self.n_jobs,
-        )
-        return self
+        return partial(_sampler_resample, sampler=self.sampler)

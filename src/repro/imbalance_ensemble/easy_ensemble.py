@@ -11,11 +11,7 @@ from ..base import supports_sample_weight
 from ..ensemble.adaboost import AdaBoostClassifier
 from ..ensemble.bagging import make_member_model
 from ..tree import DecisionTreeClassifier
-from .base import (
-    BaseImbalanceEnsemble,
-    balanced_subset_sample,
-    fit_resampled_ensemble,
-)
+from .base import BalancedBagEnsemble
 
 __all__ = ["EasyEnsembleClassifier"]
 
@@ -32,7 +28,7 @@ def _make_boosted_model(
     )
 
 
-class EasyEnsembleClassifier(BaseImbalanceEnsemble):
+class EasyEnsembleClassifier(BalancedBagEnsemble):
     """Bagging of AdaBoost models, each on a random balanced subset.
 
     The original formulation boosts the base learner inside every bag. When
@@ -60,11 +56,14 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
         self.random_state = random_state
 
     def _member_factory(self):
-        """The ``make_model`` shared by ``fit`` and ``fit_source``."""
+        """One AdaBoost per bag (a plain clone of the base when boosting
+        degenerates); rejects bad boosting parameters."""
         from ..registry import resolve_estimator
 
         if self.boost_incapable not in ("resample", "plain"):
             raise ValueError(f"Unknown boost_incapable {self.boost_incapable!r}")
+        if self.n_boost_rounds < 1:
+            raise ValueError("n_boost_rounds must be >= 1")
         base = (
             resolve_estimator(self.estimator)
             if self.estimator is not None
@@ -72,44 +71,10 @@ class EasyEnsembleClassifier(BaseImbalanceEnsemble):
         )
         plain = (
             self.boost_incapable == "plain" and not supports_sample_weight(base)
-        ) or self.n_boost_rounds <= 1
+        ) or self.n_boost_rounds == 1
         return partial(
             _make_boosted_model,
             base=base,
             n_boost_rounds=self.n_boost_rounds,
             plain=plain,
         )
-
-    def fit(self, X, y) -> "EasyEnsembleClassifier":
-        """Fit on ``X``, ``y``; returns ``self``."""
-        make_model = self._member_factory()
-        X, y, rng = self._validate(X, y)
-        self.estimators_, self.n_training_samples_ = fit_resampled_ensemble(
-            X,
-            y,
-            n_estimators=self.n_estimators,
-            sample_fn=balanced_subset_sample,
-            make_model=make_model,
-            random_state=rng,
-            n_jobs=self.n_jobs,
-        )
-        return self
-
-    def fit_source(self, source) -> "EasyEnsembleClassifier":
-        """Out-of-core ``fit`` from a :class:`repro.streaming.DataSource`:
-        every boosted bag gathers only its own balanced subset.
-        Bit-identical to ``fit`` on the same data for a fixed
-        ``random_state``."""
-        from ..streaming.adapters import fit_balanced_source_ensemble
-
-        make_model = self._member_factory()
-        source, scan, rng = self._validate_source(source)
-        self.estimators_, self.n_training_samples_ = fit_balanced_source_ensemble(
-            source,
-            scan,
-            n_estimators=self.n_estimators,
-            make_model=make_model,
-            random_state=rng,
-            n_jobs=self.n_jobs,
-        )
-        return self

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from ..sampling.smote import smote_interpolate
-from .base import BaseImbalanceEnsemble, fit_resampled_ensemble
+from .base import ResampledEnsemble
 
 __all__ = ["SMOTEBaggingClassifier"]
 
@@ -41,7 +41,7 @@ def _smote_bag_sample(
     return X_bag[perm], y_bag[perm]
 
 
-class SMOTEBaggingClassifier(BaseImbalanceEnsemble):
+class SMOTEBaggingClassifier(ResampledEnsemble):
     """Bagging with a varying minority resampling rate per bag.
 
     Bag ``i`` bootstrap-samples the majority to its full size and builds an
@@ -67,16 +67,5 @@ class SMOTEBaggingClassifier(BaseImbalanceEnsemble):
         self.n_jobs = n_jobs
         self.random_state = random_state
 
-    def fit(self, X, y) -> "SMOTEBaggingClassifier":
-        """Fit on ``X``, ``y``; returns ``self``."""
-        X, y, rng = self._validate(X, y)
-        self.estimators_, self.n_training_samples_ = fit_resampled_ensemble(
-            X,
-            y,
-            n_estimators=self.n_estimators,
-            sample_fn=partial(_smote_bag_sample, k_neighbors=self.k_neighbors),
-            estimator=self.estimator,
-            random_state=rng,
-            n_jobs=self.n_jobs,
-        )
-        return self
+    def _sample_fn(self):
+        return partial(_smote_bag_sample, k_neighbors=self.k_neighbors)

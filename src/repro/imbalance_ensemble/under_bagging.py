@@ -4,16 +4,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .base import (
-    BaseImbalanceEnsemble,
-    balanced_subset_sample,
-    fit_resampled_ensemble,
-)
+from .base import BalancedBagEnsemble
 
 __all__ = ["UnderBaggingClassifier"]
 
 
-class UnderBaggingClassifier(BaseImbalanceEnsemble):
+class UnderBaggingClassifier(BalancedBagEnsemble):
     """Bagging where every bag is a random balanced under-sample.
 
     Each of the ``n_estimators`` base models trains on all minority samples
@@ -33,34 +29,3 @@ class UnderBaggingClassifier(BaseImbalanceEnsemble):
         self.n_estimators = n_estimators
         self.n_jobs = n_jobs
         self.random_state = random_state
-
-    def fit(self, X, y) -> "UnderBaggingClassifier":
-        """Fit on ``X``, ``y``; returns ``self``."""
-        X, y, rng = self._validate(X, y)
-        self.estimators_, self.n_training_samples_ = fit_resampled_ensemble(
-            X,
-            y,
-            n_estimators=self.n_estimators,
-            sample_fn=balanced_subset_sample,
-            estimator=self.estimator,
-            random_state=rng,
-            n_jobs=self.n_jobs,
-        )
-        return self
-
-    def fit_source(self, source) -> "UnderBaggingClassifier":
-        """Out-of-core ``fit`` from a :class:`repro.streaming.DataSource`:
-        each bag gathers only its own balanced subset. Bit-identical to
-        ``fit`` on the same data for a fixed ``random_state``."""
-        from ..streaming.adapters import fit_balanced_source_ensemble
-
-        source, scan, rng = self._validate_source(source)
-        self.estimators_, self.n_training_samples_ = fit_balanced_source_ensemble(
-            source,
-            scan,
-            n_estimators=self.n_estimators,
-            estimator=self.estimator,
-            random_state=rng,
-            n_jobs=self.n_jobs,
-        )
-        return self

@@ -18,12 +18,13 @@ to training. Four layers:
   source: bit-identical to ``fit(X, y)`` in ``mode="exact"``,
   majority-size-independent memory in ``mode="reservoir"``.
 
-:mod:`repro.streaming.adapters` wires the same sources into the resampled
-ensembles (``fit_source`` on UnderBagging / EasyEnsemble). Dataset loaders
+UnderBagging and EasyEnsemble take the same sources through the
+``fit_source`` of their shared base,
+:class:`~repro.imbalance_ensemble.base.BalancedBagEnsemble`, which draws
+each bag as ``fit`` does and gathers only its rows. Dataset loaders
 expose matching sources via ``Dataset.as_source()``.
 """
 
-from .adapters import fit_balanced_source_ensemble, source_balanced_subset_sample
 from .binstats import StreamingBinStats
 from .reservoir import BinReservoir, streaming_self_paced_under_sample
 from .sources import (
@@ -50,9 +51,7 @@ __all__ = [
     "StreamingBinStats",
     "class_index_scan",
     "encoded_label_source",
-    "fit_balanced_source_ensemble",
     "label_value_scan",
     "save_csv",
-    "source_balanced_subset_sample",
     "streaming_self_paced_under_sample",
 ]

@@ -75,9 +75,9 @@ class DataSource(abc.ABC):
     block_size : int, default :data:`repro.parallel.DEFAULT_CHUNK_SIZE`
         Maximum rows per yielded block; trades memory against per-block
         overhead. The exact training paths (``mode="exact"`` SPE and the
-        balanced-subset ``fit_source`` adapters) produce the same trained
-        models for any value, as the inference engine's result does for
-        any row chunk. ``mode="reservoir"`` is the exception:
+        ``fit_source`` of UnderBagging and EasyEnsemble) produce the same
+        trained models for any value, as the inference engine's result
+        does for any row chunk. ``mode="reservoir"`` is the exception:
         its reservoir RNG draws depend on how rows are grouped, so its
         (statistically equivalent) models vary with ``block_size``.
     """

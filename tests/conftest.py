@@ -1,5 +1,7 @@
 """Shared fixtures: small, fast datasets reused across the test suite."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,22 @@ def checkerboard_small():
     from repro.datasets import make_checkerboard
 
     return make_checkerboard(n_minority=150, n_majority=1500, random_state=7)
+
+
+@pytest.fixture
+def npy_source(tmp_path):
+    """Factory ``(X, y, block_size=None) -> NPYSource`` over ``.npy`` files
+    in a fresh directory per call: a non-array source, so exact trainers
+    walk it block by block instead of fitting arrays in memory."""
+    from repro.streaming import NPYSource
+
+    counter = itertools.count()
+
+    def make(X, y, block_size=None):
+        directory = tmp_path / f"npy{next(counter)}"
+        directory.mkdir()
+        np.save(directory / "x.npy", X)
+        np.save(directory / "y.npy", y)
+        return NPYSource(directory / "x.npy", directory / "y.npy", block_size)
+
+    return make

@@ -101,11 +101,52 @@ class TestEasyEnsemble:
         assert all(isinstance(m, AdaBoostClassifier) for m in model.estimators_)
 
     def test_plain_mode_equals_underbagging_structure(self, imbalanced_data):
+        """One boosting round is UnderBagging: plain tree members with the
+        same probabilities and sample count, for a full and a shallow tree."""
         X, y = imbalanced_data
-        model = EasyEnsembleClassifier(
-            _base(), n_estimators=3, n_boost_rounds=1, random_state=0
-        ).fit(X, y)
-        assert all(isinstance(m, DecisionTreeClassifier) for m in model.estimators_)
+        for base in (DecisionTreeClassifier(), _base()):
+            model = EasyEnsembleClassifier(
+                base, n_estimators=3, n_boost_rounds=1, random_state=0
+            ).fit(X, y)
+            assert all(
+                isinstance(m, DecisionTreeClassifier) for m in model.estimators_
+            )
+            ref = UnderBaggingClassifier(base, n_estimators=3, random_state=0)
+            ref.fit(X, y)
+            assert np.array_equal(model.predict_proba(X), ref.predict_proba(X))
+            assert model.n_training_samples_ == ref.n_training_samples_
+
+    @pytest.mark.parametrize("rounds", [0, -3])
+    def test_rejects_non_positive_boost_rounds(self, rounds):
+        """Like ``n_estimators``, rejected before any data is read by
+        either fit."""
+        model = EasyEnsembleClassifier(n_boost_rounds=rounds)
+        with pytest.raises(ValueError, match="n_boost_rounds must be >= 1"):
+            model.fit(None, None)
+        with pytest.raises(ValueError, match="n_boost_rounds must be >= 1"):
+            model.fit_source(None)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: EasyEnsembleClassifier(boost_incapable="bogus", n_estimators=0),
+            "Unknown boost_incapable",
+        ),
+        (
+            lambda: ResampleEnsembleClassifier(n_estimators=0),
+            "requires a sampler",
+        ),
+        (lambda: SMOTEBaggingClassifier(n_estimators=0), "n_estimators must be >= 1"),
+    ],
+    ids=["boost_incapable", "sampler", "n_estimators"],
+)
+def test_parameter_errors_come_before_data(build, message):
+    """The shared ``fit`` checks the member factory, then the sampler, then
+    ``n_estimators``, all before reading the (here unreadable) data."""
+    with pytest.raises(ValueError, match=message):
+        build().fit(None, None)
 
 
 class TestBalanceCascade:

@@ -95,6 +95,7 @@ ENSEMBLES = {
     "easy_ensemble": lambda: EasyEnsembleClassifier(
         n_estimators=3, n_boost_rounds=2, random_state=0
     ),
+    # fitted out of core through fit_source on an NPYSource (see _fit)
     "streaming_spe": lambda: SelfPacedEnsembleClassifier(
         n_estimators=4, random_state=0
     ),
@@ -104,21 +105,38 @@ ENSEMBLES = {
 }
 
 
+def _fit(name, X, y, npy_source):
+    clf = ENSEMBLES[name]()
+    if name == "streaming_spe":
+        return clf.fit_source(npy_source(X, y, block_size=128))
+    return clf.fit(X, y)
+
+
+def _alphabet(name):
+    """(majority, minority) labels, the minority sorting second: strings,
+    or integers for ``streaming_spe``, whose NPYSource holds integer
+    labels only."""
+    return (4, 9) if name == "streaming_spe" else ("neg", "pos")
+
+
 class TestEnsemblesAcceptArbitraryLabels:
     @pytest.mark.parametrize("name", sorted(ENSEMBLES))
-    def test_relabelling_preserves_minority_proba_bitwise(self, data, name):
-        """{-1, 1} and string alphabets give the exact probabilities of the
-        {0, 1} reference fit — the internal training problem is identical."""
+    def test_relabelling_preserves_minority_proba_bitwise(
+        self, data, npy_source, name
+    ):
+        """{-1, 1} and string (or other integer) alphabets give the exact
+        probabilities of the {0, 1} reference fit — the internal training
+        problem is identical."""
         X, y = data
-        build = ENSEMBLES[name]
-        ref = build().fit(X, y)
+        neg, pos = _alphabet(name)
+        ref = _fit(name, X, y, npy_source)
         ref_min = ref.predict_proba(X)[:, list(ref.classes_).index(1)]
         for relabel in (
             lambda v: np.where(v == 1, 1, -1),
-            lambda v: np.where(v == 1, "pos", "neg"),
+            lambda v: np.where(v == 1, pos, neg),
         ):
             y_alt = relabel(y)
-            clf = build().fit(X, y_alt)
+            clf = _fit(name, X, y_alt, npy_source)
             minority = clf.minority_class_
             col = list(clf.classes_).index(minority)
             assert np.array_equal(ref_min, clf.predict_proba(X)[:, col]), name
@@ -129,11 +147,11 @@ class TestEnsemblesAcceptArbitraryLabels:
             ), name
 
     @pytest.mark.parametrize("name", sorted(ENSEMBLES))
-    def test_predict_proba_columns_follow_classes(self, data, name):
+    def test_predict_proba_columns_follow_classes(self, data, npy_source, name):
         X, y = data
-        y_str = np.where(y == 1, "pos", "neg")  # minority sorts second
-        clf = ENSEMBLES[name]().fit(X, y_str)
-        assert clf.classes_.tolist() == ["neg", "pos"]
+        neg, pos = _alphabet(name)
+        clf = _fit(name, X, np.where(y == 1, pos, neg), npy_source)
+        assert clf.classes_.tolist() == [neg, pos]
         proba = clf.predict_proba(X)
         assert proba.shape[1] == 2
         # predict is the argmax over classes_-ordered columns for every family

@@ -42,6 +42,7 @@ def data():
 def _builders():
     return {
         "spe": lambda: SelfPacedEnsembleClassifier(n_estimators=4, random_state=0),
+        # fitted out of core through fit_source on an NPYSource
         "streaming_spe": lambda: SelfPacedEnsembleClassifier(
             n_estimators=4, random_state=0
         ),
@@ -57,9 +58,15 @@ def _builders():
 class TestRoundTripBitIdentity:
     @pytest.mark.parametrize("name", sorted(_builders()))
     @pytest.mark.parametrize("fastpath", [True, False], ids=["fastpath", "legacy"])
-    def test_predict_proba_bit_identical(self, data, tmp_path, name, fastpath):
+    def test_predict_proba_bit_identical(
+        self, data, tmp_path, npy_source, name, fastpath
+    ):
         X, y, X_test = data
-        clf = _builders()[name]().fit(X, y)
+        clf = _builders()[name]()
+        if name == "streaming_spe":
+            clf.fit_source(npy_source(X, y, block_size=128))
+        else:
+            clf.fit(X, y)
         loaded = load_model(save_model(clf, tmp_path / f"{name}.npz"))
         if fastpath:
             ref, got = clf.predict_proba(X_test), loaded.predict_proba(X_test)

@@ -18,7 +18,6 @@ from repro.metrics import average_precision_score
 from repro.streaming import (
     ArraySource,
     CSVSource,
-    NPYSource,
     save_csv,
 )
 from repro.tree import DecisionTreeClassifier
@@ -30,14 +29,6 @@ def _base():
 
 def _spe_kwargs(**extra):
     return dict(estimator=_base(), n_estimators=5, random_state=7, **extra)
-
-
-def _npy_source(tmp_path, X, y, block_size):
-    """``(X, y)`` saved as ``.npy`` files: a non-array source, so exact SPE
-    walks it block by block instead of fitting the arrays in memory."""
-    np.save(tmp_path / "x.npy", X)
-    np.save(tmp_path / "y.npy", y)
-    return NPYSource(tmp_path / "x.npy", tmp_path / "y.npy", block_size=block_size)
 
 
 @pytest.fixture
@@ -61,20 +52,18 @@ class TestStreamingSPEBitIdentical:
 
     @pytest.mark.parametrize("block_size", [16, 100, 100_000])
     def test_npy_source_any_block_size(
-        self, imbalanced_data, reference_proba, tmp_path, block_size
+        self, imbalanced_data, reference_proba, npy_source, block_size
     ):
         """The same guarantee through the block-walking exact seam."""
         X, y = imbalanced_data
         model = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit_source(
-            _npy_source(tmp_path, X, y, block_size)
+            npy_source(X, y, block_size)
         )
         assert np.array_equal(reference_proba, model.predict_proba(X))
 
-    def test_npy_source(self, imbalanced_data, reference_proba, tmp_path):
+    def test_npy_source(self, imbalanced_data, reference_proba, npy_source):
         X, y = imbalanced_data
-        np.save(tmp_path / "x.npy", X)
-        np.save(tmp_path / "y.npy", y)
-        source = NPYSource(tmp_path / "x.npy", tmp_path / "y.npy", block_size=64)
+        source = npy_source(X, y, block_size=64)
         model = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit_source(source)
         assert np.array_equal(reference_proba, model.predict_proba(X))
 
@@ -115,14 +104,14 @@ class TestStreamingSPEBitIdentical:
         )
         assert ref.train_curve_ == stream.train_curve_
 
-    def test_eval_curve_matches_npy_source(self, imbalanced_data, tmp_path):
+    def test_eval_curve_matches_npy_source(self, imbalanced_data, npy_source):
         X, y = imbalanced_data
         eval_set = (X[:100], y[:100])
         ref = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit(
             X[100:], y[100:], eval_set=eval_set
         )
         stream = SelfPacedEnsembleClassifier(**_spe_kwargs()).fit_source(
-            _npy_source(tmp_path, X[100:], y[100:], 64), eval_set=eval_set
+            npy_source(X[100:], y[100:], 64), eval_set=eval_set
         )
         assert ref.train_curve_ == stream.train_curve_
 
@@ -139,12 +128,12 @@ class TestStreamingSPEBitIdentical:
             assert a_ref == a_str
             assert np.array_equal(bins_ref.populations, bins_str.populations)
 
-    def test_record_bins_matches_npy_source(self, imbalanced_data, tmp_path):
+    def test_record_bins_matches_npy_source(self, imbalanced_data, npy_source):
         X, y = imbalanced_data
         ref = SelfPacedEnsembleClassifier(**_spe_kwargs(record_bins=True)).fit(X, y)
         stream = SelfPacedEnsembleClassifier(
             **_spe_kwargs(record_bins=True)
-        ).fit_source(_npy_source(tmp_path, X, y, 33))
+        ).fit_source(npy_source(X, y, 33))
         assert len(ref.bin_history_) == len(stream.bin_history_)
         for (a_ref, bins_ref, _), (a_str, bins_str, _) in zip(
             ref.bin_history_, stream.bin_history_
@@ -153,56 +142,78 @@ class TestStreamingSPEBitIdentical:
             assert np.array_equal(bins_ref.populations, bins_str.populations)
 
 
+def _under_bagging(**kw):
+    return UnderBaggingClassifier(_base(), n_estimators=4, random_state=3, **kw)
+
+
+def _easy_ensemble(**kw):
+    return EasyEnsembleClassifier(
+        n_estimators=3, n_boost_rounds=3, random_state=7, **kw
+    )
+
+
+def _assert_fit_source_equals_fit(build, X, y, data, n_jobs=1):
+    ref = build().fit(X, y)
+    src = build(n_jobs=n_jobs).fit_source(data)
+    assert np.array_equal(ref.predict_proba(X), src.predict_proba(X))
+    assert ref.n_training_samples_ == src.n_training_samples_
+
+
 class TestFitSourceBitIdentical:
     def test_under_bagging(self, imbalanced_data):
         X, y = imbalanced_data
-        ref = UnderBaggingClassifier(_base(), n_estimators=5, random_state=7).fit(X, y)
-        src = UnderBaggingClassifier(_base(), n_estimators=5, random_state=7)
-        src.fit_source(ArraySource(X, y, block_size=64))
-        assert np.array_equal(ref.predict_proba(X), src.predict_proba(X))
-        assert ref.n_training_samples_ == src.n_training_samples_
-
-    def test_easy_ensemble(self, imbalanced_data):
-        X, y = imbalanced_data
-        ref = EasyEnsembleClassifier(
-            n_estimators=3, n_boost_rounds=3, random_state=7
-        ).fit(X, y)
-        src = EasyEnsembleClassifier(
-            n_estimators=3, n_boost_rounds=3, random_state=7
+        _assert_fit_source_equals_fit(
+            _under_bagging, X, y, ArraySource(X, y, block_size=64)
         )
-        src.fit_source(ArraySource(X, y, block_size=100))
-        assert np.array_equal(ref.predict_proba(X), src.predict_proba(X))
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_under_bagging_every_backend(self, imbalanced_data, backend):
         """Sources ride the parallel engine: serial loop and process pool,
         same bits as the in-memory fit."""
         X, y = imbalanced_data
-        ref = UnderBaggingClassifier(_base(), n_estimators=4, random_state=3).fit(X, y)
-        src = UnderBaggingClassifier(
-            _base(),
-            n_estimators=4,
-            random_state=3,
+        _assert_fit_source_equals_fit(
+            _under_bagging,
+            X,
+            y,
+            ArraySource(X, y, block_size=128),
             n_jobs={"serial": 1, "process": 2}[backend],
         )
-        src.fit_source(ArraySource(X, y, block_size=128))
-        assert np.array_equal(ref.predict_proba(X), src.predict_proba(X))
 
-    def test_npy_source_under_bagging(self, imbalanced_data, tmp_path):
+    def test_npy_source_under_bagging(self, imbalanced_data, npy_source):
         X, y = imbalanced_data
-        np.save(tmp_path / "x.npy", X)
-        np.save(tmp_path / "y.npy", y)
-        ref = UnderBaggingClassifier(_base(), n_estimators=4, random_state=1).fit(X, y)
-        src = UnderBaggingClassifier(_base(), n_estimators=4, random_state=1)
-        src.fit_source(NPYSource(tmp_path / "x.npy", tmp_path / "y.npy"))
-        assert np.array_equal(ref.predict_proba(X), src.predict_proba(X))
+        _assert_fit_source_equals_fit(
+            _under_bagging, X, y, npy_source(X, y, block_size=100)
+        )
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("source", ["array", "npy"])
+    @pytest.mark.parametrize("build", [_easy_ensemble], ids=["easy_ensemble"])
+    def test_fit_source_equals_fit(
+        self, imbalanced_data, npy_source, build, source, n_jobs
+    ):
+        """Each bag gathers its rows from the source, serially and on the
+        process pool, with the same bits as the in-memory fit."""
+        X, y = imbalanced_data
+        if source == "array":
+            data = ArraySource(X, y, block_size=64)
+        else:
+            data = npy_source(X, y, block_size=100)
+        _assert_fit_source_equals_fit(build, X, y, data, n_jobs=n_jobs)
 
     def test_unsupported_ensembles_raise(self, imbalanced_data):
-        from repro.imbalance_ensemble import BalanceCascadeClassifier
+        """Only the balanced pair fits from a source; the lifecycle retrain
+        routes on whether ``fit_source`` exists."""
+        from repro.imbalance_ensemble import (
+            BalanceCascadeClassifier,
+            ResampleEnsembleClassifier,
+            SMOTEBaggingClassifier,
+        )
 
         X, y = imbalanced_data
         with pytest.raises(AttributeError):
             BalanceCascadeClassifier(_base()).fit_source(ArraySource(X, y))
+        for cls in (SMOTEBaggingClassifier, ResampleEnsembleClassifier):
+            assert not hasattr(cls(), "fit_source")
 
 
 class TestDatasetAsSource:

@@ -762,21 +762,26 @@ class TestPipelineInstrumentation:
             assert _stage_count(stage) > count, stage
 
     @pytest.mark.parametrize("trainer", ["memory", "exact", "reservoir"])
-    def test_every_spe_trainer_records_one_loop(self, toy, trainer):
-        """SPE's fits in either mode run one Algorithm-1 loop: n−1 bin
-        records and self-paced draws, n eval points and member fits."""
+    def test_every_spe_trainer_records_one_loop(self, toy, trainer, npy_source):
+        """SPE's trainers run one Algorithm-1 loop: in memory, exact over a
+        non-array source (the block-walking seam) and reservoir. Each makes
+        n−1 bin records and self-paced draws, n eval points and member fits."""
         from repro.core import SelfPacedEnsembleClassifier
 
         X, y = toy
         n = 4
-        params = dict(n_estimators=n, record_bins=True, random_state=0)
-        if trainer == "memory":
-            model = SelfPacedEnsembleClassifier(**params)
-        else:
-            model = SelfPacedEnsembleClassifier(mode=trainer, **params)
+        model = SelfPacedEnsembleClassifier(
+            n_estimators=n,
+            record_bins=True,
+            mode="reservoir" if trainer == "reservoir" else "exact",
+            random_state=0,
+        )
         stages = ("member_fit", "self_paced_sampling")
         before = {s: _stage_count(s) for s in stages}
-        model.fit(X, y, eval_set=(X, y))
+        if trainer == "exact":
+            model.fit_source(npy_source(X, y, block_size=32), eval_set=(X, y))
+        else:
+            model.fit(X, y, eval_set=(X, y))
         assert len(model.bin_history_) == n - 1
         assert len(model.train_curve_) == n
         assert _stage_count("member_fit") - before["member_fit"] == n

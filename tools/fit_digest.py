@@ -24,7 +24,11 @@ per checkout:
 ``--seed`` seeds the table, and the model where it takes a
 ``random_state``. ``--mode`` is passed to a model that takes a ``mode``
 (SPE's ``exact`` or ``reservoir`` trainer; the registry name
-``streaming_spe`` builds the same SPE) and ignored by the others. ``--predict`` also hashes
+``streaming_spe`` builds the same SPE) and ignored by the others. A
+model that needs a component to fit takes it from the registry's
+``smoke_params`` (``resample_ensemble``'s ``sampler``, a
+``RandomUnderSampler``); it is not persistable, so digest it without
+``--persist``. ``--predict`` also hashes
 the bytes of the fitted model's ``predict_proba`` on its own table, so
 equal digests then mean equal predictions as well as trees. ``--persist``
 saves the fitted model with :func:`repro.persistence.save_model`, loads it
@@ -38,7 +42,12 @@ at one numpy CPU-dispatch level. numpy picks SIMD kernels per CPU, and
 ``make_credit_fraud``'s Amount column goes through ``log1p``, whose last
 bit differs between dispatch levels (setting ``NPY_DISABLE_CPU_FEATURES``
 is enough to change it), so the table, and with it every digest, is only
-reproducible within one dispatch level. The BLAS thread count is part of
+reproducible within one dispatch level. GBDT, logistic regression and
+MLP fits depend on the level even on one saved table (their digests
+differed between the default level and ``NPY_DISABLE_CPU_FEATURES``
+leaving X86_V3 on a 4,000-row table loaded from disk); the other 13
+model configurations measured (SPE in both modes, KNN, and every
+ensemble of decision trees) did not. The BLAS thread count is part of
 the same condition: members that go through BLAS can change the last
 digits of their probabilities with ``OPENBLAS_NUM_THREADS`` (logistic
 regression does), so compare checkouts under one setting.
@@ -128,8 +137,17 @@ def fit_digest(rows: int, ir: float, seed: int, predict: bool = False,
     from repro.registry import classifier_spec, get_classifier
 
     X, y = make_credit_fraud(n_samples=rows, imbalance_ratio=ir, random_state=seed)
-    names = classifier_spec(estimator).cls._get_param_names()
-    params = {"random_state": seed} if "random_state" in names else {}
+    spec = classifier_spec(estimator)
+    names = spec.cls._get_param_names()
+    # A component the model needs to fit (resample_ensemble's sampler)
+    # comes from the registry's smoke config; its other overrides do not.
+    params = {
+        name: value
+        for name, value in spec.smoke_params.items()
+        if hasattr(value, "get_params")
+    }
+    if "random_state" in names:
+        params["random_state"] = seed
     if "n_estimators" in names:
         params["n_estimators"] = 10
     if mode is not None and "mode" in names:
