@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast coverage bench-smoke perfbench-smoke fit-digest bench-fastpath bench-serving bench-monitoring bench-chaos bench-telemetry lint lint-fix-baseline
+.PHONY: test test-fast coverage bench-smoke perfbench-smoke fit-digest reach-audit bench-fastpath bench-serving bench-monitoring bench-chaos bench-telemetry lint lint-fix-baseline
 
 # Tier-1 suite (the ROADMAP verify command). Runs everything, including
 # tests marked `slow`.
@@ -75,6 +75,12 @@ fit-digest:
 	  done; \
 	  echo "$$($(PYTHON) tools/fit_digest.py --estimator resample_ensemble --seed $$seed --predict)  --estimator resample_ensemble --seed $$seed --predict"; \
 	done
+
+# Public top-level functions and classes of src/repro that nothing outside
+# tests/ reads, with their line counts (tools/reach_audit.py). A report of
+# deletion candidates, not a gate: it always exits 0.
+reach-audit:
+	$(PYTHON) tools/reach_audit.py
 
 # Full-scale fastpath speedup benchmark (predict_proba, per-tree vs packed
 # paths, bit-identity asserted on every pair).

@@ -53,7 +53,6 @@ from . import telemetry
 from .telemetry import get_registry
 from .exceptions import (
     CircuitOpenError,
-    ConvergenceWarning,
     DataValidationError,
     DeadlineExceededError,
     FleetTimeoutError,
@@ -101,7 +100,6 @@ __all__ = [
     "get_registry",
     "telemetry",
     "CircuitOpenError",
-    "ConvergenceWarning",
     "DataValidationError",
     "DeadlineExceededError",
     "FleetTimeoutError",

@@ -25,7 +25,7 @@ def inject_missing_values(
     """Return a copy of ``X`` with ``missing_ratio`` of entries replaced.
 
     ``fill_value=0.0`` reproduces the paper's protocol; ``fill_value=None``
-    writes NaN instead (for imputation experiments).
+    writes NaN instead, for learners that accept missing values.
     """
     if not 0.0 <= missing_ratio <= 1.0:
         raise ValueError(f"missing_ratio must be in [0, 1], got {missing_ratio}")

@@ -80,10 +80,6 @@ class CircuitOpenError(ReproError, RuntimeError):
     fallback instead of erroring."""
 
 
-class ConvergenceWarning(UserWarning):
-    """Emitted when an iterative solver stops before converging."""
-
-
 class UndefinedMetricWarning(UserWarning):
     """Emitted when a ranking metric is undefined for the given window —
     e.g. AUROC / AUPRC over a window holding a single class — and ``nan``

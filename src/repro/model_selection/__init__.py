@@ -1,17 +1,13 @@
-"""Splitting and evaluation protocols (stratified 60/20/20, K-fold)."""
+"""Splitting and evaluation protocols (stratified 60/20/20, stratified K-fold)."""
 
 from .split import (
-    KFold,
     StratifiedKFold,
-    cross_val_score,
     train_test_split,
     train_valid_test_split,
 )
 
 __all__ = [
-    "KFold",
     "StratifiedKFold",
-    "cross_val_score",
     "train_test_split",
     "train_valid_test_split",
 ]

@@ -1,4 +1,4 @@
-"""Dataset splitting: stratified holdout and K-fold cross validation.
+"""Dataset splitting: stratified holdout and stratified K-fold.
 
 The paper's protocol (Section VI-B1) is a stratified 60/20/20 split into
 train / validation / test; :func:`train_valid_test_split` implements it
@@ -7,7 +7,7 @@ directly.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -17,9 +17,7 @@ from ..utils.validation import check_random_state, column_or_1d
 __all__ = [
     "train_test_split",
     "train_valid_test_split",
-    "KFold",
     "StratifiedKFold",
-    "cross_val_score",
 ]
 
 
@@ -94,33 +92,6 @@ def train_valid_test_split(
     return X_train, X_valid, X_test, y_train, y_valid, y_test
 
 
-class KFold:
-    """Plain K-fold cross-validation splitter."""
-
-    def __init__(self, n_splits: int = 5, shuffle: bool = True, random_state=None):
-        if n_splits < 2:
-            raise DataValidationError("n_splits must be >= 2")
-        self.n_splits = n_splits
-        self.shuffle = shuffle
-        self.random_state = random_state
-
-    def split(self, X, y=None) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(train_idx, test_idx)`` pairs for each fold."""
-        n = len(X)
-        if n < self.n_splits:
-            raise DataValidationError(
-                f"Cannot split {n} samples into {self.n_splits} folds"
-            )
-        indices = np.arange(n)
-        if self.shuffle:
-            indices = check_random_state(self.random_state).permutation(n)
-        folds = np.array_split(indices, self.n_splits)
-        for i in range(self.n_splits):
-            test_idx = folds[i]
-            train_idx = np.concatenate([folds[j] for j in range(self.n_splits) if j != i])
-            yield train_idx, test_idx
-
-
 class StratifiedKFold:
     """K-fold preserving class proportions in every fold."""
 
@@ -150,31 +121,3 @@ class StratifiedKFold:
             test_idx = np.flatnonzero(fold_of == i)
             train_idx = np.flatnonzero(fold_of != i)
             yield train_idx, test_idx
-
-
-def cross_val_score(
-    estimator,
-    X,
-    y,
-    *,
-    cv: Optional[StratifiedKFold] = None,
-    scorer=None,
-) -> np.ndarray:
-    """Evaluate ``estimator`` by cross-validation.
-
-    ``scorer(fitted_estimator, X_test, y_test) -> float`` defaults to accuracy.
-    """
-    from ..base import clone
-
-    X = np.asarray(X)
-    y = column_or_1d(y)
-    if cv is None:
-        cv = StratifiedKFold(n_splits=5, shuffle=True, random_state=0)
-    if scorer is None:
-        scorer = lambda est, X_t, y_t: est.score(X_t, y_t)  # noqa: E731
-    scores = []
-    for train_idx, test_idx in cv.split(X, y):
-        model = clone(estimator)
-        model.fit(X[train_idx], y[train_idx])
-        scores.append(scorer(model, X[test_idx], y[test_idx]))
-    return np.asarray(scores, dtype=float)

@@ -2,48 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from ..base import BaseEstimator, ClassifierMixin
 from ..utils.validation import check_array, check_is_fitted, check_X_y
 from .distance import kneighbors
 
-__all__ = ["NearestNeighbors", "KNeighborsClassifier"]
-
-
-class NearestNeighbors(BaseEstimator):
-    """Unsupervised nearest-neighbour lookup over a stored reference set."""
-
-    def __init__(self, n_neighbors: int = 5, metric: str = "euclidean"):
-        self.n_neighbors = n_neighbors
-        self.metric = metric
-
-    def fit(self, X, y=None) -> "NearestNeighbors":
-        """Fit on ``X``, ``y``; returns ``self``."""
-        self._fit_X = check_array(X)
-        self.n_samples_fit_ = self._fit_X.shape[0]
-        return self
-
-    def kneighbors(
-        self,
-        X=None,
-        n_neighbors: Optional[int] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Neighbours of ``X`` among the fitted set.
-
-        ``X=None`` queries the fitted points themselves, excluding each
-        point's own zero-distance match (the convention every cleaning
-        re-sampler relies on).
-        """
-        check_is_fitted(self, ["_fit_X"])
-        k = n_neighbors or self.n_neighbors
-        if X is None:
-            return kneighbors(
-                self._fit_X, self._fit_X, k, metric=self.metric, exclude_self=True
-            )
-        return kneighbors(check_array(X), self._fit_X, k, metric=self.metric)
+__all__ = ["KNeighborsClassifier"]
 
 
 class KNeighborsClassifier(BaseEstimator, ClassifierMixin):

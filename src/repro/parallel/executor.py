@@ -9,7 +9,10 @@ knob; the executor is fixed by the job:
   the reference semantics every pool must reproduce bit-for-bit;
 * ``processes=True`` — a :class:`~concurrent.futures.ProcessPoolExecutor`,
   used for member fits (python-heavy tree building that threads serialise
-  on the GIL); results cross back via pickle;
+  on the GIL); results cross back via pickle. Each worker runs numpy's
+  bundled OpenBLAS on one thread: the workers already use the cores, and
+  BLAS threads on top of them (logistic, SVM and MLP members) would
+  oversubscribe them;
 * ``processes=False`` — a :class:`~concurrent.futures.ThreadPoolExecutor`,
   used for chunked scoring (numpy kernels release the GIL, and threads
   share the estimators and rows without a copy).
@@ -29,6 +32,7 @@ always run in task order. Under that contract every executor and every
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -76,6 +80,32 @@ def install_payload(key, payload) -> None:
     _SHARED_PAYLOADS[key] = payload
 
 
+def _openblas_symbol(name: str):
+    """``name`` from the first OpenBLAS loaded in this process that exports
+    it, or ``None``. Libraries are found in the process's own map of
+    loaded files, so no library is loaded that was not loaded already."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            return getattr(ctypes.CDLL(path), name)
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+def _process_worker_init(initializer: Optional[Callable], initargs: tuple) -> None:
+    """Process-pool initializer: one BLAS thread, then the caller's own."""
+    set_threads = _openblas_symbol("scipy_openblas_set_num_threads64_")
+    if set_threads is not None:
+        set_threads(1)
+    if initializer is not None:
+        initializer(*initargs)
+
+
 def parallel_map(
     fn: Callable,
     tasks: Sequence,
@@ -94,7 +124,8 @@ def parallel_map(
     ``initializer(*initargs)`` runs once per worker before any task (and
     once in the calling thread on the serial path). With processes, ``fn``
     and every task must be picklable (module-level functions and
-    :func:`functools.partial` of them qualify; closures do not).
+    :func:`functools.partial` of them qualify; closures do not), and each
+    worker first sets numpy's OpenBLAS to one thread.
     """
     tasks = list(tasks)
     workers = min(resolve_n_jobs(n_jobs), max(len(tasks), 1))
@@ -102,7 +133,10 @@ def parallel_map(
         if initializer is not None:
             initializer(*initargs)
         return [fn(task) for task in tasks]
-    pool_cls = ProcessPoolExecutor if processes else ThreadPoolExecutor
+    pool_cls = ThreadPoolExecutor
+    if processes:
+        pool_cls = ProcessPoolExecutor
+        initializer, initargs = _process_worker_init, (initializer, tuple(initargs))
     with pool_cls(
         max_workers=workers, initializer=initializer, initargs=tuple(initargs)
     ) as pool:

@@ -437,8 +437,8 @@ def class_index_scan(
             )
         if not np.isfinite(X_block).all():
             raise DataValidationError(
-                "Input contains NaN or infinity. Impute missing values first "
-                "(see repro.preprocessing.SimpleImputer)."
+                "Input contains NaN or infinity. Replace missing values "
+                "before streaming the source."
             )
         y_block = check_binary_labels(y_block) if len(y_block) else y_block
         counts += np.bincount(y_block.astype(np.intp), minlength=2)[:2]

@@ -2,11 +2,9 @@
 
 from ._binning import FeatureBinner
 from .decision_tree import C45Classifier, DecisionTreeClassifier
-from .export import export_text
 
 __all__ = [
     "C45Classifier",
     "DecisionTreeClassifier",
     "FeatureBinner",
-    "export_text",
 ]

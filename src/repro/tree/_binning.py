@@ -26,6 +26,27 @@ _BLOCK_VALUES = 1 << 20
 _NEG_ZERO_BITS = np.int64(np.iinfo(np.int64).min)
 
 
+def _sorted_quantiles(S, rows, quantiles):
+    """``np.quantile(S[rows], quantiles, axis=1).T`` read straight off
+    ``rows`` of ``S``, whose rows are already sorted: numpy's own virtual
+    indexes, neighbours and ``_lerp`` of the default linear method, bit for
+    bit, without copying the rows or partitioning them again."""
+    n = S.shape[1]
+    virtual = (n - 1) * quantiles
+    prev = np.floor(virtual).astype(np.intp)
+    nxt = prev + 1
+    # numpy reads an index at or past the last value as the last value.
+    last = virtual >= n - 1
+    prev[last] = nxt[last] = -1
+    gamma = virtual - prev
+    a = S[rows[:, None], prev]
+    b = S[rows[:, None], nxt]
+    diff = b - a
+    q = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=q, where=gamma >= 0.5)
+    return q
+
+
 def _bin_block(T, quantiles, max_bins, codes=None):
     """Cut points of each row of ``T``, a (k, n) C-contiguous block of
     columns transposed; given ``codes``, a (k, n) int32 array, also every
@@ -35,8 +56,8 @@ def _bin_block(T, quantiles, max_bins, codes=None):
     consecutive run heads of its sorted values: exact splits. Midpoints
     never see the sign of a zero, and two values whose sum overflows are
     halved before they are added. Any other row is cut at its distinct
-    ``quantiles``: one 2-D ``np.quantile`` over the sorted rows, which on
-    sorted input is bit for bit the per-column call, then a dedupe of each
+    ``quantiles``, read off the sorted rows (:func:`_sorted_quantiles`, bit
+    for bit the per-column ``np.quantile``), then a dedupe of each
     sorted row of quantiles, which is ``np.unique`` as long as no two of
     them differ only in the sign of a zero. Rows holding -0.0 keep the
     per-column ``np.unique(np.quantile(col))``: -0.0 and +0.0 compare
@@ -85,8 +106,7 @@ def _bin_block(T, quantiles, max_bins, codes=None):
             edges[c] = np.unique(np.quantile(T[c], quantiles))
         plain = cut[~signed]
         if plain.size:
-            q = np.quantile(S[plain], quantiles, axis=1, overwrite_input=True)
-            q = np.sort(q.T, axis=1)
+            q = np.sort(_sorted_quantiles(S, plain, quantiles), axis=1)
             first = np.empty(q.shape, dtype=bool)
             first[:, 0] = True
             np.not_equal(q[:, 1:], q[:, :-1], out=first[:, 1:])

@@ -25,9 +25,9 @@ __all__ = ["DecisionTreeClassifier", "C45Classifier"]
 def _check_tree_sample_weight(sample_weight, n_samples: int) -> np.ndarray:
     """Validate per-row weights without rescaling them.
 
-    Unlike :func:`~repro.utils.validation.check_sample_weight` the weights
-    are used as given: rescaling them would change the float bits of every
-    gain and leaf distribution the tree computes from them.
+    The weights are used as given, never normalised: rescaling them would
+    change the float bits of every gain and leaf distribution the tree
+    computes from them.
     """
     if sample_weight is None:
         return np.ones(n_samples)

@@ -1,21 +1,13 @@
 """Shared utilities: validation, array helpers, timing."""
 
-from .arrays import (
-    class_distribution,
-    imbalance_ratio,
-    majority_minority_split,
-    safe_vstack,
-    shuffle_together,
-    stratified_indices,
-)
-from .timing import Timer, timed_call
+from .arrays import imbalance_ratio, stratified_indices
+from .timing import timed_call
 from .validation import (
     binary_column_order,
     check_array,
     check_binary_labels,
     check_is_fitted,
     check_random_state,
-    check_sample_weight,
     check_X_y,
     column_or_1d,
     decode_binary_proba,
@@ -31,16 +23,10 @@ __all__ = [
     "encode_binary_labels",
     "check_is_fitted",
     "check_random_state",
-    "check_sample_weight",
     "check_X_y",
     "column_or_1d",
     "unique_labels",
-    "class_distribution",
     "imbalance_ratio",
-    "majority_minority_split",
-    "safe_vstack",
-    "shuffle_together",
     "stratified_indices",
-    "Timer",
     "timed_call",
 ]

@@ -2,39 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 import numpy as np
 
 from .validation import column_or_1d
 
-__all__ = [
-    "class_distribution",
-    "majority_minority_split",
-    "imbalance_ratio",
-    "stratified_indices",
-    "safe_vstack",
-    "shuffle_together",
-]
-
-
-def class_distribution(y) -> Dict[int, int]:
-    """Mapping ``label -> count`` for a label vector."""
-    y = column_or_1d(y)
-    labels, counts = np.unique(y, return_counts=True)
-    return {int(l): int(c) for l, c in zip(labels, counts)}
-
-
-def majority_minority_split(
-    X: np.ndarray, y: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(majority_idx, minority_idx)`` for binary labels {0, 1}.
-
-    Class 0 is treated as the majority and class 1 as the minority by library
-    convention (the paper always encodes the minority/positive class as 1).
-    """
-    y = column_or_1d(y)
-    return np.flatnonzero(y == 0), np.flatnonzero(y == 1)
+__all__ = ["imbalance_ratio", "stratified_indices"]
 
 
 def imbalance_ratio(y) -> float:
@@ -63,19 +35,3 @@ def stratified_indices(y, rng: np.random.RandomState) -> np.ndarray:
         position[idx] = (np.arange(len(idx)) + rng.uniform(0, 1, len(idx))) / len(idx)
     order = np.argsort(position, kind="stable")
     return order
-
-
-def safe_vstack(blocks) -> np.ndarray:
-    """``np.vstack`` that tolerates empty blocks."""
-    blocks = [b for b in blocks if len(b)]
-    if not blocks:
-        raise ValueError("safe_vstack received only empty blocks")
-    return np.vstack(blocks)
-
-
-def shuffle_together(
-    X: np.ndarray, y: np.ndarray, rng: np.random.RandomState
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Shuffle ``X`` and ``y`` with a single shared permutation."""
-    perm = rng.permutation(len(y))
-    return X[perm], y[perm]

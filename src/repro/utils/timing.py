@@ -3,30 +3,9 @@
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Callable
 
-__all__ = ["Timer", "timed_call"]
-
-
-class Timer:
-    """Context manager measuring wall-clock time in seconds.
-
-    >>> with Timer() as t:
-    ...     _ = sum(range(1000))
-    >>> t.elapsed >= 0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed: float = 0.0
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.elapsed = time.perf_counter() - self._start
+__all__ = ["timed_call"]
 
 
 def timed_call(fn: Callable, *args, **kwargs):

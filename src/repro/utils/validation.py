@@ -14,7 +14,6 @@ __all__ = [
     "check_array",
     "check_X_y",
     "check_is_fitted",
-    "check_sample_weight",
     "column_or_1d",
     "unique_labels",
     "check_binary_labels",
@@ -80,9 +79,8 @@ def check_array(
     if not allow_nan and X.dtype.kind == "f":
         if not np.isfinite(X).all():
             raise DataValidationError(
-                "Input contains NaN or infinity. Impute missing values first "
-                "(see repro.preprocessing.SimpleImputer) or pass allow_nan=True "
-                "where supported."
+                "Input contains NaN or infinity. Replace missing values first "
+                "or pass allow_nan=True where supported."
             )
     return X
 
@@ -132,24 +130,6 @@ def check_is_fitted(estimator: Any, attributes: Optional[Sequence[str]] = None) 
             f"This {type(estimator).__name__} instance is not fitted yet. "
             "Call 'fit' with appropriate arguments first."
         )
-
-
-def check_sample_weight(sample_weight, n_samples: int) -> np.ndarray:
-    """Validate or default sample weights to uniform."""
-    if sample_weight is None:
-        return np.full(n_samples, 1.0 / n_samples)
-    sample_weight = column_or_1d(sample_weight, name="sample_weight").astype(float)
-    if sample_weight.shape[0] != n_samples:
-        raise DataValidationError(
-            f"sample_weight has {sample_weight.shape[0]} entries, expected "
-            f"{n_samples}."
-        )
-    if (sample_weight < 0).any():
-        raise DataValidationError("sample_weight must be non-negative.")
-    total = sample_weight.sum()
-    if total <= 0:
-        raise DataValidationError("sample_weight must not sum to zero.")
-    return sample_weight / total
 
 
 def unique_labels(*ys: Iterable) -> np.ndarray:

@@ -7,7 +7,7 @@ from repro.core import SelfPacedEnsembleClassifier, self_paced_under_sample
 from repro.datasets import PaymentSimulator
 from repro.imbalance_ensemble import BalanceCascadeClassifier
 from repro.svm.svc import _fit_platt, _platt_proba
-from repro.tree import DecisionTreeClassifier, export_text
+from repro.tree import DecisionTreeClassifier
 
 
 class TestCascadeSchedule:
@@ -77,15 +77,6 @@ class TestPaymentSimulatorKnobs:
         X, y = sim.simulate(5000)
         transfer_frauds = (y == 1) & (X[:, 1] == 4)
         assert (X[transfer_frauds, 10] < 1.0 - 1e-9).any()
-
-
-class TestExportTextDepthLimit:
-    def test_truncation_marker(self, binary_blobs):
-        X, y = binary_blobs
-        clf = DecisionTreeClassifier(max_depth=6, random_state=0).fit(X, y)
-        if clf.tree_.max_depth >= 2:
-            text = export_text(clf, max_depth=1)
-            assert "(truncated)" in text
 
 
 class TestSPEWithEvalSetCurveImproves:

@@ -1,4 +1,4 @@
-"""Tests for splitting utilities and cross validation."""
+"""Tests for splitting utilities and stratified K-fold."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import DataValidationError
 from repro.model_selection import (
-    KFold,
     StratifiedKFold,
-    cross_val_score,
     train_test_split,
     train_valid_test_split,
 )
@@ -89,26 +87,6 @@ class TestTrainValidTestSplit:
             train_valid_test_split(X, y, valid_size=0.6, test_size=0.5)
 
 
-class TestKFold:
-    def test_covers_all_indices(self):
-        X = np.zeros((20, 1))
-        seen = np.concatenate([te for _, te in KFold(4, random_state=0).split(X)])
-        assert sorted(seen.tolist()) == list(range(20))
-
-    def test_train_test_disjoint(self):
-        X = np.zeros((20, 1))
-        for tr, te in KFold(5, random_state=0).split(X):
-            assert set(tr).isdisjoint(te)
-
-    def test_too_few_samples(self):
-        with pytest.raises(DataValidationError):
-            list(KFold(5).split(np.zeros((3, 1))))
-
-    def test_invalid_n_splits(self):
-        with pytest.raises(DataValidationError):
-            KFold(1)
-
-
 class TestStratifiedKFold:
     def test_each_fold_has_minority(self):
         X, y = _imbalanced(100, 10)
@@ -126,27 +104,3 @@ class TestStratifiedKFold:
             [te for _, te in StratifiedKFold(3, random_state=1).split(X, y)]
         )
         assert sorted(seen.tolist()) == list(range(60))
-
-
-class TestCrossValScore:
-    def test_returns_n_scores(self):
-        X, y = _imbalanced(100, 20)
-        scores = cross_val_score(
-            DecisionTreeClassifier(max_depth=3, random_state=0),
-            X,
-            y,
-            cv=StratifiedKFold(3, random_state=0),
-        )
-        assert scores.shape == (3,)
-        assert (scores >= 0).all() and (scores <= 1).all()
-
-    def test_custom_scorer(self):
-        X, y = _imbalanced(60, 12)
-        scores = cross_val_score(
-            DecisionTreeClassifier(max_depth=2, random_state=0),
-            X,
-            y,
-            cv=StratifiedKFold(3, random_state=0),
-            scorer=lambda est, X_t, y_t: 0.123,
-        )
-        assert np.allclose(scores, 0.123)

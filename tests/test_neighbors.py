@@ -7,7 +7,6 @@ from scipy.spatial.distance import cdist
 from repro.exceptions import NotFittedError
 from repro.neighbors import (
     KNeighborsClassifier,
-    NearestNeighbors,
     kneighbors,
     pairwise_distances,
 )
@@ -72,24 +71,6 @@ class TestKneighbors:
     def test_too_many_neighbors(self, rng):
         with pytest.raises(ValueError):
             kneighbors(rng.randn(2, 2), rng.randn(3, 2), 4)
-
-
-class TestNearestNeighbors:
-    def test_query_self_excludes(self, rng):
-        X = rng.randn(20, 2)
-        nn = NearestNeighbors(n_neighbors=3).fit(X)
-        _, idx = nn.kneighbors()
-        assert all(i not in row for i, row in enumerate(idx))
-
-    def test_query_external(self, rng):
-        X = rng.randn(20, 2)
-        nn = NearestNeighbors(n_neighbors=2).fit(X)
-        dist, idx = nn.kneighbors(rng.randn(5, 2))
-        assert dist.shape == (5, 2)
-
-    def test_not_fitted(self):
-        with pytest.raises(NotFittedError):
-            NearestNeighbors().kneighbors(np.ones((2, 2)))
 
 
 class TestKNeighborsClassifier:

@@ -17,7 +17,7 @@ from repro.parallel import (
     task_rng,
 )
 from repro.parallel import engine
-from repro.parallel.executor import _SHARED_PAYLOADS
+from repro.parallel.executor import _SHARED_PAYLOADS, _openblas_symbol
 from repro.tree import DecisionTreeClassifier
 
 #: The three executors behind ``parallel_map``, as keyword arguments.
@@ -30,6 +30,10 @@ EXECUTORS = {
 
 def _square(x):  # module-level so a process pool can pickle it
     return x * x
+
+
+def _blas_threads(_task):
+    return _openblas_symbol("scipy_openblas_get_num_threads64_")()
 
 
 def _holds_array(value) -> bool:
@@ -89,6 +93,22 @@ class TestParallelMap:
 
     def test_empty_tasks(self):
         assert parallel_map(_square, [], n_jobs=2) == []
+
+    def test_process_workers_run_one_blas_thread(self):
+        """Pool workers run numpy's OpenBLAS on one thread, whatever the
+        parent's count; the parent and the serial loop keep theirs."""
+        get = _openblas_symbol("scipy_openblas_get_num_threads64_")
+        set_ = _openblas_symbol("scipy_openblas_set_num_threads64_")
+        if get is None or set_ is None:
+            pytest.skip("numpy's OpenBLAS exports no thread-count symbols")
+        before = get()
+        set_(2)
+        try:
+            assert parallel_map(_blas_threads, [0, 1], n_jobs=2, processes=True) == [1, 1]
+            assert parallel_map(_blas_threads, [0], n_jobs=1, processes=True) == [2]
+            assert get() == 2
+        finally:
+            set_(before)
 
 
 class TestSeeding:

@@ -1,4 +1,4 @@
-"""Tests for the decision-tree substrate (binning, CART, C4.5, export)."""
+"""Tests for the decision-tree substrate (binning, CART, C4.5)."""
 
 import math
 import tracemalloc
@@ -17,7 +17,6 @@ from repro.tree import (
     DecisionTreeClassifier,
     FeatureBinner,
     _binning,
-    export_text,
 )
 
 
@@ -369,21 +368,3 @@ class TestC45:
 
         clf = clone(C45Classifier(max_depth=7))
         assert clf.max_depth == 7
-
-
-class TestExportText:
-    def test_contains_thresholds(self, binary_blobs):
-        X, y = binary_blobs
-        clf = DecisionTreeClassifier(max_depth=2).fit(X, y)
-        text = export_text(clf)
-        assert "feature_" in text and "<" in text
-
-    def test_custom_feature_names(self, binary_blobs):
-        X, y = binary_blobs
-        clf = DecisionTreeClassifier(max_depth=2).fit(X, y)
-        text = export_text(clf, feature_names=["alpha", "beta", "gamma"])
-        assert any(name in text for name in ("alpha", "beta", "gamma"))
-
-    def test_not_fitted(self):
-        with pytest.raises(NotFittedError):
-            export_text(DecisionTreeClassifier())

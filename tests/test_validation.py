@@ -10,7 +10,6 @@ from repro.utils.validation import (
     check_binary_labels,
     check_is_fitted,
     check_random_state,
-    check_sample_weight,
     check_X_y,
     column_or_1d,
     unique_labels,
@@ -121,28 +120,6 @@ class TestCheckIsFitted:
         est.a_ = 1
         with pytest.raises(NotFittedError):
             check_is_fitted(est, ["b_"])
-
-
-class TestSampleWeight:
-    def test_default_uniform(self):
-        w = check_sample_weight(None, 4)
-        assert np.allclose(w, 0.25)
-
-    def test_normalised(self):
-        w = check_sample_weight([1.0, 3.0], 2)
-        assert np.allclose(w, [0.25, 0.75])
-
-    def test_negative_rejected(self):
-        with pytest.raises(DataValidationError):
-            check_sample_weight([1.0, -1.0], 2)
-
-    def test_zero_sum_rejected(self):
-        with pytest.raises(DataValidationError):
-            check_sample_weight([0.0, 0.0], 2)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataValidationError):
-            check_sample_weight([1.0], 2)
 
 
 class TestLabels:

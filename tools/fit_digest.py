@@ -37,6 +37,16 @@ back memory-mapped, and also hashes the saved state tree (each
 bytes of the loaded model's ``predict_proba`` on the table, so equal
 digests then mean equal artifacts and equal served predictions too.
 
+Tier-1 holds one such line for each of 12 models
+(``tests/test_golden_digests.py``): each is fitted on a committed table,
+``tests/data/golden_table.npz``, and hashed with its predictions and its
+persisted reload. A change that means to change a model rewrites the
+lines with
+
+    PYTHONPATH=src python tools/fit_digest.py --write-golden
+
+and says in CHANGES.md which lines changed and why.
+
 A digest is a same-host check: compare parent and change on one machine
 at one numpy CPU-dispatch level. numpy picks SIMD kernels per CPU, and
 ``make_credit_fraud``'s Amount column goes through ``log1p``, whose last
@@ -47,7 +57,10 @@ MLP fits depend on the level even on one saved table (their digests
 differed between the default level and ``NPY_DISABLE_CPU_FEATURES``
 leaving X86_V3 on a 4,000-row table loaded from disk); the other 13
 model configurations measured (SPE in both modes, KNN, and every
-ensemble of decision trees) did not. The BLAS thread count is part of
+ensemble of decision trees) did not. EasyEnsemble did on the 2,000-row
+golden table: a SAMME round reweights by ``np.exp(alpha)``, whose last
+bit follows the dispatch level for some ``alpha``, so every booster
+depends on the level for some tables. The BLAS thread count is part of
 the same condition: members that go through BLAS can change the last
 digits of their probabilities with ``OPENBLAS_NUM_THREADS`` (logistic
 regression does), so compare checkouts under one setting.
@@ -64,6 +77,24 @@ import tempfile
 from typing import Optional
 
 import numpy as np
+
+_DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tests", "data")
+#: The saved table of the golden digests (2,000 credit-fraud rows x 30 at
+#: IR 20) and their committed lines, one per model.
+GOLDEN_TABLE = os.path.join(_DATA, "golden_table.npz")
+GOLDEN_DIGESTS = os.path.join(_DATA, "golden_digests.txt")
+GOLDEN_SEED = 0
+#: ``(estimator, mode)`` of every golden model: the configurations whose
+#: digests on the golden table were equal at every dispatch level of the
+#: host that wrote them. GBDT, logistic regression, MLP and EasyEnsemble
+#: were not (see above), so they have no line.
+GOLDEN_MODELS = (
+    ("spe", None), ("streaming_spe", None), ("streaming_spe", "reservoir"),
+    ("forest", None), ("adaboost", None), ("rus_boost", None),
+    ("smote_boost", None), ("bagging", None), ("under_bagging", None),
+    ("smote_bagging", None), ("balance_cascade", None), ("knn", None),
+)
 
 #: The node arrays of :class:`repro.tree._tree.Tree`, hashed in this order.
 TREE_ARRAYS = ("feature", "threshold", "children_left", "children_right",
@@ -130,13 +161,11 @@ def model_digest(model, X=None, persist_X=None) -> str:
     return digest.hexdigest()
 
 
-def fit_digest(rows: int, ir: float, seed: int, predict: bool = False,
-               estimator: str = "spe", persist: bool = False,
-               mode: Optional[str] = None) -> str:
-    from repro.datasets import make_credit_fraud
+def fit_model(estimator: str, X, y, seed: int, mode: Optional[str] = None):
+    """The registry model ``estimator`` fitted on ``X, y`` with the seed,
+    10 members and ``mode`` wherever it takes them."""
     from repro.registry import classifier_spec, get_classifier
 
-    X, y = make_credit_fraud(n_samples=rows, imbalance_ratio=ir, random_state=seed)
     spec = classifier_spec(estimator)
     names = spec.cls._get_param_names()
     # A component the model needs to fit (resample_ensemble's sampler)
@@ -152,8 +181,44 @@ def fit_digest(rows: int, ir: float, seed: int, predict: bool = False,
         params["n_estimators"] = 10
     if mode is not None and "mode" in names:
         params["mode"] = mode
-    model = get_classifier(estimator, **params).fit(X, y)
+    return get_classifier(estimator, **params).fit(X, y)
+
+
+def fit_digest(rows: int, ir: float, seed: int, predict: bool = False,
+               estimator: str = "spe", persist: bool = False,
+               mode: Optional[str] = None) -> str:
+    from repro.datasets import make_credit_fraud
+
+    X, y = make_credit_fraud(n_samples=rows, imbalance_ratio=ir, random_state=seed)
+    model = fit_model(estimator, X, y, seed, mode)
     return model_digest(model, X if predict else None, X if persist else None)
+
+
+def golden_lines(X, y):
+    """``"<digest>  <model>"`` for each of :data:`GOLDEN_MODELS` fitted on
+    ``X, y``: its trees, ``predict_proba`` and persisted reload
+    (``model_digest(model, X, X)``)."""
+    lines = []
+    for estimator, mode in GOLDEN_MODELS:
+        model = fit_model(estimator, X, y, GOLDEN_SEED, mode)
+        label = estimator if mode is None else f"{estimator} --mode {mode}"
+        lines.append(f"{model_digest(model, X, X)}  {label}")
+    return lines
+
+
+def write_golden() -> None:
+    """Rewrite :data:`GOLDEN_DIGESTS` from the saved table, saving the
+    table first only if it is missing."""
+    if not os.path.exists(GOLDEN_TABLE):
+        from repro.datasets import make_credit_fraud
+
+        X, y = make_credit_fraud(n_samples=2_000, imbalance_ratio=20.0,
+                                 random_state=GOLDEN_SEED)
+        np.savez_compressed(GOLDEN_TABLE, X=X, y=y)
+    with np.load(GOLDEN_TABLE) as table:
+        lines = golden_lines(table["X"], table["y"])
+    with open(GOLDEN_DIGESTS, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:
@@ -171,7 +236,12 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", default=None,
                         help="training mode, for models that take a mode "
                              "(spe, streaming_spe: exact or reservoir)")
+    parser.add_argument("--write-golden", action="store_true",
+                        help="rewrite tests/data/golden_digests.txt and exit")
     args = parser.parse_args(argv)
+    if args.write_golden:
+        write_golden()
+        return 0
     print(fit_digest(args.rows, args.ir, args.seed, predict=args.predict,
                      estimator=args.estimator, persist=args.persist,
                      mode=args.mode))
