@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast coverage bench-smoke perfbench-smoke fit-digest reach-audit bench-fastpath bench-serving bench-monitoring bench-chaos bench-telemetry lint lint-fix-baseline
+.PHONY: test test-fast coverage coverage-workloads bench-smoke perfbench-smoke fit-digest reach-audit bench-fastpath bench-serving bench-monitoring bench-chaos bench-telemetry lint lint-fix-baseline
 
 # Tier-1 suite (the ROADMAP verify command). Runs everything, including
 # tests marked `slow`.
@@ -22,6 +22,13 @@ test-fast:
 # falls back to the dependency-free stdlib tracer in tools/coverage_run.py.
 coverage:
 	$(PYTHON) tools/coverage_run.py
+
+# Per function, the src/repro statements that the examples, the paper
+# benches (small REPRO_SCALE) and short perfbench runs never reach, from the
+# stdlib tracer in tools/coverage_run.py (forked children traced, spawn
+# children not). A report of deletion candidates, not a gate: exits 0.
+coverage-workloads:
+	$(PYTHON) tools/coverage_run.py --workloads
 
 # Fast end-to-end run of the perf benchmarks; writes BENCH_parallel.json,
 # BENCH_streaming.json, BENCH_fastpath.json, BENCH_serving.json,

@@ -220,30 +220,28 @@ class LifecycleController:
     def _decide_and_act(self, n_rows: int, serving_version: str) -> LifecycleEvent:
         reports = self.monitor.check()
         action = self.policy.decide(reports)
-        # Promotion lag starts at the decision: everything between "the
-        # policy said act" and "the new champion is serving" counts.
-        lag_watch = (
-            telemetry.stopwatch() if action is not Action.NONE else None
-        )
         shadow = None
         promoted = False
         promoted_version = None
         swap_retried = False
         swap_error = None
-        X, y, _ = self.monitor.window()
-        if action is not Action.NONE and np.unique(y).size < 2:
-            # A single-class window cannot train a challenger; keep the
-            # decision on record (the drift evidence is real) but skip the
-            # retrain until minority rows land.
-            return self._record_event(
-                LifecycleEvent(
-                    n_rows=n_rows,
-                    model_version=serving_version,
-                    reports=list(reports),
-                    action=action,
-                )
-            )
         if action is not Action.NONE:
+            # Promotion lag starts at the decision: everything between "the
+            # policy said act" and "the new champion is serving" counts.
+            lag_watch = telemetry.stopwatch()
+            X, y, _ = self.monitor.window()
+            if np.unique(y).size < 2:
+                # A single-class window cannot train a challenger; keep the
+                # decision on record (the drift evidence is real) but skip
+                # the retrain until minority rows land.
+                return self._record_event(
+                    LifecycleEvent(
+                        n_rows=n_rows,
+                        model_version=serving_version,
+                        reports=list(reports),
+                        action=action,
+                    )
+                )
             (X_fit, y_fit), (X_shadow, y_shadow) = self._split_window(X, y)
             challenger = self.train_fn(ArraySource(X_fit, y_fit))
             shadow = shadow_evaluate(
@@ -252,7 +250,7 @@ class LifecycleController:
                 X_shadow,
                 y_shadow,
                 metric=self.metric,
-                threshold=self.monitor.evaluator.threshold,
+                threshold=self.monitor.threshold,
                 min_lift=self.min_lift,
                 positive_label=self.monitor.positive_label,
             )
@@ -302,8 +300,7 @@ class LifecycleController:
                 self.monitor.rebase_reference(X_fit, y_fit)
                 self.monitor.reset_after_swap()
                 promoted = True
-                if lag_watch is not None:
-                    lag_watch.observe(self._h_promotion_lag)
+                lag_watch.observe(self._h_promotion_lag)
         event = LifecycleEvent(
             n_rows=n_rows,
             model_version=serving_version,

@@ -9,7 +9,8 @@ Three detectors, one report type:
   accumulated block-by-block, so the sketch streams over a
   :class:`~repro.streaming.DataSource` in bounded memory exactly like
   :class:`~repro.streaming.StreamingBinStats` does for hardness). A live
-  window is scored against the sketch per feature with
+  window, binned once into the sketch's codes
+  (:meth:`ReferenceSketch.codes`), is scored against it per feature with
 
   - **PSI** (population stability index),
     ``sum_i (p_i - q_i) * ln(p_i / q_i)`` over the reference bins with
@@ -195,26 +196,26 @@ class ReferenceSketch:
         self.n_rows_ = 0
 
     def _fold(self, X: np.ndarray) -> None:
-        codes = self.binner_.transform(X)
-        for j in range(self.n_features_):
-            self.counts_[j] += np.bincount(
-                codes[:, j], minlength=self.counts_.shape[1]
-            )
+        self.counts_ += self.bin_counts(self.codes(X))
         self.n_rows_ += len(X)
 
-    def histogram(self, X) -> np.ndarray:
-        """Window counts in this sketch's bins: (n_features, max_bins)."""
-        X = check_array(X)
-        if X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"window has {X.shape[1]} features, sketch was fitted "
-                f"with {self.n_features_}"
-            )
-        codes = self.binner_.transform(X)
-        out = np.zeros_like(self.counts_)
-        for j in range(self.n_features_):
-            out[j] = np.bincount(codes[:, j], minlength=out.shape[1])
-        return out
+    @property
+    def code_dtype(self) -> np.dtype:
+        """The smallest unsigned dtype that holds ``n_bins`` codes."""
+        return np.min_scalar_type(self.n_bins - 1)
+
+    def codes(self, X) -> np.ndarray:
+        """Every value's bin in this sketch, as :attr:`code_dtype`."""
+        codes = self.binner_.transform(check_array(X, min_samples=0))
+        return codes.astype(self.code_dtype)
+
+    def bin_counts(self, codes: np.ndarray) -> np.ndarray:
+        """Populations of :meth:`codes` output in this sketch's bins:
+        (n_features, max_bins), one ``bincount`` over every feature."""
+        width = self.counts_.shape[1]
+        flat = codes + np.arange(0, self.counts_.size, width)
+        counts = np.bincount(flat.ravel(), minlength=self.counts_.size)
+        return counts.reshape(self.counts_.shape)
 
 
 def _psi(p_counts: np.ndarray, q_counts: np.ndarray) -> float:
@@ -259,9 +260,10 @@ class FeatureDriftDetector:
         self.ks_warn = float(ks_warn)
         self.ks_alarm = float(ks_alarm)
 
-    def check(self, X_window) -> DriftReport:
-        """PSI + KS of ``X_window`` against the reference sketch."""
-        window_counts = self.sketch.histogram(X_window)
+    def check(self, codes) -> DriftReport:
+        """PSI + KS of a window, given as its :meth:`ReferenceSketch.codes`,
+        against the reference sketch."""
+        window_counts = self.sketch.bin_counts(codes)
         psi = np.empty(self.sketch.n_features_)
         ks = np.empty(self.sketch.n_features_)
         for j in range(self.sketch.n_features_):
@@ -286,7 +288,7 @@ class FeatureDriftDetector:
                 "worst_feature": float(worst),
                 "worst_feature_ks": float(ks[worst]),
                 "max_ks": float(ks.max()),
-                "n_window_rows": float(np.asarray(X_window).shape[0]),
+                "n_window_rows": float(len(codes)),
             },
         )
 

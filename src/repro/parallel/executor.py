@@ -98,10 +98,16 @@ def _openblas_symbol(name: str):
 
 
 def _process_worker_init(initializer: Optional[Callable], initargs: tuple) -> None:
-    """Process-pool initializer: one BLAS thread, then the caller's own."""
-    set_threads = _openblas_symbol("scipy_openblas_set_num_threads64_")
-    if set_threads is not None:
-        set_threads(1)
+    """Process-pool initializer: one BLAS thread, then the caller's own.
+
+    numpy's OpenBLAS, and scipy's if it is loaded already, are set to one
+    thread. scipy's usually loads later, when a member first imports
+    scipy, and reads ``OPENBLAS_NUM_THREADS`` then."""
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+        set_threads = _openblas_symbol(name)
+        if set_threads is not None:
+            set_threads(1)
     if initializer is not None:
         initializer(*initargs)
 
@@ -125,7 +131,7 @@ def parallel_map(
     once in the calling thread on the serial path). With processes, ``fn``
     and every task must be picklable (module-level functions and
     :func:`functools.partial` of them qualify; closures do not), and each
-    worker first sets numpy's OpenBLAS to one thread.
+    worker first sets numpy's and scipy's OpenBLAS to one thread.
     """
     tasks = list(tasks)
     workers = min(resolve_n_jobs(n_jobs), max(len(tasks), 1))

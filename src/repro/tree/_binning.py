@@ -41,10 +41,17 @@ def _sorted_quantiles(S, rows, quantiles):
     gamma = virtual - prev
     a = S[rows[:, None], prev]
     b = S[rows[:, None], nxt]
+    with np.errstate(over="ignore"):
+        diff = b - a
+    # Values are finite, so an infinite difference overflowed: interpolate
+    # between the halves there and double the result (exact but for
+    # subnormals), as _bin_block halves the midpoints.
+    scale = np.where(np.isinf(diff), 2.0, 1.0)
+    a, b = a / scale, b / scale
     diff = b - a
     q = a + diff * gamma
     np.subtract(b, diff * (1 - gamma), out=q, where=gamma >= 0.5)
-    return q
+    return q * scale
 
 
 def _bin_block(T, quantiles, max_bins, codes=None):

@@ -36,6 +36,12 @@ def _blas_threads(_task):
     return _openblas_symbol("scipy_openblas_get_num_threads64_")()
 
 
+def _scipy_blas_threads(_task):
+    import scipy.optimize  # noqa: F401  (loads scipy's own OpenBLAS)
+
+    return _openblas_symbol("scipy_openblas_get_num_threads")()
+
+
 def _holds_array(value) -> bool:
     if isinstance(value, np.ndarray):
         return True
@@ -95,8 +101,9 @@ class TestParallelMap:
         assert parallel_map(_square, [], n_jobs=2) == []
 
     def test_process_workers_run_one_blas_thread(self):
-        """Pool workers run numpy's OpenBLAS on one thread, whatever the
-        parent's count; the parent and the serial loop keep theirs."""
+        """Pool workers run numpy's and scipy's OpenBLAS on one thread,
+        whatever the parent's count; the parent and the serial loop keep
+        theirs."""
         get = _openblas_symbol("scipy_openblas_get_num_threads64_")
         set_ = _openblas_symbol("scipy_openblas_set_num_threads64_")
         if get is None or set_ is None:
@@ -105,6 +112,11 @@ class TestParallelMap:
         set_(2)
         try:
             assert parallel_map(_blas_threads, [0, 1], n_jobs=2, processes=True) == [1, 1]
+            # scipy's OpenBLAS, loaded by the task after the pin (or
+            # inherited already loaded), runs one thread too.
+            assert parallel_map(
+                _scipy_blas_threads, [0, 1], n_jobs=2, processes=True
+            ) == [1, 1]
             assert parallel_map(_blas_threads, [0], n_jobs=1, processes=True) == [2]
             assert get() == 2
         finally:

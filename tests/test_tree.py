@@ -61,7 +61,8 @@ class TestFeatureBinner:
 def _reference_edges(col, max_bins):
     """Per-column ``np.unique`` + ``np.quantile`` cut points; a midpoint
     whose sum overflows (a Python float goes to inf without a warning) is
-    taken as the sum of the halves."""
+    taken as the sum of the halves, and a quantile whose interpolation
+    overflows as twice the quantile of the halves."""
     unique = np.unique(col)
     if unique.size <= max_bins:
         return np.array([
@@ -69,7 +70,11 @@ def _reference_edges(col, max_bins):
             for a, b in zip(unique[:-1].tolist(), unique[1:].tolist())
         ], dtype=np.float64)
     quantiles = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
-    return np.unique(np.quantile(col, quantiles))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.quantile(col, quantiles)
+    overflowed = ~np.isfinite(q)
+    q[overflowed] = 2.0 * np.quantile(col / 2.0, quantiles)[overflowed]
+    return np.unique(q)
 
 
 @st.composite
@@ -143,6 +148,22 @@ class TestFeatureBinnerAgainstReference:
             codes = binner.transform(X)
         assert binner.edges_[0].tolist() == [5e307, 1.25e308]
         assert codes.ravel().tolist() == [1, 2, 0]
+
+    @pytest.mark.parametrize("method", ["fit", "fit_transform"])
+    def test_overflowing_quantile_stays_finite(self, method):
+        """The median of three values sits between -1e308 and 1.5e308,
+        whose difference overflows: it is interpolated between their
+        halves, so the cut stays finite and matches the reference."""
+        X = np.array([[-1.6e308], [-1e308], [1.5e308]])
+        binner = FeatureBinner(max_bins=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = getattr(binner, method)(X)
+            want = _reference_edges(X[:, 0], 2)
+        if method == "fit":
+            codes = binner.transform(X)
+        assert binner.edges_[0].tolist() == want.tolist() == [-1e308]
+        assert codes.ravel().tolist() == [0, 1, 1]
 
     @settings(max_examples=25, deadline=None)
     @given(case=_binner_cases(), data=st.data())
