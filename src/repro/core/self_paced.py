@@ -543,7 +543,6 @@ class SelfPacedEnsembleClassifier(BaseImbalanceEnsemble):
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["estimators_"])
-        X = check_array(X)
         internal = ensemble_predict_proba(
             self._voting_estimators(),
             X,

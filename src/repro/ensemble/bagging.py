@@ -11,7 +11,6 @@ from ..base import BaseEstimator, ClassifierMixin, clone
 from ..parallel import ensemble_predict_proba, fit_ensemble_parallel
 from ..tree import DecisionTreeClassifier
 from ..utils.validation import (
-    check_array,
     check_is_fitted,
     check_random_state,
     check_X_y,
@@ -117,7 +116,6 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["estimators_"])
-        X = check_array(X)
         return ensemble_predict_proba(
             self.estimators_,
             X,

@@ -54,13 +54,15 @@ def render_series(
 
     This is the textual stand-in for the paper's line plots: the numeric
     series is the ground truth, the bar sketch aids eyeballing trends.
+    Bars scale over the finite points; a NaN or infinite point gets none.
     """
     ys_arr = np.asarray(list(ys), dtype=float)
-    lo = float(np.nanmin(ys_arr)) if ys_arr.size else 0.0
-    hi = float(np.nanmax(ys_arr)) if ys_arr.size else 1.0
+    finite = ys_arr[np.isfinite(ys_arr)]
+    lo = float(finite.min()) if finite.size else 0.0
+    hi = float(finite.max()) if finite.size else 1.0
     span = (hi - lo) or 1.0
     lines = [f"{name}:"]
     for x, v in zip(xs, ys_arr):
-        bar = "#" * int(round((v - lo) / span * width))
+        bar = "#" * int(round((v - lo) / span * width)) if np.isfinite(v) else ""
         lines.append(f"  {str(x):>8} {v:.{digits}f} |{bar}")
     return "\n".join(lines)

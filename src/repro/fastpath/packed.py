@@ -102,7 +102,7 @@ ESTIMATOR_BLOCK = 8
 #: Below this many (tree, row) lanes the fused all-trees kernel wins (lane
 #: state cache-resident, python overhead paid once per level); above it the
 #: node-partition kernel wins (1-D gathers from one column per node).
-_FUSED_LANES = 1 << 14
+_FUSED_LANES = 11_264
 
 #: Row chunk of the partition kernel over row-major input — bounds its
 #: transposed copy at ``_PARTITION_ROWS × n_features`` values. Column-major

@@ -30,7 +30,6 @@ from ..ensemble.bagging import make_member_model
 from ..parallel import ensemble_predict_proba, fit_ensemble_parallel
 from ..utils.validation import (
     BinaryLabelEncoderMixin,
-    check_array,
     check_is_fitted,
     check_random_state,
     check_X_y,
@@ -165,7 +164,6 @@ class BaseImbalanceEnsemble(BaseEstimator, ClassifierMixin, BinaryLabelEncoderMi
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, columns ordered by ``classes_``."""
         check_is_fitted(self, ["estimators_"])
-        X = check_array(X)
         internal = ensemble_predict_proba(
             self._voting_estimators(),
             X,

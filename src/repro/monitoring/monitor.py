@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..exceptions import UndefinedMetricWarning
+from ..exceptions import DataValidationError, UndefinedMetricWarning
 from ..metrics import average_precision_score, f1_score, recall_score
 from ..utils.validation import check_array
 from .drift import (
@@ -253,10 +253,17 @@ class DriftMonitor:
         ``y_true`` when labels arrive with the rows; otherwise deliver
         them later (in row order) through :meth:`observe_labels`. Rows
         enter the window only when their labels land. Non-finite
-        features raise :class:`~repro.exceptions.DataValidationError`.
+        features, or a width other than the reference sketch's, raise
+        :class:`~repro.exceptions.DataValidationError` before anything
+        is buffered.
         """
         X_batch = np.atleast_2d(np.asarray(X_batch, dtype=np.float64))
         X_batch = check_array(X_batch, min_samples=0)
+        if X_batch.shape[1] != self.reference.n_features_:
+            raise DataValidationError(
+                f"batch has {X_batch.shape[1]} features; the reference "
+                f"sketch has {self.reference.n_features_}"
+            )
         y_score = np.atleast_1d(np.asarray(y_score, dtype=np.float64))
         if len(X_batch) != len(y_score):
             raise ValueError(

@@ -33,6 +33,7 @@ import numpy as np
 
 from .. import telemetry
 from ..fastpath.packed import ESTIMATOR_BLOCK, cached_packed_ensemble
+from ..utils.validation import check_array
 from .executor import _SHARED_PAYLOADS, install_payload, parallel_map, payload_key
 
 #: ``repro_fastpath_predict_seconds{path=...}`` children, cached — the
@@ -87,14 +88,8 @@ def _packed_proba(
     — the chunked path then owns both the computation and error reporting.
 
     The packed layout is cached per ensemble, so repeated serving calls
-    pay only the kernel.
-
-    Non-finite rows are declined up front: the chunked path rejects them
-    through each member's ``check_array`` (NaN would otherwise silently
-    route right), and the two paths must disagree on nothing — not even
-    error behaviour."""
-    if not np.isfinite(X).all():
-        return None
+    pay only the kernel. ``X`` is already validated finite (NaN would
+    silently route right)."""
     forest = cached_packed_ensemble(estimators, classes)
     if forest is None or forest.n_features != X.shape[1]:
         return None
@@ -132,7 +127,7 @@ def ensemble_predict_proba(
         raise ValueError("ensemble_predict_proba requires at least one estimator")
     if packed not in ("auto", "never"):
         raise ValueError(f"packed must be 'auto' or 'never', got {packed!r}")
-    X = np.asarray(X, dtype=float)
+    X = check_array(X)  # the one finiteness pass, for either path
     classes = np.asarray(classes)
 
     watch = telemetry.stopwatch()

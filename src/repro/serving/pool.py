@@ -27,8 +27,8 @@
   without its clean ``stopped`` ack is a *crash*: once the replies it
   sent before dying resolve, its other in-flight futures fail at once
   with a typed :class:`~repro.exceptions.WorkerCrashedError` (no future
-  ever hangs on a dead process), pending fleet swaps are acknowledged on
-  its behalf, and the worker is **respawned with capped exponential
+  ever hangs on a dead process), pending fleet rounds stop waiting for
+  it, and the worker is **respawned with capped exponential
   backoff** (``respawn_backoff * 2**(crashes-1)``, capped at
   ``respawn_backoff_cap``), re-warmed from the pool's *current* model
   source — so a crash mid-swap respawns straight onto the new version.
@@ -55,6 +55,12 @@
   every live worker for its served-traffic counters plus its
   private-memory footprint; :meth:`wait_healthy` blocks until the
   fleet is back at full, responsive capacity.
+* **One fleet round-trip** — a swap and a stats call are both a *round*:
+  one token registered for the live slots, one message FIFO on each
+  slot's queue, one ``("round", worker, token, ...)`` reply per slot. A
+  slot that crashes mid-round is no longer waited for; a round that
+  times out raises :class:`~repro.exceptions.FleetTimeoutError` naming
+  the silent slots.
 
 The pool requires the ``fork`` start method (Linux/macOS): zero-copy
 inheritance of the pre-built kernel is the point. Construct it before
@@ -161,6 +167,17 @@ def _fail(futures, error, text: str) -> None:
             future.set_exception(error(text))
 
 
+def _settle(rnd: Dict, worker: int, outcome: str, value) -> None:
+    """Record a slot's answer to a fleet round (pool lock held):
+    ``outcome`` is ``"replies"`` or ``"crashed"``. Answers from slots the
+    round no longer waits for are ignored; the last one wakes the caller."""
+    if worker in rnd["waiting"]:
+        rnd["waiting"].discard(worker)
+        rnd[outcome][worker] = value
+        if not rnd["waiting"]:
+            rnd["event"].set()
+
+
 def _worker_main(
     worker_id: int,
     generation: int,
@@ -178,9 +195,11 @@ def _worker_main(
       ("req", req_id, rows, expires_at, ctx)
                                    → ("ok", req_id, proba, version, spans)
                                    | ("err", req_id, exc_name, text, spans)
-      ("swap", path, version)      → ("swapped", worker_id, version,
-                                      (exc_name, text) | None)
-      ("stats", token)             → ("stats", worker_id, token, payload)
+      ("swap", token, path, version)
+                                   → ("round", worker_id, token, version, None)
+                                   | ("round", worker_id, token, None,
+                                      (exc_name, text))
+      ("stats", token)             → ("round", worker_id, token, None, payload)
       ("stop",)                    → ("stopped", worker_id)   [terminates]
 
     The loop takes a request off the queue and coalesces the requests
@@ -252,7 +271,7 @@ def _worker_main(
     )
     send(("ready", worker_id, generation))
 
-    def do_swap(path: str, version: str) -> None:
+    def do_swap(token, path: str, version: str) -> None:
         with swap_lock:
             swap_watch = telemetry.stopwatch()
             try:
@@ -261,9 +280,9 @@ def _worker_main(
                 # Acks are sent under swap_lock on purpose: the parent
                 # records worker_versions in ack order, so overlapping
                 # swaps must ack in completion order.
-                send(("swapped", worker_id, version, None))
+                send(("round", worker_id, token, version, None))
             except BaseException as exc:
-                send(("swapped", worker_id, version, (type(exc).__name__, str(exc))))
+                send(("round", worker_id, token, None, (type(exc).__name__, str(exc))))
 
     carry = None  # dequeued message that ended the previous batch
     while True:
@@ -284,7 +303,7 @@ def _worker_main(
             payload["private_kb"] = process_private_kb()
             payload["baseline_private_kb"] = baseline_kb
             payload["generation"] = generation
-            send(("stats", worker_id, msg[1], payload))
+            send(("round", worker_id, msg[1], None, payload))
         elif msg[0] == "stop":
             for thread in swap_threads:
                 thread.join()
@@ -425,9 +444,9 @@ class WorkerPool(_Endpoint):
         self._worker_generation: Dict[int, int] = dict.fromkeys(slots, 0)
         self._worker_crashes: Dict[int, int] = dict.fromkeys(slots, 0)
         self._respawn_at: Dict[int, float] = {}
-        self._swap_waits: Dict[str, Dict] = {}
-        self._stats_waits: Dict[int, Dict] = {}
-        self._stats_tokens = itertools.count()
+        #: token → pending fleet round (see _round_trip).
+        self._rounds: Dict[int, Dict] = {}
+        self._round_tokens = itertools.count()
 
         for i in range(self.n_workers):
             self._start_worker(i, 0, active.model)
@@ -620,26 +639,14 @@ class WorkerPool(_Endpoint):
                 self._g_pending.set(len(self._futures))
             self._stitch_reply(sw, ctx, worker, spans)
             future.set_exception(_rebuild_exception(name, text))
-        elif tag == "swapped":
-            _, worker_id, version, err = msg
+        elif tag == "round":
+            _, worker_id, token, installed, payload = msg
             with self._lock:
-                if err is None:
-                    self._worker_versions[worker_id] = version
-                wait = self._swap_waits.get(version)
-                if wait is not None and worker_id not in wait["acked"]:
-                    wait["acked"].add(worker_id)
-                    if err is not None:
-                        wait["errors"].append((worker_id, err[0], err[1]))
-                    if len(wait["acked"]) >= self.n_workers:
-                        wait["event"].set()
-        elif tag == "stats":
-            _, worker_id, token, payload = msg
-            with self._lock:
-                wait = self._stats_waits.get(token)
-                if wait is not None:
-                    wait["replies"][worker_id] = payload
-                    if set(wait["replies"]) >= wait["expected"]:
-                        wait["event"].set()
+                if installed is not None:  # a swap landed
+                    self._worker_versions[worker_id] = installed
+                rnd = self._rounds.get(token)
+                if rnd is not None:
+                    _settle(rnd, worker_id, "replies", payload)
         elif tag == "ready":
             # Respawn convergence: the slot went alive at spawn time.
             with self._health:
@@ -664,24 +671,11 @@ class WorkerPool(_Endpoint):
             if owner == worker:
                 del self._futures[req_id]
                 failed.append(future)
-        # Pending fleet swaps: acknowledge on the dead worker's behalf.
-        # The respawn source/version were updated before the broadcast,
-        # so the respawned worker converges onto the swap target — a
-        # crash mid-swap delays convergence, it does not fail the swap.
-        for version, wait in self._swap_waits.items():
-            if worker not in wait["acked"]:
-                wait["acked"].add(worker)
-                if version != self._current_version:
-                    wait["errors"].append(
-                        (worker, "WorkerCrashedError", detail)
-                    )
-                if len(wait["acked"]) >= self.n_workers:
-                    wait["event"].set()
-        # Pending stats round-trips can no longer expect this worker.
-        for wait in self._stats_waits.values():
-            wait["expected"].discard(worker)
-            if set(wait["replies"]) >= wait["expected"]:
-                wait["event"].set()
+        # Pending rounds stop waiting for this slot; each records the
+        # version its respawn loads (a swap repoints the respawn source
+        # before its broadcast, so a crash mid-swap converges onto it).
+        for rnd in self._rounds.values():
+            _settle(rnd, worker, "crashed", self._current_version)
         backoff = min(
             self.respawn_backoff_cap,
             self.respawn_backoff * (2 ** (self._worker_crashes[worker] - 1)),
@@ -783,6 +777,54 @@ class WorkerPool(_Endpoint):
                     self._wake()
         return future
 
+    def _round_trip(
+        self, kind: str, *args, timeout: float, wait: bool = True
+    ) -> Dict:
+        """Put ``(kind, token, *args)`` on every live slot's queue, behind
+        the requests already there, and wait for the round: each slot's
+        reply (``"replies"``), or the version its respawn loads if it
+        crashed first (``"crashed"``). A timeout raises
+        :class:`~repro.exceptions.FleetTimeoutError` naming the silent
+        slots; a round :meth:`close` released raises
+        :class:`~repro.exceptions.ServerClosedError`. ``wait=False``, or
+        no live slot, registers nothing and returns the empty round."""
+        with self._lock:
+            if self._closed:
+                raise ServerClosedError("WorkerPool is closed")
+            live = self._live_workers()
+            rnd = {"event": threading.Event(), "replies": {}, "crashed": {},
+                   "waiting": set(live if wait else ())}
+            token = next(self._round_tokens) if rnd["waiting"] else None
+            if token is not None:
+                self._rounds[token] = rnd
+            queues = [self._req_queues[i] for i in live]
+        try:
+            for req_q in queues:
+                req_q.put((kind, token, *args))
+            if token is None:
+                return rnd
+            answered = rnd["event"].wait(timeout)
+        finally:
+            with self._lock:
+                self._rounds.pop(token, None)
+                silent = ", ".join(
+                    f"slot {i} (generation {self._worker_generation[i]}, "
+                    f"pid {self._procs[i].pid})"
+                    for i in sorted(rnd["waiting"])
+                )
+        if not answered:
+            raise FleetTimeoutError(
+                f"fleet {kind} round incomplete after {timeout:.3g}s: "
+                f"{len(rnd['replies'])}/{len(live)} replied; "
+                f"no answer from {silent}"
+            )
+        if silent:
+            raise ServerClosedError(
+                f"WorkerPool closed during a fleet {kind} round; "
+                f"no answer from {silent}"
+            )
+        return rnd
+
     # ------------------------------------------------------------------ #
     #: Fleet swaps ship artifact *paths*, not live objects — the
     #: LifecycleController keys on this to promote through the registry's
@@ -820,9 +862,11 @@ class WorkerPool(_Endpoint):
         With ``wait=True`` (default) the call returns once every worker
         acknowledged the swap (or crashed and was scheduled to respawn
         onto it) — the fleet has converged or is converging — and raises
-        if any worker rejected the artifact. ``wait=False`` returns
-        immediately and registers no waiter; track convergence through
-        ``stats()["model_versions"]``.
+        if any worker rejected the artifact, or crashed after a later
+        swap superseded this one. A swap that times out raises
+        :class:`~repro.exceptions.FleetTimeoutError` naming the silent
+        slots. ``wait=False`` returns immediately and registers no
+        waiter; track convergence through ``stats()["model_versions"]``.
         """
         if not (isinstance(path, (str, bytes)) or hasattr(path, "__fspath__")):
             raise TypeError(
@@ -851,48 +895,31 @@ class WorkerPool(_Endpoint):
                 version = f"swap-{int(self._m_swaps.value)}"
             version = str(version)
             self._version_records[version] = record
-            # Repoint the respawn source first: any worker that crashes
-            # from here on respawns straight onto the new artifact.
+            # Repoint the respawn source first: a worker that is down now,
+            # or crashes from here on, respawns straight onto the new
+            # artifact (down slots are not part of the round).
             self._current_source = path
             self._current_version = version
-            live = self._live_workers()
-            if wait:
-                # Workers currently down converge via respawn — pre-ack them.
-                acked = set(range(self.n_workers)) - set(live)
-                waiter = {"event": threading.Event(), "acked": acked, "errors": []}
-                if len(waiter["acked"]) >= self.n_workers:
-                    waiter["event"].set()
-                self._swap_waits[version] = waiter
-            queues = [self._req_queues[i] for i in live]
-        for req_q in queues:
-            req_q.put(("swap", path, version))
-        if not wait:
-            swap_watch.observe(self._h_swap)  # broadcast time only
-            return version
-        try:
-            if not waiter["event"].wait(timeout):
-                raise FleetTimeoutError(
-                    f"fleet swap to {version!r} did not converge within "
-                    f"{timeout}s: acked "
-                    f"{len(waiter['acked'])}/{self.n_workers}"
-                )
-            if waiter["errors"]:
-                names = {name for _, name, _ in waiter["errors"]}
-                detail = "; ".join(
-                    f"worker {wid}: {name}: {text}"
-                    for wid, name, text in waiter["errors"]
-                )
-                message = (
-                    f"fleet swap to {version!r} failed on "
-                    f"{len(waiter['errors'])} worker(s): {detail}"
-                )
-                if len(names) == 1:
-                    raise _rebuild_exception(names.pop(), message)
-                raise SwapFailedError(message)
-        finally:
-            with self._lock:
-                self._swap_waits.pop(version, None)
-        swap_watch.observe(self._h_swap)
+        rnd = self._round_trip("swap", path, version, timeout=timeout, wait=wait)
+        errors = [(i, *err) for i, err in sorted(rnd["replies"].items()) if err]
+        errors += [
+            (i, "WorkerCrashedError", f"crashed mid-swap; respawns onto {onto!r}")
+            for i, onto in sorted(rnd["crashed"].items())
+            if onto != version
+        ]
+        if errors:
+            names = {name for _, name, _ in errors}
+            detail = "; ".join(
+                f"worker {wid}: {name}: {text}" for wid, name, text in errors
+            )
+            message = (
+                f"fleet swap to {version!r} failed on {len(errors)} "
+                f"worker(s): {detail}"
+            )
+            if len(names) == 1:
+                raise _rebuild_exception(names.pop(), message)
+            raise SwapFailedError(message)
+        swap_watch.observe(self._h_swap)  # wait=False: broadcast time only
         return version
 
     # ------------------------------------------------------------------ #
@@ -975,51 +1002,16 @@ class WorkerPool(_Endpoint):
         ``n_batches``, ``n_rows``, ...) plus its private-memory
         footprint (``private_kb`` now, ``baseline_private_kb`` at worker
         start) — the numbers the zero-copy claim is verified against.
-        Each worker answers in FIFO order, after every request queued
-        before the stats message. Workers that crash during the
-        round-trip are dropped from the expectation instead of hanging
-        the call; a round that times out raises
-        :class:`~repro.exceptions.FleetTimeoutError` naming the slots
-        that did not answer.
+        Each worker answers after every request queued before the
+        stats message; the round is :meth:`_round_trip`'s.
 
         ``n_overflows`` is always 0: admission happens at the pool's fork
         queue, so a worker has no overflow counter, but the key stays in
         the payload because ``perfbench/loop.py`` sums it over workers
         for its ``serving.overflows`` metric. The pool's own count is
         ``stats()["n_overflows"]``."""
-        with self._lock:
-            if self._closed:
-                raise ServerClosedError("WorkerPool is closed")
-            token = next(self._stats_tokens)
-            live = self._live_workers()
-            if not live:
-                # Whole fleet down (e.g. a crash was detected between the
-                # caller's health check and this call): nothing will ever
-                # answer, so don't register a waiter that can't be woken.
-                return {}
-            waiter = {"event": threading.Event(), "replies": {}, "expected": set(live)}
-            self._stats_waits[token] = waiter
-            queues = [self._req_queues[i] for i in live]
-        for req_q in queues:
-            req_q.put(("stats", token))
-        try:
-            if not waiter["event"].wait(timeout):
-                with self._lock:
-                    missing = waiter["expected"] - set(waiter["replies"])
-                    silent = ", ".join(
-                        f"slot {i} (generation {self._worker_generation[i]}, "
-                        f"pid {self._procs[i].pid})"
-                        for i in sorted(missing)
-                    )
-                raise FleetTimeoutError(
-                    f"worker stats incomplete after {timeout:.3g}s: "
-                    f"{len(waiter['replies'])}/{len(live)} replied; "
-                    f"no answer from {silent}"
-                )
-        finally:
-            with self._lock:
-                self._stats_waits.pop(token, None)
-        replies = dict(sorted(waiter["replies"].items()))
+        replies = self._round_trip("stats", timeout=timeout)["replies"]
+        replies = dict(sorted(replies.items()))
         for worker_id, payload in replies.items():
             # Footprint gauges degrade, never raise: a worker on a kernel
             # without smaps_rollup reports None → NaN gauge + a counter
@@ -1043,8 +1035,9 @@ class WorkerPool(_Endpoint):
         were in flight on a worker that crashed (and whatever its
         respawn would have served) fail typed with
         :class:`~repro.exceptions.WorkerCrashedError` — resolved or
-        failed, never hung. Idempotent; also safe mid-swap (pending
-        swap acknowledgements drain before the wait loop exits).
+        failed, never hung. Idempotent; also safe mid-swap (a round's
+        message is FIFO ahead of the stop, so its replies land first; a
+        round whose worker died unanswered raises ServerClosedError).
         """
         with self._lock:
             if self._closed:
@@ -1062,12 +1055,10 @@ class WorkerPool(_Endpoint):
             for proc in self._procs:
                 proc.terminate()  # a no-op on the ones already gone
             self._loop.join(timeout=10.0)
-        # Unblock anyone still waiting on a fleet swap.
+        # Release every pending round: its caller raises ServerClosedError.
         with self._lock:
-            for wait in self._swap_waits.values():
-                wait["event"].set()
-            for wait in self._stats_waits.values():
-                wait["event"].set()
+            for rnd in self._rounds.values():
+                rnd["event"].set()
             leftovers = [entry[0] for entry in self._futures.values()]
             self._futures.clear()
         _fail(leftovers, WorkerCrashedError,  # only if a worker died

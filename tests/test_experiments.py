@@ -1,5 +1,7 @@
 """Tests for the experiment harness: runner, formatting, visualization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,20 @@ class TestFormatting:
     def test_render_series(self):
         out = render_series("curve", [1, 2], [0.1, 0.9])
         assert "curve" in out and "0.900" in out
+
+    def test_render_series_skips_nan_bars(self):
+        """A NaN point draws no bar and the finite points set the scale;
+        an all-NaN series renders without a warning."""
+        out = render_series("curve", [1, 2, 3], [0.0, float("nan"), 1.0], width=10)
+        assert out.splitlines()[1:] == [
+            "         1 0.000 |",
+            "         2 nan |",
+            "         3 1.000 |##########",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = render_series("empty", [1, 2], [float("nan")] * 2)
+        assert out.splitlines()[1:] == ["         1 nan |", "         2 nan |"]
 
 
 class TestMethodSpecs:

@@ -427,6 +427,21 @@ class TestPendingBound:
             mon.observe(bad, np.zeros(20))
         assert mon.n_pending == 0 and mon.metrics()["n"] == 0
 
+    def test_wrong_width_rejected_at_observe(self, sketch, data):
+        """A batch wider than the 2-feature sketch fails at observe, with
+        nothing buffered, and the monitor keeps working after it."""
+        X, y = data
+        mon = DriftMonitor(sketch, window_size=100, min_window=10)
+        mon.observe(X[:10], np.zeros(10))
+        wide = np.hstack([X[10:15], np.zeros((5, 1))])
+        with pytest.raises(DataValidationError, match="3 features.*has 2"):
+            mon.observe(wide, np.zeros(5))
+        assert mon.n_pending == 10
+        mon.observe_labels(y[:10])
+        mon.observe(X[10:30], np.zeros(20), y[10:30])
+        assert mon.n_pending == 0 and mon.metrics()["n"] == 30
+        assert len(mon.check()) > 0
+
 
 # --------------------------------------------------------------------- #
 # state machine: the monitor against a naive oracle

@@ -13,6 +13,7 @@ import asyncio
 import os
 import shutil
 import signal
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -26,6 +27,7 @@ from repro.exceptions import (
     DeadlineExceededError,
     FleetTimeoutError,
     PersistenceError,
+    ServerClosedError,
     ServerOverloadedError,
     WorkerCrashedError,
 )
@@ -561,7 +563,158 @@ class TestSwapAtomicity:
             _wait_for(
                 lambda: pool.stats()["model_versions"] == {0: "v2", 1: "v2"}
             )
-            assert pool._swap_waits == {}
+            assert pool._rounds == {}
+
+
+@pytest.mark.chaos
+class TestFleetRounds:
+    """Swaps and worker stats are one token-keyed round-trip: each call
+    waits for its own round, a crashed slot stops being waited for, a
+    timeout names the silent slot and close() releases what is pending."""
+
+    @under_each_cpu_set
+    def test_concurrent_swaps_to_one_label_all_return(
+        self, artifacts, challenger, toy
+    ):
+        """Four threads (more than this host's cores) each swap to the
+        same label and collect worker stats, three times over, with a
+        short switch interval: every call gets its own round's answers
+        and nothing stays registered. With waiters keyed by the label,
+        one of two such swaps timed out although both workers had it."""
+        X, _ = toy
+        start = threading.Barrier(4)
+        outcomes = {}
+
+        def run(k):
+            start.wait()
+            for i in range(3):
+                try:
+                    outcomes[k, i] = (
+                        pool.swap_model(artifacts[1], version="v1", timeout=8.0),
+                        sorted(pool.worker_stats(timeout=8.0)),
+                    )
+                except Exception as exc:
+                    outcomes[k, i] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(artifacts[0], n_workers=2, model_version="v0") as pool:
+                threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                    assert not thread.is_alive()
+                assert outcomes == {
+                    (k, i): ("v1", [0, 1]) for k in range(4) for i in range(3)
+                }
+                assert pool.stats()["model_versions"] == {0: "v1", 1: "v1"}
+                assert pool._rounds == {}
+                scored = pool.score(X[:8])
+                assert scored.model_version == "v1"
+                assert np.array_equal(scored.proba, challenger.predict_proba(X[:8]))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @under_each_cpu_set
+    def test_kill_during_a_swap_converges_onto_the_new_version(
+        self, artifacts, challenger, toy
+    ):
+        """Slot 0 dies on the request queued ahead of the swap: the swap
+        returns and the respawn comes back on the new version."""
+        X, _ = toy
+        plan = FaultPlan([KillWorker(worker=0, after_requests=1)])
+        with WorkerPool(
+            artifacts[0], n_workers=2, model_version="v1", chaos=plan, **FAST
+        ) as pool:
+            doomed = pool.submit(X[:4])  # round-robin: slot 0
+            assert pool.swap_model(artifacts[1], version="v2", timeout=30) == "v2"
+            with pytest.raises(WorkerCrashedError):
+                doomed.result(timeout=30)
+            pool.wait_healthy(timeout=30)
+            stats = pool.stats()
+            assert stats["model_versions"] == {0: "v2", 1: "v2"}
+            assert stats["n_crashes"] == 1
+            assert np.array_equal(
+                pool.predict_proba(X[:8]), challenger.predict_proba(X[:8])
+            )
+
+    @under_each_cpu_set
+    def test_kill_during_a_stats_round_drops_the_dead_slot(self, artifacts, toy):
+        X, _ = toy
+        plan = FaultPlan([KillWorker(worker=0, after_requests=1)])
+        with WorkerPool(
+            artifacts[0],
+            n_workers=2,
+            chaos=plan,
+            respawn_backoff=5.0,  # slot 0 stays down for the check
+            respawn_backoff_cap=5.0,
+        ) as pool:
+            doomed = pool.submit(X[:4])  # round-robin: slot 0
+            t0 = time.monotonic()
+            replies = pool.worker_stats(timeout=10.0)
+            assert time.monotonic() - t0 < 5.0  # not the round's timeout
+            assert list(replies) == [1]
+            with pytest.raises(WorkerCrashedError):
+                doomed.result(timeout=30)
+            assert pool.stats()["worker_states"] == {0: "crashed", 1: "alive"}
+
+    @under_each_cpu_set
+    def test_swap_timeout_names_the_stalled_slot(self, artifacts, toy):
+        X, _ = toy
+        plan = FaultPlan([StallWorker(worker=0, after_requests=1, seconds=2.0)])
+        with WorkerPool(
+            artifacts[0], n_workers=2, model_version="v1", chaos=plan, **FAST
+        ) as pool:
+            stalled = pool.submit(X[:4])  # round-robin: slot 0
+            pid = pool.worker_pids()[0]
+            with pytest.raises(FleetTimeoutError) as info:
+                pool.swap_model(artifacts[1], version="v2", timeout=1.0)
+            message = str(info.value)
+            assert "1/2 replied" in message
+            assert f"no answer from slot 0 (generation 0, pid {pid})" in message
+            assert "slot 1" not in message
+            assert stalled.result(timeout=30).shape == (4, 2)
+            _wait_for(
+                lambda: pool.stats()["model_versions"] == {0: "v2", 1: "v2"}
+            )
+            assert pool._rounds == {}
+
+    @under_each_cpu_set
+    def test_close_releases_a_pending_round(self, artifacts, toy):
+        """Slot 0 stalls with a stats round queued behind its request and
+        is killed while close() runs: the round is released with
+        ServerClosedError naming it, long before its timeout."""
+        X, _ = toy
+        plan = FaultPlan([StallWorker(worker=0, after_requests=1, seconds=20.0)])
+        pool = WorkerPool(artifacts[0], n_workers=2, chaos=plan, **FAST)
+        outcome = []
+
+        def stats():
+            try:
+                outcome.append(pool.worker_stats(timeout=60.0))
+            except Exception as exc:
+                outcome.append(exc)
+
+        stalled = pool.submit(X[:4])  # round-robin: slot 0
+        pid = pool.worker_pids()[0]
+        waiter = threading.Thread(target=stats)
+        waiter.start()
+        _wait_for(lambda: pool._rounds)
+        t0 = time.monotonic()
+        closer = threading.Thread(target=pool.close)
+        closer.start()
+        _wait_for(lambda: pool._closed)
+        os.kill(pid, signal.SIGKILL)
+        closer.join(30)
+        waiter.join(30)
+        assert not closer.is_alive() and not waiter.is_alive()
+        assert time.monotonic() - t0 < 15.0
+        assert len(outcome) == 1 and isinstance(outcome[0], ServerClosedError)
+        assert "no answer from slot 0" in str(outcome[0])
+        with pytest.raises(WorkerCrashedError):
+            stalled.result(timeout=30)
 
 
 class TestCloseEdgeCases:
